@@ -66,6 +66,7 @@ from .liouvillian import (
     analytic_slow_eigenpair,
     build_generator,
     classify_spectrum,
+    first_order_slow_rate,
     mode_coefficients,
     oscillatory_alpha_pattern,
     slow_alpha_pattern,
@@ -140,6 +141,7 @@ __all__ = [
     "analytic_slow_eigenpair",
     "build_generator",
     "classify_spectrum",
+    "first_order_slow_rate",
     "mode_coefficients",
     "oscillatory_alpha_pattern",
     "slow_alpha_pattern",

@@ -45,6 +45,7 @@ from .liouvillian import (
     ModelParams,
     build_generator,
     classify_spectrum,
+    first_order_slow_rate,
     spectrum_to_json,
 )
 from .states import (
@@ -305,7 +306,7 @@ def _run_spectrum(values: dict, fmt: str) -> str:
 def _sweep_cell(cell: tuple) -> str:
     delta, ratio, lam = cell
     occupation = (1.0 / ratio - 1.0) / 2.0
-    slow = (1.0 + 3.0 * occupation) * delta
+    slow = first_order_slow_rate(occupation, delta)
     peak = analytic_concurrence(ratio, lam, slow if slow > 0 else 1.0, 0.0)
     t_c = survival_time(ratio, lam, slow)
     return (

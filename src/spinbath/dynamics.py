@@ -150,13 +150,10 @@ def _finish_trajectory(
 ) -> Trajectory:
     matrices = _alpha_rows_to_matrices(alphas)
     min_eigs = np.linalg.eigvalsh(matrices)[:, 0].real
-    conc = np.array(
-        [_concurrence(m, dust_tol=_TRAJECTORY_DUST_TOL) for m in matrices]
-    )
     return Trajectory(
         times=times,
         alphas=alphas,
-        concurrence=conc,
+        concurrence=_concurrence(matrices, dust_tol=_TRAJECTORY_DUST_TOL),
         min_eigenvalues=min_eigs,
         gamma0=gamma0,
         slow_rate=slow_rate,

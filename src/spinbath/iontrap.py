@@ -40,7 +40,7 @@ from .bath import (
     lamb_shift_coefficients,
 )
 from .dynamics import analytic_concurrence, generation_condition, survival_time
-from .liouvillian import ModelParams
+from .liouvillian import ModelParams, first_order_slow_rate
 
 __all__ = [
     "TrapConfig",
@@ -214,8 +214,7 @@ def plan(
     )
 
     ratio = config.target_ratio
-    occupation = thermal.occupation
-    slow_rate = (1.0 + 3.0 * occupation) * deficit * gamma0
+    slow_rate = first_order_slow_rate(thermal.occupation, deficit, gamma0)
     lam_corr = -1.0
 
     generated = generation_condition(ratio, lam_corr)

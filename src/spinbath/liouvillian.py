@@ -3,9 +3,14 @@
 The master equation (coherent part plus a secular dissipator built from
 the ``(sigma_z -+ i sigma_y)/2`` eigenoperators of the transverse field)
 is linear, so in the Pauli-product basis it reads ``d alpha/dt = L alpha``
-with a real 16x16 generator ``L``.  The matrix is assembled by applying
-the superoperator to each basis operator ``sigma_i (x) sigma_j / 4`` and
-projecting back.
+with a real 16x16 generator ``L``.  Column k of ``L`` is the image of the
+k-th basis operator ``sigma_i (x) sigma_j / 4`` under the superoperator,
+projected back.  The images of the sixteen basis operators under each of
+the eight dissipator terms depend on no input, so they are computed once
+at import; :func:`build_generator` weights them by the rates, adds the
+commutator with the Hamiltonian and projects all sixteen columns in one
+pass, summing in the same order as the superoperator applied to a single
+operator, so both routes give the same bits.
 
 For a strictly positive correlation deficit the spectrum splits into
 
@@ -28,7 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import RateSet
-from .errors import DefectiveSpectrumError, DegenerateSpectrumError
+from .errors import (
+    DefectiveSpectrumError,
+    DegenerateSpectrumError,
+    NumericalFailureError,
+)
 from .states import PAULI, PAULI_PRODUCTS, PauliVector, flat_index
 
 __all__ = [
@@ -40,6 +49,7 @@ __all__ = [
     "classify_spectrum",
     "mode_coefficients",
     "analytic_slow_eigenpair",
+    "first_order_slow_rate",
     "thermal_alpha",
     "slow_alpha_pattern",
     "oscillatory_alpha_pattern",
@@ -120,28 +130,80 @@ def hamiltonian_matrix(
     return ham
 
 
-def _apply_master_equation(
-    state: np.ndarray, ham: np.ndarray, rates: RateSet
-) -> np.ndarray:
-    """Right-hand side of the master equation for one 4x4 operator."""
-    out = -1j * (ham @ state - state @ ham)
-    for (same, cross), ops in (
-        ((rates.gamma11_plus, rates.gamma12_plus), _OPS_PLUS),
-        ((rates.gamma11_minus, rates.gamma12_minus), _OPS_MINUS),
-    ):
+def _dissipator_images(state: np.ndarray) -> np.ndarray:
+    """Images ``A_m rho A_n^+ - {A_n^+ A_m, rho}/2`` of a 4x4 operator (or
+    of each operator of a ``(..., 4, 4)`` stack) under the eight dissipator
+    terms, stacked along a new first axis in the order of
+    :func:`_term_rates`."""
+    images = []
+    for ops in (_OPS_PLUS, _OPS_MINUS):
         for n in range(2):
             for m in range(2):
-                g = same if n == m else cross
-                if g == 0.0:
-                    continue
                 a_m = ops[m]
                 a_n_dag = ops[n].conj().T
                 sandwich = a_m @ state @ a_n_dag
                 overlap = a_n_dag @ a_m
-                out = out + g * (
-                    sandwich - 0.5 * (overlap @ state + state @ overlap)
-                )
+                images.append(sandwich - 0.5 * (overlap @ state + state @ overlap))
+    return np.stack(images)
+
+
+def _term_rates(rates: RateSet) -> list:
+    """Rate of each dissipator term: same-qubit on the diagonal (n == m),
+    cross-qubit off it; emission terms first."""
+    return [
+        same if n == m else cross
+        for same, cross in (
+            (rates.gamma11_plus, rates.gamma12_plus),
+            (rates.gamma11_minus, rates.gamma12_minus),
+        )
+        for n in range(2)
+        for m in range(2)
+    ]
+
+
+def _apply_master_equation(
+    state: np.ndarray, ham: np.ndarray, rates: RateSet, images=None
+) -> np.ndarray:
+    """Right-hand side of the master equation for a 4x4 operator, or for
+    each operator of a ``(..., 4, 4)`` stack.
+
+    ``images`` may pass ``_dissipator_images(state)`` precomputed; the
+    terms are summed in the same order either way.
+    """
+    if images is None:
+        images = _dissipator_images(state)
+    out = -1j * (ham @ state - state @ ham)
+    for g, image in zip(_term_rates(rates), images):
+        if g != 0.0:
+            out = out + g * image
     return out
+
+
+#: the Pauli-product basis operators ``sigma_i (x) sigma_j / 4``, and their
+#: images under each dissipator term, which do not depend on any input
+_BASIS_OPERATORS = PAULI_PRODUCTS / 4.0
+_BASIS_IMAGES = _dissipator_images(_BASIS_OPERATORS)
+_BASIS_IMAGES.setflags(write=False)
+
+
+def _generator_columns(ham: np.ndarray, rates: RateSet, tol: float) -> np.ndarray:
+    """Real 16x16 Pauli-basis matrix of the master equation.
+
+    Column ``k`` is the Pauli projection of the image of the k-th basis
+    operator.  A column with an imaginary part above ``tol`` means the
+    superoperator does not preserve Hermiticity (for instance a
+    non-Hermitian ``ham``) and raises :class:`NumericalFailureError`.
+    """
+    images = _apply_master_equation(_BASIS_OPERATORS, ham, rates, _BASIS_IMAGES)
+    projected = np.einsum("kab,cba->kc", PAULI_PRODUCTS, images)
+    residues = np.max(np.abs(projected.imag), axis=0)
+    bad = np.flatnonzero(residues > tol)
+    if bad.size:
+        col = int(bad[0])
+        raise NumericalFailureError(
+            f"generator column {col} has imaginary residue {residues[col]:.3e}"
+        )
+    return projected.real.copy()
 
 
 def build_generator(
@@ -154,25 +216,17 @@ def build_generator(
 
     Trace preservation makes the first row vanish identically; it is
     zeroed exactly after an internal consistency check.  All entries are
-    real by Hermiticity preservation.
+    real by Hermiticity preservation.  A failure of either check raises
+    :class:`NumericalFailureError`.
     """
     ham = hamiltonian_matrix(params, include_lamb, include_exchange)
-    entries = np.empty((16, 16))
     scale = max(
         abs(params.delta_field), rates.gamma11_plus, abs(params.lamb_b), 1e-300
     )
-    for col in range(16):
-        image = _apply_master_equation(PAULI_PRODUCTS[col] / 4.0, ham, rates)
-        projected = np.einsum("kab,ba->k", PAULI_PRODUCTS, image)
-        residue = float(np.max(np.abs(projected.imag)))
-        if residue > 1e-10 * scale:
-            raise RuntimeError(
-                f"generator column {col} has imaginary residue {residue:.3e}"
-            )
-        entries[:, col] = projected.real
+    entries = _generator_columns(ham, rates, 1e-10 * scale)
     top = float(np.max(np.abs(entries[0])))
     if top > 1e-10 * scale:
-        raise RuntimeError(f"trace-preservation defect {top:.3e} in generator")
+        raise NumericalFailureError(f"trace-preservation defect {top:.3e} in generator")
     entries[0] = 0.0
     return GeneratorMatrix(entries, params, rates, include_lamb, include_exchange)
 
@@ -417,6 +471,11 @@ def oscillatory_alpha_pattern() -> np.ndarray:
     return vec
 
 
+def first_order_slow_rate(occupation: float, delta: float, gamma0: float = 1.0) -> float:
+    """Slow decay rate ``(1 + 3N) delta gamma0`` to first order in the deficit."""
+    return (1.0 + 3.0 * occupation) * delta * gamma0
+
+
 def analytic_slow_eigenpair(rates: RateSet) -> tuple[float, PauliVector]:
     """First-order slow eigenvalue and its limiting eigenvector.
 
@@ -431,8 +490,7 @@ def analytic_slow_eigenpair(rates: RateSet) -> tuple[float, PauliVector]:
             "corrections are O(delta) and no longer small",
             stacklevel=2,
         )
-    n = rates.occupation
-    eigenvalue = -(1.0 + 3.0 * n) * rates.delta * rates.gamma0
+    eigenvalue = -first_order_slow_rate(rates.occupation, rates.delta, rates.gamma0)
     return eigenvalue, slow_alpha_pattern(rates.ratio)
 
 

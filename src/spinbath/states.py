@@ -228,32 +228,41 @@ def wootters_concurrence(rho) -> float:
     return _concurrence(dm.matrix)
 
 
-def _signed_concurrence(matrix: np.ndarray, dust_tol: float = 1e-9) -> float:
+def _signed_concurrence(matrix: np.ndarray, dust_tol: float = 1e-9):
     """Unclamped spin-flip root difference; negative for separable states.
 
     Useful for root-finding on the entanglement boundary, where the
-    clamped concurrence is identically zero on one side.
+    clamped concurrence is identically zero on one side.  ``matrix`` is one
+    4x4 array, giving a float, or a ``(..., 4, 4)`` stack, giving an array
+    of the stack's shape; an error on a stack names the first offending
+    sample, counted over the flattened stack.
     """
+    matrix = np.asarray(matrix)
     flipped = _SYSY @ matrix.conj() @ _SYSY
-    mu = np.linalg.eigvals(matrix @ flipped)
-    worst_imag = float(np.max(np.abs(mu.imag)))
-    if worst_imag > max(1e-8, dust_tol):
-        raise InvalidStateError(
-            f"spin-flip spectrum has imaginary residue {worst_imag:.3e}"
-        )
+    mu = np.linalg.eigvals(matrix @ flipped).reshape(-1, 4)
+    imag_tol = max(1e-8, dust_tol)
+    imag = np.max(np.abs(mu.imag), axis=1)
     mu = mu.real
-    if mu.min() < -dust_tol:
-        raise InvalidStateError(
-            f"spin-flip spectrum has eigenvalue {mu.min():.3e} below -{dust_tol:.1e}"
-        )
-    roots = np.sqrt(np.sort(np.clip(mu, 0.0, None))[::-1])
-    return float(roots[0] - roots[1] - roots[2] - roots[3])
+    lowest = np.min(mu, axis=1)
+    bad = np.flatnonzero((imag > imag_tol) | (lowest < -dust_tol))
+    if bad.size:
+        k = bad[0]
+        if imag[k] > imag_tol:
+            problem = f"imaginary residue {imag[k]:.3e}"
+        else:
+            problem = f"eigenvalue {lowest[k]:.3e} below -{dust_tol:.1e}"
+        where = "" if matrix.ndim == 2 else f" at sample {k}"
+        raise InvalidStateError(f"spin-flip spectrum has {problem}{where}")
+    roots = np.sqrt(np.sort(np.clip(mu, 0.0, None), axis=1)[:, ::-1])
+    signed = roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3]
+    return float(signed[0]) if matrix.ndim == 2 else signed.reshape(matrix.shape[:-2])
 
 
-def _concurrence(matrix: np.ndarray, dust_tol: float = 1e-9) -> float:
-    """Concurrence of an (assumed Hermitian, unit-trace) 4x4 array."""
-    c = _signed_concurrence(matrix, dust_tol)
-    return float(min(max(c, 0.0), 1.0))
+def _concurrence(matrix: np.ndarray, dust_tol: float = 1e-9):
+    """Concurrence of an (assumed Hermitian, unit-trace) 4x4 array, or of
+    each matrix of a ``(..., 4, 4)`` stack."""
+    c = np.clip(_signed_concurrence(matrix, dust_tol), 0.0, 1.0)
+    return float(c) if c.ndim == 0 else c
 
 
 # ---------------------------------------------------------------------------

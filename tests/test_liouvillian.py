@@ -8,13 +8,17 @@ import pytest
 import oracles
 from conftest import DELTA_FIELD, make_generator, random_density_matrix
 from spinbath.bath import BathThermal, RateSet
-from spinbath.errors import DegenerateSpectrumError
+from spinbath.errors import DegenerateSpectrumError, NumericalFailureError
 from spinbath.liouvillian import (
     GeneratorMatrix,
     ModelParams,
+    _X_TOTAL,
+    _apply_master_equation,
+    _generator_columns,
     analytic_slow_eigenpair,
     build_generator,
     classify_spectrum,
+    first_order_slow_rate,
     generator_to_json,
     hamiltonian_matrix,
     mode_coefficients,
@@ -23,7 +27,7 @@ from spinbath.liouvillian import (
     spectrum_to_json,
     thermal_alpha,
 )
-from spinbath.states import bell_singlet, density_to_bloch, flat_index
+from spinbath.states import PAULI_PRODUCTS, bell_singlet, density_to_bloch, flat_index
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +82,41 @@ def test_generator_matches_kronecker_oracle(case):
     reference[0] = 0.0
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(gen.entries - reference)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("include_lamb", [False, True])
+@pytest.mark.parametrize("include_exchange", [False, True])
+def test_generator_matches_column_route(include_lamb, include_exchange):
+    """Precomputed-image assembly vs the master equation applied to one
+    basis operator at a time.  Both sum the same terms in the same order,
+    so the entries agree bit for bit.  The first case (ratio 1, deficit 1)
+    has zero absorption and cross rates, whose terms are skipped."""
+    rng = np.random.default_rng(7)
+    cases = [(1.0, 1.0)] + [
+        (rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.0)) for _ in range(24)
+    ]
+    for ratio, deficit in cases:
+        params = ModelParams(rng.uniform(0.1, 30.0), *rng.normal(size=3))
+        rates = RateSet.from_parameters(
+            rng.uniform(0.1, 3.0), BathThermal.from_ratio(ratio), deficit
+        )
+        ham = hamiltonian_matrix(params, include_lamb, include_exchange)
+        reference = np.empty((16, 16))
+        for col in range(16):
+            image = _apply_master_equation(PAULI_PRODUCTS[col] / 4.0, ham, rates)
+            reference[:, col] = np.einsum("kab,ba->k", PAULI_PRODUCTS, image).real
+        reference[0] = 0.0
+        gen = build_generator(params, rates, include_lamb, include_exchange)
+        assert np.array_equal(gen.entries, reference)
+
+
+def test_non_hermitian_hamiltonian_is_a_numerical_failure():
+    """A Hamiltonian that breaks Hermiticity preservation leaves imaginary
+    Pauli components, reported as a typed failure naming the first such
+    column (column 1, sigma_0 (x) sigma_x, commutes with the field term)."""
+    rates = RateSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(NumericalFailureError, match="generator column 2 has imaginary"):
+        _generator_columns(1j * _X_TOTAL, rates, 1e-10)
 
 
 def test_first_row_zero_and_real(reference_generator):
@@ -330,6 +369,9 @@ def test_analytic_slow_eigenpair_values():
     assert pattern.component(1, 1) == pytest.approx(2.0)  # 1 + R^2 at R=1
     zero = RateSet.from_parameters(1.0, BathThermal(0.5), 0.0)
     assert analytic_slow_eigenpair(zero)[0] == 0.0
+    warm = RateSet.from_parameters(0.7, BathThermal(0.3), 0.1)
+    assert -analytic_slow_eigenpair(warm)[0] == first_order_slow_rate(0.3, 0.1, 0.7)
+    assert first_order_slow_rate(0.3, 0.1, 0.7) == pytest.approx(1.9 * 0.1 * 0.7)
 
 
 def test_analytic_slow_eigenpair_warns_at_large_deficit():

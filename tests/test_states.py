@@ -11,6 +11,8 @@ from spinbath.states import (
     PAULI_PRODUCTS,
     PauliVector,
     TwoQubitDensityMatrix,
+    _concurrence,
+    _signed_concurrence,
     bell_singlet,
     bell_triplet,
     bloch_to_density,
@@ -228,3 +230,41 @@ def test_correlation_scalar_range_on_random_states(rng):
 def test_concurrence_rejects_badly_indefinite_input():
     with pytest.raises(InvalidStateError):
         wootters_concurrence(np.diag([0.6, 0.5, -0.1, 0.0]))
+
+
+def _random_stack(rng, n):
+    return np.stack(
+        [random_density_matrix(rng, rank=int(rng.integers(1, 5))) for _ in range(n)]
+    )
+
+
+def test_batched_concurrence_equals_single_calls(rng):
+    """One pass over a stack gives the per-matrix values bit for bit."""
+    stack = _random_stack(rng, 300)
+    signed = _signed_concurrence(stack)
+    clamped = _concurrence(stack)
+    assert np.array_equal(signed, [_signed_concurrence(m) for m in stack])
+    assert np.array_equal(clamped, [_concurrence(m) for m in stack])
+    assert np.array_equal(clamped, [wootters_concurrence(m) for m in stack])
+
+
+def test_batched_concurrence_shapes(rng):
+    stack = _random_stack(rng, 6)
+    single = _concurrence(stack[0])
+    assert isinstance(single, float)
+    assert isinstance(_signed_concurrence(stack[0]), float)
+    assert _concurrence(stack).shape == (6,)
+    assert _concurrence(stack[:1]).shape == (1,)
+    assert _concurrence(stack.reshape(2, 3, 4, 4)).shape == (2, 3)
+    assert _concurrence(stack)[0] == single
+
+
+def test_batched_concurrence_names_the_bad_sample(rng):
+    """diag(0.6, 0.5, -0.1, 0) has spin-flip eigenvalues (0, -0.05, -0.05, 0)."""
+    stack = _random_stack(rng, 6)
+    stack[3] = np.diag([0.6, 0.5, -0.1, 0.0])
+    message = r"eigenvalue -5\.000e-02 below -1\.0e-09"
+    with pytest.raises(InvalidStateError, match=message + " at sample 3$"):
+        _concurrence(stack)
+    with pytest.raises(InvalidStateError, match=message + "$"):
+        _concurrence(stack[3])
