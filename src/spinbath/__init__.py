@@ -52,7 +52,6 @@ from .bath import (
     BathThermal,
     RateSet,
     SpectralDensity,
-    bessel_j0,
     build_rates,
     correlation_delta,
     lamb_shift_coefficients,
@@ -129,7 +128,6 @@ __all__ = [
     "BathThermal",
     "RateSet",
     "SpectralDensity",
-    "bessel_j0",
     "build_rates",
     "correlation_delta",
     "lamb_shift_coefficients",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import InvalidRatesError, NumericalFailureError
 
@@ -33,7 +33,6 @@ __all__ = [
     "BathThermal",
     "RateSet",
     "thermal_occupation",
-    "bessel_j0",
     "spatial_correlation",
     "correlation_delta",
     "build_rates",
@@ -229,75 +228,16 @@ def thermal_occupation(delta_freq: float, temperature: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def bessel_j0(x):
-    """Bessel function J_0, accurate to about 1e-10 over the real line.
-
-    Power series below |x| = 12; Hankel asymptotic expansion beyond,
-    truncated at its smallest term.  (The asymptotic series only reaches
-    ~1e-8 at |x| = 8, so the switch point sits higher than the customary
-    8 to meet the accuracy target on both sides.)
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(np.abs(x))
-    out = np.empty_like(x)
-
-    small = x < 12.0
-    if np.any(small):
-        xs = x[small]
-        quarter = 0.25 * xs * xs
-        term = np.ones_like(xs)
-        total = np.ones_like(xs)
-        for k in range(1, 60):
-            term = term * (-quarter) / (k * k)
-            total += term
-            if np.all(np.abs(term) < 1e-17 * (1.0 + np.abs(total))):
-                break
-        out[small] = total
-
-    if np.any(~small):
-        xl = x[~small]
-        # Hankel coefficients a_n = -a_{n-1} (2n - 1)^2 / (8 n); the series
-        # is asymptotic, so each element stops at its own smallest term.
-        p = np.ones_like(xl)
-        q = np.zeros_like(xl)
-        coeff = 1.0
-        power = np.ones_like(xl)
-        prev = np.full_like(xl, np.inf)
-        active = np.ones(xl.shape, dtype=bool)
-        for n in range(1, 31):
-            coeff = coeff * (-((2 * n - 1) ** 2)) / (8.0 * n)
-            power = power / xl
-            term = coeff * power
-            active &= np.abs(term) < prev
-            if not active.any():
-                break
-            contrib = np.where(active, term, 0.0)
-            half, odd = divmod(n, 2)
-            sign = -1.0 if half % 2 else 1.0
-            if odd:
-                q += sign * contrib
-            else:
-                p += sign * contrib
-            prev = np.abs(term)
-        chi = xl - 0.25 * math.pi
-        out[~small] = np.sqrt(2.0 / (math.pi * xl)) * (
-            p * np.cos(chi) - q * np.sin(chi)
-        )
-
-    return float(out[0]) if scalar else out
-
-
 def spatial_correlation(x, dimension: int):
     """Normalized bath correlation profile ``f(x)`` at scaled separation x.
 
-    ``cos(x)`` for a 1D bath, ``J_0(x)`` for 2D, ``sin(x)/x`` for 3D; all
-    satisfy ``f(0) = 1`` and ``|f| <= 1``.
+    ``cos(x)`` for a 1D bath, ``J_0(x)`` for 2D (``scipy.special.j0``),
+    ``sin(x)/x`` for 3D; all satisfy ``f(0) = 1`` and ``|f| <= 1``.
     """
     if dimension == 1:
         value = np.cos(x)
     elif dimension == 2:
-        value = bessel_j0(x)
+        value = special.j0(x)
     elif dimension == 3:
         x = np.asarray(x, dtype=float)
         value = np.where(x == 0.0, 1.0, np.divide(np.sin(x), np.where(x == 0.0, 1.0, x)))
@@ -409,40 +349,39 @@ def build_rates(
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
 
 
-def _excised_integral(integrand, pole: float, upper: float, eps: float) -> float:
-    left, _ = integrate.quad(integrand, 0.0, pole - eps, **_QUAD_OPTS)
-    right, _ = integrate.quad(integrand, pole + eps, upper, **_QUAD_OPTS)
-    return left + right
+def _principal_value(
+    name: str, numerator, pole: float, upper: float, rel_tol: float
+) -> float:
+    """``PV int_0^upper numerator(w) / (w - pole) dw`` in one QUADPACK call.
 
-
-def _principal_value(integrand, pole: float, upper: float, rel_tol: float) -> float:
-    """PV integral of ``integrand`` over (0, upper) with a simple pole.
-
-    Symmetric excision of a shrinking window around the pole followed by
-    three rounds of Richardson extrapolation in the window half-width:
-    the excision error is odd in eps (c1*eps + c3*eps^3 + c5*eps^5 ...),
-    so successive rounds cancel eps, eps^3 and eps^5.
+    A pole inside (0, upper) goes to QAWC, ``quad``'s Cauchy weight
+    (Piessens et al., *QUADPACK*, 1983), which integrates the weight
+    ``1 / (w - pole)`` in the principal-value sense; a pole outside leaves
+    an ordinary integrand for plain ``quad``.  The value is returned only
+    when QUADPACK reports success and its own error estimate is within
+    ``rel_tol * |value| + 1e-13``.  Otherwise :class:`NumericalFailureError`
+    names the coefficient, the estimate, the error estimate and QUADPACK's
+    message.
     """
-    if not 0.0 < pole < upper:
-        value, _ = integrate.quad(integrand, 0.0, upper, **_QUAD_OPTS)
-        return value
-    scale = min(pole, upper - pole)
-    eps_ladder = [scale * frac for frac in (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625)]
-    estimates = [_excised_integral(integrand, pole, upper, eps) for eps in eps_ladder]
-    raw_magnitude = sum(abs(v) for v in estimates)
-    for weight in (2.0, 8.0, 32.0):
-        estimates = [
-            (weight * estimates[i + 1] - estimates[i]) / (weight - 1.0)
-            for i in range(len(estimates) - 1)
-        ]
-    magnitude = max(1e-30, abs(estimates[-1]))
-    drift = abs(estimates[-1] - estimates[-2])
-    if drift > rel_tol * magnitude + 1e-13 * (1.0 + raw_magnitude):
-        raise NumericalFailureError(
-            "principal-value extrapolation did not converge: "
-            f"estimates {estimates}, smallest excision width {eps_ladder[-1]}"
+    if 0.0 < pole < upper:
+        result = integrate.quad(
+            numerator, 0.0, upper, weight="cauchy", wvar=pole, full_output=1, **_QUAD_OPTS
         )
-    return estimates[-1]
+    else:
+        result = integrate.quad(
+            lambda omega: numerator(omega) / (omega - pole), 0.0, upper,
+            full_output=1, **_QUAD_OPTS,
+        )
+    value, abserr = result[0], result[1]
+    # quad appends a message only when QUADPACK's ier is non-zero
+    message = result[3] if len(result) > 3 else None
+    if message is not None or abserr > rel_tol * abs(value) + 1e-13:
+        reason = " ".join((message or "error estimate above tolerance").split())
+        raise NumericalFailureError(
+            f"principal value {name} did not converge: estimate {value!r}, "
+            f"error estimate {abserr!r} (rel_tol {rel_tol}); QUADPACK: {reason}"
+        )
+    return value
 
 
 def lamb_shift_coefficients(
@@ -460,26 +399,32 @@ def lamb_shift_coefficients(
         A = 2 PV int_0^inf J(w) coth(w / 2T) Delta / (Delta^2 - w^2) dw
         B =   PV int_0^inf J(w) f(kappa(w) d)   w   / (Delta^2 - w^2) dw
 
-    ``A`` is independent of the qubit separation by construction.  A
-    spectral density without sufficient falloff makes these integrals
-    ill-defined; non-convergence raises :class:`NumericalFailureError`.
+    ``A`` is independent of the qubit separation by construction.  Each is
+    one QUADPACK principal value over the support of ``J`` (see
+    :func:`_principal_value`).  ``rel_tol`` bounds QUADPACK's own error
+    estimate of each coefficient, relative to its value (plus 1e-13
+    absolute).  A spectral density without sufficient falloff makes these
+    integrals ill-defined; non-convergence, or an error estimate above
+    ``rel_tol``, raises :class:`NumericalFailureError`.
     """
     if delta_freq <= 0:
         raise ValueError(f"frequency must be positive, got {delta_freq}")
     upper = spectral.support_limit()
     floor = 1e-12 * delta_freq
 
-    def integrand_a(omega: float) -> float:
+    # 1 / (Delta^2 - w^2) = -1 / ((w - Delta) (Delta + w)): each numerator
+    # carries -1 / (Delta + w) and the Cauchy weight supplies 1 / (w - Delta)
+    def numerator_a(omega: float) -> float:
         omega = max(omega, floor)
         num = 2.0 * spectral(omega) * thermal.coth_factor(omega, delta_freq) * delta_freq
-        return num / ((delta_freq - omega) * (delta_freq + omega))
+        return -num / (delta_freq + omega)
 
-    def integrand_b(omega: float) -> float:
+    def numerator_b(omega: float) -> float:
         omega = max(omega, floor)
         x = float(geometry.kappa(omega)) * geometry.separation
         num = spectral(omega) * spatial_correlation(x, geometry.dimension) * omega
-        return num / ((delta_freq - omega) * (delta_freq + omega))
+        return -num / (delta_freq + omega)
 
-    coeff_a = _principal_value(integrand_a, delta_freq, upper, rel_tol)
-    coeff_b = _principal_value(integrand_b, delta_freq, upper, rel_tol)
+    coeff_a = _principal_value("A", numerator_a, delta_freq, upper, rel_tol)
+    coeff_b = _principal_value("B", numerator_b, delta_freq, upper, rel_tol)
     return coeff_a, coeff_b

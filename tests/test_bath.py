@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 import oracles
 from spinbath.bath import (
@@ -14,14 +14,13 @@ from spinbath.bath import (
     BathThermal,
     RateSet,
     SpectralDensity,
-    bessel_j0,
     build_rates,
     correlation_delta,
     lamb_shift_coefficients,
     spatial_correlation,
     thermal_occupation,
 )
-from spinbath.errors import InvalidRatesError
+from spinbath.errors import InvalidRatesError, NumericalFailureError
 
 
 class TestSpectralDensity:
@@ -117,20 +116,6 @@ class TestBathThermal:
             thermal_occupation(1.0, -1.0)
 
 
-def test_bessel_j0_against_scipy():
-    """Both branches of the evaluator, including the switch at x = 12."""
-    grid = np.concatenate([
-        np.linspace(0.0, 11.99, 400),
-        np.array([11.9999, 12.0, 12.0001]),
-        np.linspace(12.01, 80.0, 400),
-        np.array([200.0, 1000.0]),
-    ])
-    err = np.abs(bessel_j0(grid) - special.j0(grid))
-    assert err.max() < 1e-10
-    # scalar path
-    assert bessel_j0(2.404825557695773) == pytest.approx(0.0, abs=1e-12)
-
-
 class TestSpatialCorrelation:
     def test_profiles_match_scipy_forms(self):
         xs = np.linspace(0.0, 30.0, 500)
@@ -139,6 +124,20 @@ class TestSpatialCorrelation:
         expected = np.ones_like(xs)
         expected[1:] = np.sin(xs[1:]) / xs[1:]
         assert np.allclose(spatial_correlation(xs, 3), expected, atol=1e-14)
+
+    def test_2d_profile_matches_bessel_integral(self):
+        """J_0 from Bessel's integral (1/pi) int_0^pi cos(x sin t) dt.
+
+        The package takes J_0 from ``scipy.special.j0``; this reference
+        shares no code with it.
+        """
+        xs = np.linspace(0.0, 30.0, 21)
+        reference = [
+            integrate.quad(lambda t: math.cos(x * math.sin(t)), 0.0, math.pi,
+                           limit=200, epsabs=1e-13, epsrel=1e-12)[0] / math.pi
+            for x in xs
+        ]
+        assert np.allclose(spatial_correlation(xs, 2), reference, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_unit_at_zero_and_bounded(self, dimension):
@@ -256,6 +255,56 @@ class TestLambShiftCoefficients:
         b_exact = 0.05 * (-10.0 + 0.5 * (math.exp(-0.1) * ei + math.exp(0.1) * e1))
         assert coeff_a == pytest.approx(a_exact, rel=1e-8)
         assert coeff_b == pytest.approx(b_exact, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "separation, velocity, cutoff, delta_freq",
+        [(0.25, 2.0, 250.0, 25.0), (1.0, 1.0, 10.0, 1.0), (3.0, 1.0, 50.0, 2.0)],
+    )
+    def test_closed_form_anchor_hard_cutoff_1d(
+        self, separation, velocity, cutoff, delta_freq
+    ):
+        """Ohmic J with hard cutoff c, 1D bath: B in sine and cosine integrals.
+
+        B carries no thermal factor.  With k = d / v and
+        w^2 / (D^2 - w^2) = -1 + (D/2) [1/(D - w) + 1/(D + w)],
+
+            B = (g/2) [-sin(kc)/k + (D/2) (I_- + I_+)]
+            I_- = sin(kD) [Si(k(c-D)) + Si(kD)] - cos(kD) [Ci(k(c-D)) - Ci(kD)]
+            I_+ = cos(kD) [Ci(k(c+D)) - Ci(kD)] + sin(kD) [Si(k(c+D)) - Si(kD)]
+
+        for coupling g and c > D.  The same formula gives the exact
+        B = -0.0084341570784 for the oscillatory case of
+        ``test_oscillatory_case_fails_loudly`` (d = 25, v = 1, c = 250,
+        D = 1), which the Cauchy-weight route cannot yet reach.
+        """
+        k = separation / velocity
+        si_minus, ci_minus = special.sici(k * (cutoff - delta_freq))
+        si_plus, ci_plus = special.sici(k * (cutoff + delta_freq))
+        si_0, ci_0 = special.sici(k * delta_freq)
+        sin_kd, cos_kd = math.sin(k * delta_freq), math.cos(k * delta_freq)
+        i_minus = sin_kd * (si_minus + si_0) - cos_kd * (ci_minus - ci_0)
+        i_plus = cos_kd * (ci_plus - ci_0) + sin_kd * (si_plus - si_0)
+        b_exact = 0.05 * (-math.sin(k * cutoff) / k + 0.5 * delta_freq * (i_minus + i_plus))
+
+        density = SpectralDensity.ohmic(0.1, cutoff, HARD_CUTOFF)
+        geom = BathGeometry(separation=separation, dimension=1, velocity=velocity)
+        _, coeff_b = lamb_shift_coefficients(density, BathThermal(0.3), geom, delta_freq)
+        assert coeff_b == pytest.approx(b_exact, rel=1e-12)
+
+    def test_oscillatory_case_fails_loudly(self):
+        """1D, hard cutoff 250, separation 25, Delta 1, N 0.25.
+
+        cos(25 w) over (0, 250) exhausts QUADPACK's 400 subdivisions; the
+        estimate of B is then far from the exact -0.0084341570784, so the
+        call must raise instead of returning a number.
+        """
+        density = SpectralDensity.ohmic(0.1, 250.0, HARD_CUTOFF)
+        geom = BathGeometry(separation=25.0, dimension=1, velocity=1.0)
+        with pytest.raises(
+            NumericalFailureError,
+            match=r"principal value B did not converge: estimate .*error estimate .*QUADPACK",
+        ):
+            lamb_shift_coefficients(density, BathThermal(0.25), geom, 1.0)
 
     @pytest.mark.parametrize(
         "occupation, separation, dimension, cutoff_form, cutoff, delta_freq",
