@@ -14,8 +14,8 @@ Layout:
   correlation profile, golden-rule rates, Lamb-shift integrals.
 * :mod:`spinbath.liouvillian` - the 16x16 real generator, its classified
   eigensystem, analytic mode patterns.
-* :mod:`spinbath.dynamics` - spectral/ODE propagation, concurrence
-  trajectories, generation conditions and survival times.
+* :mod:`spinbath.dynamics` - spectral and expm-stepping propagation,
+  concurrence trajectories, generation conditions and survival times.
 * :mod:`spinbath.iontrap` - mapping to linear-ion-trap parameters with a
   feasibility verdict.
 * :mod:`spinbath.cli` - the ``spinbath`` command.

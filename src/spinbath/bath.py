@@ -347,11 +347,12 @@ def build_rates(
 # ---------------------------------------------------------------------------
 
 _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
+#: largest accepted QUADPACK error estimate, relative to the value (plus
+#: 1e-13 absolute), for a Lamb-shift coefficient
+_PV_REL_TOL = 1e-6
 
 
-def _principal_value(
-    name: str, numerator, pole: float, upper: float, rel_tol: float
-) -> float:
+def _principal_value(name: str, numerator, pole: float, upper: float) -> float:
     """``PV int_0^upper numerator(w) / (w - pole) dw`` in one QUADPACK call.
 
     A pole inside (0, upper) goes to QAWC, ``quad``'s Cauchy weight
@@ -359,9 +360,9 @@ def _principal_value(
     ``1 / (w - pole)`` in the principal-value sense; a pole outside leaves
     an ordinary integrand for plain ``quad``.  The value is returned only
     when QUADPACK reports success and its own error estimate is within
-    ``rel_tol * |value| + 1e-13``.  Otherwise :class:`NumericalFailureError`
-    names the coefficient, the estimate, the error estimate and QUADPACK's
-    message.
+    ``_PV_REL_TOL * |value| + 1e-13``.  Otherwise
+    :class:`NumericalFailureError` names the coefficient, the estimate, the
+    error estimate, the tolerance and QUADPACK's message.
     """
     if 0.0 < pole < upper:
         result = integrate.quad(
@@ -375,11 +376,11 @@ def _principal_value(
     value, abserr = result[0], result[1]
     # quad appends a message only when QUADPACK's ier is non-zero
     message = result[3] if len(result) > 3 else None
-    if message is not None or abserr > rel_tol * abs(value) + 1e-13:
+    if message is not None or abserr > _PV_REL_TOL * abs(value) + 1e-13:
         reason = " ".join((message or "error estimate above tolerance").split())
         raise NumericalFailureError(
             f"principal value {name} did not converge: estimate {value!r}, "
-            f"error estimate {abserr!r} (rel_tol {rel_tol}); QUADPACK: {reason}"
+            f"error estimate {abserr!r} (rel_tol {_PV_REL_TOL}); QUADPACK: {reason}"
         )
     return value
 
@@ -389,7 +390,6 @@ def lamb_shift_coefficients(
     thermal: BathThermal,
     geometry: BathGeometry,
     delta_freq: float,
-    rel_tol: float = 1e-6,
 ) -> tuple[float, float]:
     """Strengths of the bath-induced Hamiltonian corrections.
 
@@ -401,11 +401,11 @@ def lamb_shift_coefficients(
 
     ``A`` is independent of the qubit separation by construction.  Each is
     one QUADPACK principal value over the support of ``J`` (see
-    :func:`_principal_value`).  ``rel_tol`` bounds QUADPACK's own error
-    estimate of each coefficient, relative to its value (plus 1e-13
-    absolute).  A spectral density without sufficient falloff makes these
-    integrals ill-defined; non-convergence, or an error estimate above
-    ``rel_tol``, raises :class:`NumericalFailureError`.
+    :func:`_principal_value`).  QUADPACK's own error estimate of each
+    coefficient must stay within 1e-6 of its value (plus 1e-13 absolute).
+    A spectral density without sufficient falloff makes these integrals
+    ill-defined; non-convergence, or an error estimate above that
+    tolerance, raises :class:`NumericalFailureError`.
     """
     if delta_freq <= 0:
         raise ValueError(f"frequency must be positive, got {delta_freq}")
@@ -425,6 +425,6 @@ def lamb_shift_coefficients(
         num = spectral(omega) * spatial_correlation(x, geometry.dimension) * omega
         return -num / (delta_freq + omega)
 
-    coeff_a = _principal_value("A", numerator_a, delta_freq, upper, rel_tol)
-    coeff_b = _principal_value("B", numerator_b, delta_freq, upper, rel_tol)
+    coeff_a = _principal_value("A", numerator_a, delta_freq, upper)
+    coeff_b = _principal_value("B", numerator_b, delta_freq, upper)
     return coeff_a, coeff_b

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping
 
 import numpy as np
@@ -51,6 +50,7 @@ from .liouvillian import (
 from .states import (
     bell_singlet,
     bell_triplet,
+    correlation_scalar,
     maximally_mixed,
     state_for_correlation,
     z_up_down,
@@ -263,9 +263,7 @@ def _run_fig2(values: dict, fmt: str, dressed: bool) -> str:
     columns = [("t_gamma0", times), ("t_lambda1", times * slow_used)]
     for name, factory in _FIG2_STATES:
         state = factory()
-        lam = float(
-            state.component(1, 1) + state.component(2, 2) + state.component(3, 3)
-        )
+        lam = correlation_scalar(state)
         trajectory = propagate_spectral(report, state, times)
         envelope = analytic_concurrence(ratio, lam, slow_used, times)
         columns.append((f"c_num_{name}", trajectory.concurrence))
@@ -305,8 +303,7 @@ def _run_spectrum(values: dict, fmt: str) -> str:
 
 def _sweep_cell(cell: tuple) -> str:
     delta, ratio, lam = cell
-    occupation = (1.0 / ratio - 1.0) / 2.0
-    slow = first_order_slow_rate(occupation, delta)
+    slow = first_order_slow_rate(BathThermal.from_ratio(ratio).occupation, delta)
     peak = analytic_concurrence(ratio, lam, slow if slow > 0 else 1.0, 0.0)
     t_c = survival_time(ratio, lam, slow)
     return (
@@ -315,7 +312,7 @@ def _sweep_cell(cell: tuple) -> str:
     )
 
 
-def _run_sweep(values: dict, fmt: str, threads: int) -> str:
+def _run_sweep(values: dict, fmt: str) -> str:
     if fmt != "csv":
         raise UsageError("sweep only renders CSV")
     deltas, ratios, lams = (
@@ -331,11 +328,7 @@ def _run_sweep(values: dict, fmt: str, threads: int) -> str:
         raise UsageError("lambda_values must lie in [-3, 1]")
     cells = [(d, r, l) for d in deltas for r in ratios for l in lams]
     header = "delta,R,lambda,peak_concurrence,t_c_gamma0"
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
+    rows = [_sweep_cell(cell) for cell in cells]
     return "\n".join([header] + rows) + "\n"
 
 
@@ -391,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", default="-", metavar="PATH", help="output file; - for stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     return parser
 
 
@@ -409,8 +401,6 @@ def _gather_pairs(args) -> dict:
 
 def _dispatch(args) -> str:
     values = _merge_parameters(args.scenario, _gather_pairs(args))
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
     if args.scenario == "fig1-surface":
         return _run_fig1(values, args.format)
     if args.scenario == "fig2-trajectories":
@@ -420,7 +410,7 @@ def _dispatch(args) -> str:
     if args.scenario == "spectrum":
         return _run_spectrum(values, args.format)
     if args.scenario == "sweep":
-        return _run_sweep(values, args.format, args.threads)
+        return _run_sweep(values, args.format)
     return _run_iontrap(values, args.format)
 
 
@@ -440,7 +430,7 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         # covers the numerical-failure family (spectrum degeneracy,
-        # integration breakdown, non-convergent extrapolation)
+        # non-finite propagation, non-convergent quadrature)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     try:

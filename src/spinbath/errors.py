@@ -14,11 +14,12 @@ class InvalidCoefficientsError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """A quadrature or extrapolation failed to converge; details in args."""
+    """A numerical check failed: a quadrature that did not converge, an
+    imaginary residue above tolerance, a non-finite state; details in args."""
 
 
 class IntegrationFailureError(NumericalFailureError):
-    """The ODE integrator gave up (step-size underflow or similar)."""
+    """Direct propagation produced a non-finite state."""
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -34,4 +35,4 @@ class DegenerateSpectrumError(RuntimeError):
 
 class DefectiveSpectrumError(RuntimeError):
     """The generator has no complete eigenbasis; spectral propagation is
-    unavailable and callers should fall back to direct integration."""
+    unavailable and callers should fall back to direct propagation."""

@@ -6,12 +6,13 @@ route than the package under test:
 * the master-equation generator is assembled in density-matrix space with
   Kronecker products and conjugated into the Pauli-component basis, instead
   of projecting operator images column by column;
-* time evolution uses the dense matrix exponential, instead of an
-  eigendecomposition or an adaptive integrator;
+* time evolution takes the dense matrix exponential expm(L t) of that
+  generator afresh at every sample, instead of an eigendecomposition or
+  the package's exact steps expm(L dt) on its own Pauli-space generator;
 * concurrence uses the matrix-square-root form of Wootters' formula,
   instead of the eigenvalues of the non-Hermitian product rho rho~;
 * principal-value integrals use pole folding (an exactly regular
-  integrand), instead of symmetric excision with extrapolation.
+  integrand), instead of QUADPACK's Cauchy weight (QAWC).
 
 Agreement between the two routes is then evidence, not tautology.
 """

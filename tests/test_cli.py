@@ -73,11 +73,6 @@ def test_out_of_range_ratio_is_usage_error(capsys):
     assert "(0, 1]" in err
 
 
-def test_thread_count_validated(capsys):
-    code, _, _ = invoke(capsys, "--scenario", "sweep", "--threads", "0")
-    assert code == 2
-
-
 def test_degenerate_spectrum_is_numerical_failure(capsys):
     code, _, err = invoke(capsys, "--scenario", "spectrum", "--set", "delta=0")
     assert code == 3
@@ -304,13 +299,6 @@ def test_sweep_protected_cell_reports_inf(capsys):
     assert code == 0
     row = out.strip().split("\n")[1].split(",")
     assert row == ["0", "1", "-3", "1", "inf"]
-
-
-def test_sweep_thread_counts_agree(capsys):
-    code1, serial, _ = invoke(capsys, "--scenario", "sweep", "--threads", "1")
-    code4, pooled, _ = invoke(capsys, "--scenario", "sweep", "--threads", "4")
-    assert code1 == code4 == 0
-    assert serial == pooled
 
 
 def test_sweep_grid_validation(capsys):

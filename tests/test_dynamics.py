@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import FOUR_STATES, make_generator, random_density_matrix
-from spinbath.bath import RateSet
+from conftest import DELTA_FIELD, FOUR_STATES, make_generator, random_density_matrix
+from spinbath.bath import BathThermal, RateSet
 from spinbath.dynamics import (
     Trajectory,
     analytic_amplitude,
@@ -28,7 +28,13 @@ from spinbath.dynamics import (
     write_trajectory_csv,
     zero_temperature_state,
 )
-from spinbath.errors import InvalidCoefficientsError, InvalidStateError
+from spinbath.errors import (
+    DefectiveSpectrumError,
+    DegenerateSpectrumError,
+    IntegrationFailureError,
+    InvalidCoefficientsError,
+    InvalidStateError,
+)
 from spinbath.liouvillian import (
     GeneratorMatrix,
     ModelParams,
@@ -43,6 +49,7 @@ from spinbath.states import (
     correlation_scalar,
     density_to_bloch,
     maximally_mixed,
+    state_for_correlation,
     x_up_up,
     z_up_down,
 )
@@ -180,12 +187,49 @@ def test_ode_singlet_approaches_envelope(reference_generator):
     assert np.max(np.abs(traj.concurrence - envelope)) < 0.02
 
 
-def test_propagate_falls_back_when_degenerate():
-    gen = make_generator(0.0, 0.9)  # deficit 0: classification refuses
-    times = np.linspace(0.0, 5.0, 6)
-    traj = propagate(gen, bell_singlet(), times)
-    # the singlet is decoherence-protected by a fully correlated bath
-    assert np.max(np.abs(traj.alphas - bell_singlet().alpha)) < 1e-8
+def test_ode_zero_horizon_returns_initial_state(reference_generator):
+    state = bell_singlet()
+    traj = propagate_ode(reference_generator, state, [0.0])
+    assert np.array_equal(traj.alphas, state.alpha[None, :])
+
+
+def test_ode_non_finite_generator_raises(reference_generator):
+    gen = GeneratorMatrix(
+        np.full((16, 16), np.nan), reference_generator.params, reference_generator.rates
+    )
+    with pytest.raises(IntegrationFailureError, match="non-finite"):
+        propagate_ode(gen, z_up_down(), np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [z_up_down, bell_singlet, lambda: state_for_correlation(0.5)],
+    ids=["z_up_down", "singlet", "lambda_0.5"],
+)
+@pytest.mark.parametrize("deficit", [0.0, 1e-12])
+def test_propagate_falls_back_when_degenerate(deficit, factory):
+    """The common bath freezes the slow mode; at 1e-12 the zero mode is doubled."""
+    ratio = 0.9
+    gen = make_generator(deficit, ratio)
+    with pytest.raises((DegenerateSpectrumError, DefectiveSpectrumError)):
+        classify_spectrum(gen)
+    times = np.linspace(0.0, 50.0, 26)
+    traj = propagate(gen, factory(), times)
+    reference = oracles.evolve_expm(
+        oracles.liouvillian_alpha_space(
+            DELTA_FIELD, 1.0, BathThermal.from_ratio(ratio).occupation, deficit
+        ),
+        factory().alpha,
+        times,
+    )
+    assert np.max(np.abs(traj.alphas - reference)) < 1e-10
+    if factory is bell_singlet:
+        # the singlet is decoherence-protected by a fully correlated bath
+        assert np.max(np.abs(traj.alphas - bell_singlet().alpha)) < 1e-8
+    if factory is z_up_down:
+        # the generated entanglement never decays: the slow mode is frozen
+        plateau = analytic_concurrence(ratio, -1.0, 0.0, 0.0)
+        assert traj.concurrence[-1] == pytest.approx(plateau, abs=1e-3)
 
 
 def test_propagate_uses_spectral_when_possible(reference_generator, reference_spectrum):
