@@ -143,7 +143,7 @@ def concurrence_of_alpha(alpha) -> float:
 def _alpha_rows_to_matrices(alphas: np.ndarray) -> np.ndarray:
     """Batched ``alpha -> rho``, renormalizing each row by its trace entry."""
     scaled = alphas / alphas[:, :1]
-    return np.tensordot(scaled, PAULI_PRODUCTS, axes=1) / 4.0
+    return (scaled @ PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4) / 4.0
 
 
 def _finish_trajectory(
@@ -171,8 +171,15 @@ def _check_times(times) -> np.ndarray:
 
 
 def _spectral_alphas(report: SpectrumReport, coeffs: np.ndarray, times: np.ndarray):
+    """Real mode sum at each time; a broken mode pairing raises."""
     phases = np.exp(np.outer(times, report.eigenvalues))
-    return (phases * coeffs) @ report.right.T
+    alpha_c = (phases * coeffs) @ report.right.T
+    residue = float(np.max(np.abs(alpha_c.imag)))
+    if residue > _RECONSTRUCTION_IMAG_TOL:
+        raise NumericalFailureError(
+            f"spectral reconstruction has imaginary residue {residue:.3e}"
+        )
+    return alpha_c.real
 
 
 def propagate_spectral(
@@ -187,14 +194,11 @@ def propagate_spectral(
     """
     times = _check_times(times)
     coeffs = mode_coefficients(report, initial)
-    alpha_c = _spectral_alphas(report, coeffs, times)
-    residue = float(np.max(np.abs(alpha_c.imag)))
-    if residue > _RECONSTRUCTION_IMAG_TOL:
-        raise NumericalFailureError(
-            f"spectral reconstruction has imaginary residue {residue:.3e}"
-        )
     return _finish_trajectory(
-        times, alpha_c.real, report.gamma0, -report.slow_eigenvalue
+        times,
+        _spectral_alphas(report, coeffs, times),
+        report.gamma0,
+        -report.slow_eigenvalue,
     )
 
 
@@ -351,9 +355,12 @@ class SurvivalReport:
     """Entanglement lifetime summary for one initial state.
 
     ``t_c`` is the closed-form envelope zero (using the numerically
-    extracted slow rate); ``t_c_numeric`` the root of the full propagated
-    concurrence, found by bisection and absent when the numeric
-    cross-check was skipped.  Divergent lifetimes are ``inf``.
+    extracted slow rate); ``t_c_numeric`` the last root of the full
+    propagated concurrence, found by Brent's method and absent when the
+    numeric cross-check was skipped.  With the cross-check,
+    ``peak_concurrence`` is the maximum of the full concurrence, reached
+    at ``peak_time``; without it, the envelope at t = 0.  Divergent
+    lifetimes are ``inf``.
     """
 
     ratio: float
@@ -371,50 +378,81 @@ def _numeric_survival(
 ) -> tuple[float, float, float]:
     """Peak and final zero of the propagated concurrence.
 
-    Scans a combined log/linear grid out to a horizon inferred from the
-    envelope estimate, doubling the horizon while the state is still
-    entangled at the far end (up to a cap, after which the lifetime is
-    reported as ``inf``).
+    Only the signed concurrence of the spectral mode sum is evaluated, in
+    three steps:
+
+    * scan: t = 0 and 64 log-spaced samples over the transient window
+      ``[1e-3, min(8, horizon)] / gamma0``, then 48 linear samples over
+      the rest of the horizon.  The horizon starts at 1.6 times the
+      envelope estimate ``t_guess`` (at least ``5 / gamma0``) and doubles,
+      with 48 more samples over each new stretch, while the last sample is
+      still entangled; after 8 scans the lifetime is reported as ``inf``.
+      No positive sample means no entanglement: ``(0, 0, 0)``.  The
+      envelope only seeds the horizon, never the bracket, since it can
+      promise entanglement that the full dynamics does not generate.
+    * refine: bounded Brent minimisation of ``-C`` between the two
+      neighbours of the best sample, to 1e-5 of that bracket, kept only
+      when it beats that sample.
+    * root: Brent's method between the last positive sample and the next,
+      to ``xtol = 1e-6 / |lambda_1|``.
     """
     gamma0 = report.gamma0
     coeffs = mode_coefficients(report, initial)
 
-    def signed(t: float) -> float:
-        alpha = _spectral_alphas(report, coeffs, np.array([t]))
-        matrix = _alpha_rows_to_matrices(alpha.real)[0]
-        return _signed_concurrence(matrix, dust_tol=_TRAJECTORY_DUST_TOL)
+    def signed(times: np.ndarray) -> np.ndarray:
+        alphas = _spectral_alphas(report, coeffs, times)
+        matrices = _alpha_rows_to_matrices(alphas)
+        return _signed_concurrence(matrices, dust_tol=_TRAJECTORY_DUST_TOL)
+
+    def signed_at(t: float) -> float:
+        return float(signed(np.array([t]))[0])
+
+    def stretch(start: float, stop: float) -> np.ndarray:
+        return np.linspace(start, stop, 49)[1:]
 
     horizon = 1.6 * t_guess if math.isfinite(t_guess) and t_guess > 0 else 30.0 / gamma0
     horizon = max(horizon, 5.0 / gamma0)
-    for _ in range(8):
-        grid = np.unique(
-            np.concatenate(
-                [
-                    np.geomspace(1e-3 / gamma0, horizon, 400),
-                    np.linspace(0.0, horizon, 201),
-                ]
-            )
-        )
-        traj = propagate_spectral(report, initial, grid)
-        conc = traj.concurrence
-        peak_k = int(np.argmax(conc))
-        peak_c, peak_t = float(conc[peak_k]), float(grid[peak_k])
-        if peak_c <= 0.0:
-            return 0.0, 0.0, 0.0
-        positive = np.flatnonzero(conc > 0.0)
-        last = positive[-1]
-        if last < grid.size - 1:
-            lo, hi = grid[last], grid[last + 1]
-            try:
-                t_zero = optimize.brentq(
-                    signed, lo, hi, xtol=1e-6 / max(-report.slow_eigenvalue, 1e-300)
-                )
-            except ValueError:
-                # endpoint landed exactly on the root
-                t_zero = hi if signed(hi) == 0.0 else lo
-            return peak_c, peak_t, float(t_zero)
+    # the fast modes decay at rates of order gamma0 or faster
+    window = min(8.0 / gamma0, horizon)
+    times = np.concatenate([[0.0], np.geomspace(1e-3 / gamma0, window, 64)])
+    if horizon > window:
+        times = np.concatenate([times, stretch(window, horizon)])
+    values = signed(times)
+    if not np.any(values > 0.0):
+        return 0.0, 0.0, 0.0
+    for _ in range(7):
+        if values[-1] <= 0.0:
+            break
+        tail = stretch(horizon, 2.0 * horizon)
+        times = np.concatenate([times, tail])
+        values = np.concatenate([values, signed(tail)])
         horizon *= 2.0
-    return peak_c, peak_t, math.inf
+
+    k = int(np.argmax(values))
+    peak_c, peak_t = float(values[k]), float(times[k])
+    lo, hi = times[max(k - 1, 0)], times[min(k + 1, times.size - 1)]
+    refined = optimize.minimize_scalar(
+        lambda t: -signed_at(t),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-5 * (hi - lo)},
+    )
+    if -refined.fun > peak_c:
+        peak_c, peak_t = -float(refined.fun), float(refined.x)
+    peak_c = min(peak_c, 1.0)
+
+    last = int(np.flatnonzero(values > 0.0)[-1])
+    if last == times.size - 1:
+        return peak_c, peak_t, math.inf
+    lo, hi = times[last], times[last + 1]
+    try:
+        t_zero = optimize.brentq(
+            signed_at, lo, hi, xtol=1e-6 / max(-report.slow_eigenvalue, 1e-300)
+        )
+    except ValueError:
+        # endpoint landed exactly on the root
+        t_zero = hi if signed_at(hi) == 0.0 else lo
+    return peak_c, peak_t, float(t_zero)
 
 
 def survival_report(

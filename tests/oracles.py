@@ -10,7 +10,9 @@ route than the package under test:
   generator afresh at every sample, instead of an eigendecomposition or
   the package's exact steps expm(L dt) on its own Pauli-space generator;
 * concurrence uses the matrix-square-root form of Wootters' formula,
-  instead of the eigenvalues of the non-Hermitian product rho rho~;
+  sqrt(rho) rho~ sqrt(rho), with both square roots taken from Hermitian
+  eigendecompositions (eigh), instead of the eigenvalues of the
+  non-Hermitian product rho rho~;
 * principal-value integrals use pole folding (an exactly regular
   integrand), instead of QUADPACK's Cauchy weight (QAWC).
 
@@ -19,7 +21,7 @@ Agreement between the two routes is then evidence, not tautology.
 
 import numpy as np
 from scipy import integrate, special
-from scipy.linalg import expm, sqrtm
+from scipy.linalg import expm
 
 _I2 = np.eye(2, dtype=complex)
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -145,14 +147,24 @@ def evolve_expm(matrix, alpha0, times):
     return np.array([expm(matrix * float(t)) @ alpha0 for t in times])
 
 
+def _sqrt_eigenvalues(hermitian):
+    """Eigenvalues and eigenvectors of the square root of a PSD matrix.
+
+    Negative eigenvalue dust is clipped to zero, so rank-deficient
+    arguments (pure states) need no special case.
+    """
+    values, vectors = np.linalg.eigh(hermitian)
+    return np.sqrt(np.clip(values, 0.0, None)), vectors
+
+
 def concurrence_sqrtm(rho):
     """Wootters concurrence via R = sqrt( sqrt(rho) rho~ sqrt(rho) )."""
     rho = np.asarray(rho, dtype=complex)
     yy = np.kron(_SY, _SY)
     flipped = yy @ rho.conj() @ yy
-    root = sqrtm(rho)
-    r_matrix = sqrtm(root @ flipped @ root)
-    lams = np.sort(np.real(np.linalg.eigvals(r_matrix)))[::-1]
+    values, vectors = _sqrt_eigenvalues(rho)
+    root = (vectors * values) @ vectors.conj().T
+    lams = np.sort(_sqrt_eigenvalues(root @ flipped @ root)[0])[::-1]
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 

@@ -50,6 +50,7 @@ from spinbath.states import (
     density_to_bloch,
     maximally_mixed,
     state_for_correlation,
+    x_up_down,
     x_up_up,
     z_up_down,
 )
@@ -373,6 +374,118 @@ class TestSurvivalReport:
         assert rep.peak_concurrence == pytest.approx(
             analytic_concurrence(0.9, -3.0, rep.slow_rate, 0.0)
         )
+
+    def test_envelope_promise_without_generation(self):
+        """The envelope is not trusted as a bracket for the numeric search.
+
+        At R = 0.5 and deficit 0.25 the envelope says z_up_down gets
+        entangled, but the full dynamics never entangles it.
+        """
+        rep = survival_report(make_generator(0.25, 0.5), z_up_down())
+        assert rep.generated is True
+        assert rep.t_c > 0.0
+        assert rep.peak_concurrence == 0.0
+        assert rep.t_c_numeric == 0.0
+
+
+#: the search for the peak and the last zero is checked on draws from the
+#: box of thermal ratio [0.5, 0.99], deficit [1e-3, 0.5] (log-uniform),
+#: splitting [1, 100] (log-uniform) and correlation scalar [-3, 1]
+SURVIVAL_STATES = {
+    "state_for_correlation": state_for_correlation,
+    "z_up_down": lambda lam: z_up_down(),
+    "x_up_down": lambda lam: x_up_down(),
+}
+SURVIVAL_DRESSING = {
+    "bare": {},
+    "dressed": dict(lamb_a=-0.17, lamb_b=-0.49, exchange_xi=0.31),
+}
+
+
+def _survival_cases(state, dressing, count, seed=9601):
+    """Generator, initial state and oracle generator per seeded box draw."""
+    terms = SURVIVAL_DRESSING[dressing]
+    rng = np.random.default_rng(seed)
+    for u in rng.random((count, 4)):
+        ratio = 0.5 + 0.49 * u[0]
+        deficit = 1e-3 * 500.0 ** u[1]
+        field = 100.0 ** u[2]
+        lam = -3.0 + 4.0 * u[3]
+        gen = make_generator(
+            deficit,
+            ratio,
+            field,
+            include_lamb=bool(terms),
+            include_exchange=bool(terms),
+            **terms,
+        )
+        occupation = BathThermal.from_ratio(ratio).occupation
+        matrix = oracles.liouvillian_alpha_space(
+            field, 1.0, occupation, deficit, **terms
+        )
+        yield gen, SURVIVAL_STATES[state](lam), matrix
+
+
+def _oracle_concurrence(matrix, initial, times):
+    alphas = oracles.evolve_expm(matrix, initial.alpha, times)
+    return [oracles.concurrence_sqrtm(oracles.density_from_alpha(a)) for a in alphas]
+
+
+def _search_horizon(rep) -> float:
+    """The horizon the numeric search ends on: 1.6 t_c (30 without a finite
+    positive t_c), at least 5, doubled up to 7 times to cover the last zero."""
+    finite = math.isfinite(rep.t_c) and rep.t_c > 0.0
+    horizon = max(1.6 * rep.t_c if finite else 30.0, 5.0)
+    for _ in range(7):
+        if horizon >= rep.t_c_numeric:
+            break
+        horizon *= 2.0
+    return horizon
+
+
+@pytest.mark.parametrize("dressing", sorted(SURVIVAL_DRESSING))
+@pytest.mark.parametrize("state", sorted(SURVIVAL_STATES))
+def test_survival_peak_is_the_dense_maximum(state, dressing):
+    """The refined peak is never below a dense scan and sits on the oracle."""
+    for gen, initial, matrix in _survival_cases(state, dressing, count=2):
+        rep = survival_report(gen, initial)
+        times = np.unique(
+            np.concatenate(
+                [
+                    np.linspace(0.0, _search_horizon(rep), 3101),
+                    np.geomspace(1e-3, 10.0, 1001),
+                ]
+            )
+        )
+        assert times.size >= 4001
+        traj = propagate(gen, initial, times)
+        assert rep.peak_concurrence >= traj.concurrence.max() - 1e-9
+        if rep.peak_concurrence > 0.0:
+            (oracle,) = _oracle_concurrence(matrix, initial, [rep.peak_time])
+            assert rep.peak_concurrence == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize("dressing", sorted(SURVIVAL_DRESSING))
+@pytest.mark.parametrize("state", sorted(SURVIVAL_STATES))
+def test_survival_time_is_an_oracle_sign_change(state, dressing):
+    """The oracle concurrence vanishes just after t_c_numeric, and is
+    positive just before it, within brentq's guarantee xtol + 4 eps t with
+    the search's xtol = 1e-6 / |lambda_1|."""
+    roots = 0
+    for gen, initial, matrix in _survival_cases(state, dressing, count=4):
+        rep = survival_report(gen, initial)
+        t_zero = rep.t_c_numeric
+        if not 0.0 < t_zero < math.inf:
+            continue
+        roots += 1
+        margin = 1e-6 / rep.slow_rate + 4.0 * np.finfo(float).eps * t_zero
+        before, after = _oracle_concurrence(
+            matrix, initial, [t_zero - margin, t_zero + margin]
+        )
+        assert after <= 1e-12
+        if t_zero - margin > rep.peak_time:
+            assert before > 0.0
+    assert roots > 0
 
 
 def test_exponential_tail_slope():

@@ -192,9 +192,10 @@ class TestStateForCorrelation:
 
 
 def test_concurrence_matches_sqrtm_oracle(rng):
-    """Production (eigenvalues of rho rho~) vs sqrtm route on random states."""
-    # tolerance is set by the oracle: sqrtm of a (near-)singular product
-    # is good to ~1e-8, the production eigenvalue route is much tighter
+    """Production (eigenvalues of rho rho~) vs square-root route on random states."""
+    # tolerance is set by rank-deficient states, where both routes lose
+    # ~sqrt(eps): a round-off eigenvalue of 1e-16 enters as its square root,
+    # 1e-8 (each is ~2.5e-8 off the exact |<psi|yy|psi*>| on pure states)
     for _ in range(200):
         rho = random_density_matrix(rng, rank=int(rng.integers(1, 5)))
         assert wootters_concurrence(rho) == pytest.approx(
