@@ -18,6 +18,7 @@ The spatial correlation function ``f`` depends on the bath dimension:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -83,8 +84,12 @@ class SpectralDensity:
                 raise ValueError("table frequencies must be strictly increasing")
             if np.any(table[:, 1] < 0):
                 raise ValueError("tabulated J values must be non-negative")
+            if not np.all(np.isfinite(table)):
+                raise ValueError("table entries must be finite")
             table.setflags(write=False)
             object.__setattr__(self, "table", table)
+            # Python-float columns for the scalar path's bisection
+            object.__setattr__(self, "_columns", tuple(table.T.tolist()))
 
     @classmethod
     def ohmic(
@@ -109,6 +114,8 @@ class SpectralDensity:
         return cls(form=TABULATED, table=data)
 
     def __call__(self, omega):
+        if isinstance(omega, (int, float)):
+            return self._scalar()(omega)
         omega = np.asarray(omega, dtype=float)
         if self.form == OHMIC:
             value = 0.5 * self.coupling * omega
@@ -120,6 +127,35 @@ class SpectralDensity:
             value = np.interp(omega, self.table[:, 0], self.table[:, 1], left=0.0, right=0.0)
         value = np.where(omega > 0.0, value, 0.0)
         return float(value) if value.ndim == 0 else value
+
+    def _scalar(self) -> Callable[[float], float]:
+        """``J`` of one Python number, with the form's constants bound once.
+
+        Quadrature asks for ``J`` one node at a time, where numpy's per-call
+        dispatch costs far more than the arithmetic.  The values are the
+        array path's: bit for bit, except that ``math.exp`` and numpy's
+        vectorised ``exp`` may differ in the last place.  The tabulated form
+        repeats ``np.interp``'s arithmetic: the node ``w_j <= w`` by
+        bisection, then ``J_j`` at a node and ``slope * (w - w_j) + J_j``
+        between nodes.
+        """
+        if self.form == TABULATED:
+            nodes, values = self._columns
+
+            def tabulated(omega):
+                if not (omega > 0.0 and nodes[0] <= omega <= nodes[-1]):
+                    return 0.0
+                j = bisect.bisect_right(nodes, omega) - 1
+                if nodes[j] == omega:
+                    return values[j]
+                slope = (values[j + 1] - values[j]) / (nodes[j + 1] - nodes[j])
+                return slope * (omega - nodes[j]) + values[j]
+
+            return tabulated
+        slope, cutoff = 0.5 * self.coupling, self.cutoff_frequency
+        if self.cutoff_form == EXPONENTIAL_CUTOFF:
+            return lambda omega: slope * omega * math.exp(-omega / cutoff) if omega > 0.0 else 0.0
+        return lambda omega: slope * omega if 0.0 < omega <= cutoff else 0.0
 
     def support_limit(self) -> float:
         """Frequency beyond which J is (numerically) negligible."""
@@ -149,8 +185,8 @@ class BathGeometry:
     dispersion: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.separation < 0:
-            raise ValueError("separation must be non-negative")
+        if not 0.0 <= self.separation < math.inf:
+            raise ValueError("separation must be finite and non-negative")
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"bath dimension must be 1, 2 or 3, got {self.dimension}")
         if self.dispersion is None and self.velocity <= 0:
@@ -159,6 +195,8 @@ class BathGeometry:
     def kappa(self, omega):
         if self.dispersion is not None:
             return self.dispersion(omega)
+        if isinstance(omega, (int, float)):
+            return omega / self.velocity
         return np.asarray(omega, dtype=float) / self.velocity
 
 
@@ -174,8 +212,8 @@ class BathThermal:
     occupation: float = 0.0
 
     def __post_init__(self):
-        if not self.occupation >= 0:
-            raise ValueError("occupation must be non-negative")
+        if not 0.0 <= self.occupation < math.inf:
+            raise ValueError("occupation must be finite and non-negative")
 
     @property
     def ratio(self) -> float:
@@ -199,20 +237,27 @@ class BathThermal:
     def coth_factor(self, omega: float, delta_freq: float) -> float:
         """``coth(omega / 2T)`` for the temperature implied by (N, Delta).
 
-        Uses ``Delta / 2T = artanh(R)``; at zero temperature (N = 0) the
-        factor is identically 1 for positive frequencies.
+        Uses ``Delta / 2T = log(1 + 1/N) / 2``, which equals ``artanh(R)``
+        but stays finite where ``R = 1/(1 + 2N)`` rounds to 1 at a tiny
+        positive N.  At zero temperature (N = 0) the factor is identically 1
+        for positive frequencies.
         """
+        return self._coth(delta_freq)(omega)
+
+    def _coth(self, delta_freq: float) -> Callable[[float], float]:
+        """``omega -> coth(omega / 2T)``, with ``Delta / 2T`` evaluated once."""
         if self.occupation == 0.0:
-            return 1.0
-        arg = omega * math.atanh(self.ratio) / delta_freq
-        return 1.0 / math.tanh(arg)
+            return lambda omega: 1.0
+        half_beta_delta = 0.5 * math.log1p(1.0 / self.occupation)
+        return lambda omega: 1.0 / math.tanh(omega * half_beta_delta / delta_freq)
 
 
 def thermal_occupation(delta_freq: float, temperature: float) -> float:
     """Bose-Einstein occupation ``1 / (exp(Delta/T) - 1)``.
 
     ``temperature`` is in energy units (k_B absorbed); zero maps to zero
-    occupation.
+    occupation, and so does a ``Delta / T`` beyond ``expm1``'s range, where
+    the occupation underflows.
     """
     if delta_freq <= 0:
         raise ValueError(f"frequency must be positive, got {delta_freq}")
@@ -220,7 +265,10 @@ def thermal_occupation(delta_freq: float, temperature: float) -> float:
         raise ValueError(f"temperature must be non-negative, got {temperature}")
     if temperature == 0.0:
         return 0.0
-    return 1.0 / math.expm1(delta_freq / temperature)
+    try:
+        return 1.0 / math.expm1(delta_freq / temperature)
+    except OverflowError:
+        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +276,38 @@ def thermal_occupation(delta_freq: float, temperature: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _sinc(x: float) -> float:
+    return math.sin(x) / x if x != 0.0 else 1.0
+
+
+def _j0(x: float) -> float:
+    return float(special.j0(x))
+
+
+#: the profiles of one finite Python number, by bath dimension
+_PROFILES = {1: math.cos, 2: _j0, 3: _sinc}
+
+
 def spatial_correlation(x, dimension: int):
     """Normalized bath correlation profile ``f(x)`` at scaled separation x.
 
     ``cos(x)`` for a 1D bath, ``J_0(x)`` for 2D (``scipy.special.j0``),
-    ``sin(x)/x`` for 3D; all satisfy ``f(0) = 1`` and ``|f| <= 1``.
+    ``sin(x)/x`` for 3D; all satisfy ``f(0) = 1`` and ``|f| <= 1``.  A
+    finite Python number is evaluated with ``math`` and gives the same
+    float as a one-element array.
     """
+    if dimension not in _PROFILES:
+        raise ValueError(f"bath dimension must be 1, 2 or 3, got {dimension}")
+    if isinstance(x, (int, float)) and math.isfinite(x):
+        return _PROFILES[dimension](x)
+    x = np.asarray(x, dtype=float)
     if dimension == 1:
         value = np.cos(x)
     elif dimension == 2:
         value = special.j0(x)
-    elif dimension == 3:
-        x = np.asarray(x, dtype=float)
-        value = np.where(x == 0.0, 1.0, np.divide(np.sin(x), np.where(x == 0.0, 1.0, x)))
-        value = float(value) if value.ndim == 0 else value
     else:
-        raise ValueError(f"bath dimension must be 1, 2 or 3, got {dimension}")
-    if np.ndim(value) == 0:
-        return float(value)
-    return value
+        value = np.where(x == 0.0, 1.0, np.divide(np.sin(x), np.where(x == 0.0, 1.0, x)))
+    return float(value) if value.ndim == 0 else value
 
 
 def correlation_delta(
@@ -412,17 +473,28 @@ def lamb_shift_coefficients(
     upper = spectral.support_limit()
     floor = 1e-12 * delta_freq
 
+    # QUADPACK calls back one node at a time: bind the node-invariant
+    # constants of J, coth and f once here
+    density = spectral._scalar()
+    coth = thermal._coth(delta_freq)
+    profile = _PROFILES[geometry.dimension]
+    kappa, separation = geometry.kappa, geometry.separation
+
     # 1 / (Delta^2 - w^2) = -1 / ((w - Delta) (Delta + w)): each numerator
     # carries -1 / (Delta + w) and the Cauchy weight supplies 1 / (w - Delta)
     def numerator_a(omega: float) -> float:
         omega = max(omega, floor)
-        num = 2.0 * spectral(omega) * thermal.coth_factor(omega, delta_freq) * delta_freq
+        num = 2.0 * density(omega) * coth(omega) * delta_freq
         return -num / (delta_freq + omega)
 
     def numerator_b(omega: float) -> float:
         omega = max(omega, floor)
-        x = float(geometry.kappa(omega)) * geometry.separation
-        num = spectral(omega) * spatial_correlation(x, geometry.dimension) * omega
+        x = float(kappa(omega)) * separation
+        if not math.isfinite(x):
+            # a custom dispersion's infinite kappa: math.cos would raise, a
+            # NaN makes QUADPACK fail and the failure name B
+            return math.nan
+        num = density(omega) * profile(x) * omega
         return -num / (delta_freq + omega)
 
     coeff_a = _principal_value("A", numerator_a, delta_freq, upper)

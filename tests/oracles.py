@@ -14,7 +14,11 @@ route than the package under test:
   eigendecompositions (eigh), instead of the eigenvalues of the
   non-Hermitian product rho rho~;
 * principal-value integrals use pole folding (an exactly regular
-  integrand), instead of QUADPACK's Cauchy weight (QAWC).
+  integrand), instead of QUADPACK's Cauchy weight (QAWC);
+* their integrands take J, kappa and coth(w/2T) from the bath dataclasses'
+  fields through numpy, with coth(w/2T) = (1 + q)/(1 - q) and
+  q = e^{-w/T} = (N/(N+1))^{w/Delta} from the occupation alone, instead of
+  the package's scalar ``math`` kernels (1/tanh(w log(1 + 1/N) / 2 Delta)).
 
 Agreement between the two routes is then evidence, not tautology.
 """
@@ -215,27 +219,59 @@ def principal_value_folded(numerator, pole, upper, epsabs=1e-13):
     return value
 
 
+def spectral_density_numpy(spectral, omega):
+    """J(omega) from the SpectralDensity fields, zero for omega <= 0.
+
+    Ohmic: (g/2) w e^{-w/c} or (g/2) w H(c - w) with H(0) = 1 (a hard
+    cutoff keeps w = c); tabulated: linear interpolation, zero outside.
+    """
+    w = np.asarray(omega, dtype=float)
+    if spectral.form == "tabulated":
+        value = np.interp(w, spectral.table[:, 0], spectral.table[:, 1], left=0.0, right=0.0)
+    elif spectral.cutoff_form == "exponential":
+        value = 0.5 * spectral.coupling * w * np.exp(-w / spectral.cutoff_frequency)
+    else:
+        value = 0.5 * spectral.coupling * w * np.heaviside(spectral.cutoff_frequency - w, 1.0)
+    return float(np.where(w > 0.0, value, 0.0))
+
+
+def thermal_coth(occupation, omega, delta_freq):
+    """coth(w/2T) = (1 + q)/(1 - q), q = e^{-w/T} = (N/(N+1))^{w/Delta}.
+
+    N = 1/(e^{Delta/T} - 1) fixes e^{-Delta/T} = N/(N+1); N = 0 gives q = 0
+    and the zero-temperature factor 1.
+    """
+    q = np.power(occupation / (occupation + 1.0), omega / delta_freq)
+    return float((1.0 + q) / (1.0 - q))
+
+
 def lamb_coefficients_folded(spectral, thermal, geometry, delta_freq):
     """Fold-quadrature evaluation of the two Hamiltonian-shift strengths.
 
-    Same integral definitions as the package, different PV machinery:
+    Same integral definitions as the package, different PV machinery and
+    integrand code:
 
         A = 2 PV int J(w) coth(w/2T) Delta / (Delta^2 - w^2) dw
         B =   PV int J(w) f(kappa(w) d)  w  / (Delta^2 - w^2) dw
     """
     upper = spectral.support_limit()
 
+    def kappa(omega):
+        if geometry.dispersion is not None:
+            return float(geometry.dispersion(omega))
+        return omega / geometry.velocity
+
     def num_a(omega):
         return (
-            2.0 * spectral(omega)
-            * thermal.coth_factor(omega, delta_freq)
+            2.0 * spectral_density_numpy(spectral, omega)
+            * thermal_coth(thermal.occupation, omega, delta_freq)
             * delta_freq / (delta_freq + omega)
         )
 
     def num_b(omega):
-        x = float(geometry.kappa(omega)) * geometry.separation
+        x = kappa(omega) * geometry.separation
         f_val = spatial_correlation_scipy(x, geometry.dimension)
-        return spectral(omega) * f_val * omega / (delta_freq + omega)
+        return spectral_density_numpy(spectral, omega) * f_val * omega / (delta_freq + omega)
 
     coeff_a = principal_value_folded(num_a, delta_freq, upper)
     coeff_b = principal_value_folded(num_b, delta_freq, upper)

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, special
 
 import oracles
+from spinbath import iontrap
 from spinbath.bath import (
     EXPONENTIAL_CUTOFF,
     HARD_CUTOFF,
@@ -21,6 +22,25 @@ from spinbath.bath import (
     thermal_occupation,
 )
 from spinbath.errors import InvalidRatesError, NumericalFailureError
+
+
+def _assert_float_matches_array(fn, x, ulps=0):
+    """``fn`` of a Python number is a float equal to ``fn`` of ``[x]``.
+
+    A 0-d array still comes back as a float too.  ``ulps`` allows that many
+    units in the last place between the two.
+    """
+    scalar = fn(x)
+    vector = fn(np.array([x], dtype=float))
+    zero_d = fn(np.asarray(x, dtype=float))
+    assert type(scalar) is float
+    assert vector.shape == (1,)
+    assert isinstance(zero_d, float)
+    for other in (float(vector[0]), zero_d):
+        if math.isnan(other):
+            assert math.isnan(scalar)
+        else:
+            assert abs(scalar - other) <= ulps * math.ulp(other), (x, scalar, other)
 
 
 class TestSpectralDensity:
@@ -48,6 +68,33 @@ class TestSpectralDensity:
         assert values[0] == values[1] == 0.0
         assert values[3] == pytest.approx(density(3.0))
 
+    @pytest.mark.parametrize(
+        "density, points, ulps",
+        [
+            # math.exp and numpy's vectorised exp may differ in the last place
+            (SpectralDensity.ohmic(0.1, 10.0), [-3.0, -0.0, 0, 1e-300, 2.0, 7, 10.0, 449.9], 2),
+            (
+                SpectralDensity.ohmic(0.2, 5.0, HARD_CUTOFF),
+                [-1.0, 0.0, 2.5, 5.0, 5, math.nextafter(5.0, 6.0), 5.0 + 1e-12, 1e300],
+                0,
+            ),
+            (
+                SpectralDensity.from_table([1.0, 2.0, 4.0], [0.3, 1.0, 0.2]),
+                [0.5, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1.5, 2.0,
+                 3.0, math.nextafter(4.0, 0.0), 4.0, math.nextafter(4.0, 5.0), 5.0, 3],
+                0,
+            ),
+            (
+                SpectralDensity.from_table([-1.0, 0.5, 3.0], [2.0, 1.0, 0.5]),
+                [-1.0, -0.5, 0.0, 1e-300, 0.5, 1.7, 3.0],
+                0,
+            ),
+        ],
+    )
+    def test_float_matches_one_element_array(self, density, points, ulps):
+        for omega in points + [math.nan, -math.inf]:
+            _assert_float_matches_array(density, omega, ulps)
+
     def test_tabulated_interpolation_and_range(self):
         density = SpectralDensity.from_table([1.0, 2.0, 4.0], [0.0, 1.0, 0.0])
         assert density(2.0) == 1.0
@@ -74,6 +121,10 @@ class TestSpectralDensity:
             SpectralDensity.from_table([2.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             SpectralDensity.from_table([1.0, 2.0], [0.0, -1.0])
+        with pytest.raises(ValueError):
+            SpectralDensity.from_table([1.0, 2.0], [0.0, math.inf])
+        with pytest.raises(ValueError):
+            SpectralDensity.from_table([1.0, 2.0], [math.nan, 1.0])
 
 
 class TestBathThermal:
@@ -103,9 +154,19 @@ class TestBathThermal:
         # large frequency: approaches one from above
         assert th.coth_factor(300.0, 3.0) == pytest.approx(1.0, abs=1e-10)
 
+    def test_occupation_underflows_beyond_expm1_range(self):
+        """Delta / T above ~709.78 overflows expm1; N is then the T -> 0 limit."""
+        assert thermal_occupation(1.0, 1.0 / 709.0) > 0.0
+        assert thermal_occupation(1.0, 0.001) == 0.0
+        assert BathThermal.from_temperature(1.0, 0.001).occupation == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BathThermal(-0.1)
+        with pytest.raises(ValueError):
+            BathThermal(math.inf)
+        with pytest.raises(ValueError):
+            BathThermal(math.nan)
         with pytest.raises(ValueError):
             BathThermal.from_ratio(0.0)
         with pytest.raises(ValueError):
@@ -145,6 +206,11 @@ class TestSpatialCorrelation:
         xs = np.linspace(0.0, 100.0, 1000)
         assert np.all(np.abs(spatial_correlation(xs, dimension)) <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_float_matches_one_element_array(self, dimension):
+        for x in [0.0, -0.0, 0, 1e-8, 0.4, 2, 2.5, -3.0, 30.0, 1e6, math.nan]:
+            _assert_float_matches_array(lambda v: spatial_correlation(v, dimension), x)
+
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             spatial_correlation(1.0, 4)
@@ -175,6 +241,11 @@ class TestCorrelationDelta:
         )
         assert correlation_delta(geom, 4.0) == pytest.approx(1.0 - math.cos(2.0))
 
+    def test_kappa_float_matches_one_element_array(self):
+        geom = BathGeometry(separation=0.3, dimension=1, velocity=1.5)
+        for omega in [-2.0, 0.0, 0, 0.3, 7, 1e300, math.nan]:
+            _assert_float_matches_array(geom.kappa, omega)
+
     def test_common_bath_limit(self):
         geom = BathGeometry(separation=0.0, dimension=3, velocity=1.0)
         assert correlation_delta(geom, 5.0) == 0.0
@@ -182,6 +253,10 @@ class TestCorrelationDelta:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             BathGeometry(separation=-1.0)
+        with pytest.raises(ValueError):
+            BathGeometry(separation=math.inf)
+        with pytest.raises(ValueError):
+            BathGeometry(separation=math.nan)
         with pytest.raises(ValueError):
             BathGeometry(dimension=0)
         with pytest.raises(ValueError):
@@ -306,6 +381,15 @@ class TestLambShiftCoefficients:
         ):
             lamb_shift_coefficients(density, BathThermal(0.25), geom, 1.0)
 
+    def test_infinite_custom_dispersion_fails_loudly(self):
+        geom = BathGeometry(
+            separation=1.0, dimension=1, dispersion=lambda w: math.inf if w > 3.0 else w
+        )
+        with pytest.raises(NumericalFailureError, match="principal value B"):
+            lamb_shift_coefficients(
+                SpectralDensity.ohmic(0.1, 10.0), BathThermal(0.1), geom, 1.0
+            )
+
     @pytest.mark.parametrize(
         "occupation, separation, dimension, cutoff_form, cutoff, delta_freq",
         [
@@ -326,6 +410,47 @@ class TestLambShiftCoefficients:
         fold = oracles.lamb_coefficients_folded(density, th, geom, delta_freq)
         assert prod[0] == pytest.approx(fold[0], rel=1e-8, abs=1e-12)
         assert prod[1] == pytest.approx(fold[1], rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("exact_delta", [False, True])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_trap_box_matches_fold_oracle(self, dimension, exact_delta):
+        """Seeded planner configs over the trap knobs the package tests.
+
+        50 to 400 ions, Delta of 5 to 30 omega_t, alpha of 0.01 to 0.1 and
+        R of 0.5 to 0.9, as in tests/test_iontrap.py and tests/test_cli.py.
+        """
+        rng = np.random.default_rng([dimension, exact_delta])
+        for _ in range(2):
+            config = iontrap.TrapConfig(
+                ion_count=int(rng.integers(50, 401)),
+                rabi_ratio=float(rng.uniform(5.0, 30.0)),
+                ohmic_coupling=float(10.0 ** rng.uniform(-2.0, -1.0)),
+                bath_dimension=dimension,
+                target_ratio=float(rng.uniform(0.5, 0.9)),
+            )
+            result = iontrap.plan(config, exact_delta=exact_delta)
+            fold = oracles.lamb_coefficients_folded(
+                result.spectral, result.thermal, result.geometry, config.rabi_ratio
+            )
+            assert result.params.lamb_a == pytest.approx(fold[0], rel=1e-8, abs=1e-12)
+            assert result.params.lamb_b == pytest.approx(fold[1], rel=1e-8, abs=1e-12)
+
+    def test_tiny_occupation_stays_finite(self):
+        """T = Delta / 50: N = 1.9e-22, and R = 1/(1 + 2N) rounds to 1.
+
+        artanh(R) would then be infinite.  A must match the fold oracle and
+        exceed its N = 0 value by the leading low-temperature term
+        4 int J(w) n(w) / Delta dw = (2 g / Delta) (pi^2 / 6) T^2.
+        """
+        thermal = BathThermal.from_temperature(1.0, 0.02)
+        assert thermal.occupation > 0.0 and thermal.ratio == 1.0
+        density = SpectralDensity.ohmic(0.1, 10.0)
+        geom = BathGeometry(separation=0.5, dimension=3)
+        coeff_a, _ = lamb_shift_coefficients(density, thermal, geom, 1.0)
+        cold_a, _ = lamb_shift_coefficients(density, BathThermal(0.0), geom, 1.0)
+        fold_a, _ = oracles.lamb_coefficients_folded(density, thermal, geom, 1.0)
+        assert coeff_a == pytest.approx(fold_a, rel=1e-8, abs=1e-12)
+        assert coeff_a - cold_a == pytest.approx(2.0 * 0.1 * math.pi ** 2 / 6.0 * 0.02 ** 2, rel=1e-2)
 
     def test_field_shift_ignores_separation(self):
         density = SpectralDensity.ohmic(0.1, 10.0)
