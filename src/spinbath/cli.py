@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Mapping
 
 import numpy as np
@@ -83,6 +84,17 @@ def _parse_float_list(raw: str) -> tuple:
     return tuple(float(piece) for piece in items)
 
 
+_FIG2_SCHEMA = {
+    "delta": (float, 0.05),
+    "r": (float, 0.9),
+    "delta_field": (float, 10.0),
+    "points": (int, 400),
+    "horizon_factor": (float, 3.0),
+}
+
+#: TrapConfig knobs; a None default leaves the knob to TrapConfig
+_TRAP_SCHEMA = {field.name: (type(field.default), None) for field in fields(TrapConfig)}
+
 # per-scenario parameter schema: key -> (parser, default)
 _SCHEMAS: dict = {
     "fig1-surface": {
@@ -95,20 +107,8 @@ _SCHEMAS: dict = {
         "lt_max": (float, 3.0),
         "lt_points": (int, 61),
     },
-    "fig2-trajectories": {
-        "delta": (float, 0.05),
-        "r": (float, 0.9),
-        "delta_field": (float, 10.0),
-        "points": (int, 400),
-        "horizon_factor": (float, 3.0),
-    },
-    "fig2-inset": {
-        "delta": (float, 0.05),
-        "r": (float, 0.9),
-        "delta_field": (float, 10.0),
-        "points": (int, 400),
-        "horizon_factor": (float, 3.0),
-    },
+    "fig2-trajectories": _FIG2_SCHEMA,
+    "fig2-inset": _FIG2_SCHEMA,
     "spectrum": {
         "delta": (float, 0.05),
         "r": (float, 0.9),
@@ -125,29 +125,12 @@ _SCHEMAS: dict = {
         "lambda_values": (_parse_float_list, (-3.0, -1.0, 0.0, 1.0)),
     },
     "iontrap": {
-        "trap_frequency": (float, None),
-        "ion_count": (int, None),
-        "rabi_ratio": (float, None),
-        "ohmic_coupling": (float, None),
-        "addressed_spacing": (int, None),
-        "bath_dimension": (int, None),
-        "target_ratio": (float, None),
+        **_TRAP_SCHEMA,
         "exact_delta": (_parse_bool, False),
         "exchange_xi": (float, 0.0),
         "lamb_shift": (_parse_bool, True),
     },
 }
-
-#: TrapConfig fields (None defaults above mean "leave to TrapConfig").
-_TRAP_KEYS = (
-    "trap_frequency",
-    "ion_count",
-    "rabi_ratio",
-    "ohmic_coupling",
-    "addressed_spacing",
-    "bath_dimension",
-    "target_ratio",
-)
 
 
 def _merge_parameters(scenario: str, pairs: Mapping) -> dict:
@@ -333,9 +316,7 @@ def _run_sweep(values: dict, fmt: str) -> str:
 
 
 def _run_iontrap(values: dict, fmt: str) -> str:
-    overrides = {
-        key: values[key] for key in _TRAP_KEYS if values.get(key) is not None
-    }
+    overrides = {key: values[key] for key in _TRAP_SCHEMA if values[key] is not None}
     try:
         config = TrapConfig.from_mapping(overrides)
     except ValueError as exc:
@@ -387,6 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _gather_pairs(args) -> dict:
     pairs: dict = {}
     if args.config:
@@ -415,9 +399,8 @@ def _dispatch(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

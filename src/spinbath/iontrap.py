@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 from scipy import constants
@@ -102,15 +102,7 @@ class TrapConfig:
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "TrapConfig":
         """Build from flat key-value pairs (CLI/config-file plumbing)."""
-        valid = {
-            "trap_frequency": float,
-            "ion_count": int,
-            "rabi_ratio": float,
-            "ohmic_coupling": float,
-            "addressed_spacing": int,
-            "bath_dimension": int,
-            "target_ratio": float,
-        }
+        valid = {field.name: type(field.default) for field in fields(cls)}
         kwargs = {}
         for key, raw in mapping.items():
             if key not in valid:
@@ -118,8 +110,12 @@ class TrapConfig:
                     f"unknown trap parameter {key!r}; valid keys: "
                     + ", ".join(sorted(valid))
                 )
-            convert = valid[key]
-            kwargs[key] = convert(float(raw)) if convert is int else convert(raw)
+            value = float(raw)
+            if valid[key] is int:
+                if not value.is_integer():
+                    raise ValueError(f"{key} must be an integer, got {raw!r}")
+                value = int(value)
+            kwargs[key] = value
         return cls(**kwargs)
 
 

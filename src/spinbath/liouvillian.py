@@ -282,31 +282,17 @@ class SpectrumReport:
         return float(self.eigenvalues[self.slow_index].real)
 
 
-def _pair_conjugates(values: np.ndarray, indices: list) -> list:
-    """Group indices of complex eigenvalues into conjugate pairs."""
-    pool = sorted(indices, key=lambda k: -values[k].imag)
-    pairs = []
-    used = set()
-    for k in pool:
-        if k in used or values[k].imag <= 0:
-            continue
-        partner = min(
-            (j for j in pool if j not in used and values[j].imag < 0),
-            key=lambda j: abs(values[j] - values[k].conjugate()),
-            default=None,
-        )
-        if partner is None:
-            continue
-        used.update((k, partner))
-        pairs.append((k, partner))
-    return pairs
-
-
 def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
     """Eigendecompose and label the generator spectrum.
 
     Requires a strictly positive correlation deficit; at ``delta = 0`` the
     zero eigenvalue is degenerate and no unique thermal mode exists.
+
+    For a real matrix ``np.linalg.eig`` keeps LAPACK's ``dgeev`` order:
+    each complex pair sits at adjacent indices ``(k, k + 1)``, exactly
+    conjugate in value and eigenvector, positive imaginary part first.  The
+    oscillatory pair is the slowest complex pair, so it is read off as the
+    slowest eigenvalue with positive imaginary part and its successor.
     """
     rates = generator.rates
     gamma0 = rates.gamma0
@@ -321,10 +307,10 @@ def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
             "eigenvector matrix is numerically singular; generator is defective"
         )
 
-    tol_zero = 1e-9 * gamma0
-    tol_imag = 1e-9 * gamma0
+    tol = 1e-9 * gamma0
+    vals = values.tolist()
 
-    zero_modes = [k for k in range(16) if abs(values[k]) < tol_zero]
+    zero_modes = [k for k, v in enumerate(vals) if abs(v) < tol]
     if len(zero_modes) != 1:
         raise DegenerateSpectrumError(
             f"expected exactly one zero mode, found {len(zero_modes)}",
@@ -332,81 +318,63 @@ def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
         )
     thermal = zero_modes[0]
 
-    real_modes = [
-        k
-        for k in range(16)
-        if k != thermal and abs(values[k].imag) < tol_imag
-    ]
+    real_modes = sorted(
+        (k for k, v in enumerate(vals) if k != thermal and abs(v.imag) < tol),
+        key=lambda k: abs(vals[k].real),
+    )
     if not real_modes:
         raise DegenerateSpectrumError("no real nonzero eigenvalue to label as slow")
-    real_modes.sort(key=lambda k: abs(values[k].real))
     slow = real_modes[0]
     if len(real_modes) > 1:
-        gap = abs(abs(values[real_modes[1]].real) - abs(values[slow].real))
+        gap = abs(abs(vals[real_modes[1]].real) - abs(vals[slow].real))
         if gap < 1e-10 * gamma0:
             raise DegenerateSpectrumError(
                 "two slow-mode candidates are degenerate",
                 candidates=(values[slow], values[real_modes[1]]),
             )
 
-    complex_modes = [
-        k for k in range(16) if k != thermal and abs(values[k].imag) >= tol_imag
-    ]
-    pairs = _pair_conjugates(values, complex_modes)
-    if not pairs:
+    def decay_order(k):
+        return (-vals[k].real, -vals[k].imag)
+
+    upper = sorted((k for k, v in enumerate(vals) if v.imag >= tol), key=decay_order)
+    if not upper:
         raise DegenerateSpectrumError("no conjugate pair available as oscillatory")
-    # The slowly decaying pair oscillates at the bare splitting.  Lamb or
-    # exchange terms shift mode frequencies, so the proximity filter only
-    # applies to undressed generators; the slowest complex pair is the
-    # discriminating feature either way.
-    delta_field = generator.params.delta_field
-    if not (generator.include_lamb or generator.include_exchange):
-        near = [
-            pr
-            for pr in pairs
-            if abs(values[pr[0]].imag - delta_field) <= 0.5 * delta_field
-        ]
-        candidates = near if near else pairs
-    else:
-        candidates = pairs
-    candidates.sort(key=lambda pr: -values[pr[0]].real)
-    if (
-        len(candidates) > 1
-        and abs(values[candidates[0][0]].real - values[candidates[1][0]].real)
-        < 1e-10 * gamma0
-    ):
-        raise DegenerateSpectrumError(
-            "two oscillatory-pair candidates are degenerate",
-            candidates=(values[candidates[0][0]], values[candidates[1][0]]),
-        )
-    osc_plus, osc_minus = candidates[0]
+    if len(upper) > 1:
+        gap = abs(vals[upper[0]].real - vals[upper[1]].real)
+        if gap < 1e-10 * gamma0:
+            raise DegenerateSpectrumError(
+                "two oscillatory-pair candidates are degenerate",
+                candidates=(values[upper[0]], values[upper[1]]),
+            )
+    osc = upper[0]
 
-    fast = [k for k in range(16) if k not in (thermal, slow, osc_plus, osc_minus)]
-    fast.sort(key=lambda k: (-values[k].real, -values[k].imag))
+    labelled = (thermal, slow, osc, osc + 1)
+    fast = sorted((k for k in range(16) if k not in labelled), key=decay_order)
 
-    order = [thermal, slow, osc_plus, osc_minus] + fast
+    order = list(labelled) + fast
     values = values[order]
-    right = right[:, order]
+    right = right[:, order].copy()  # C order; the fancy index alone gives F order
     labels = ("thermal", "slow", "oscillatory", "oscillatory") + ("fast",) * 12
 
-    right = right.copy()
     right[:, 0] = right[:, 0] / right[0, 0]
     slow_anchor = right[flat_index(2, 2), 1]
     if abs(slow_anchor) > 1e-6 * np.linalg.norm(right[:, 1]):
         right[:, 1] = right[:, 1] / slow_anchor
-    for k in range(2, 16):
-        vec = right[:, k]
-        lead = vec[np.argmax(np.abs(vec))]
-        right[:, k] = vec / lead * abs(lead) / np.linalg.norm(vec)
+    # Unit norm, largest component real and positive.  The norms take the
+    # same BLAS dot products as ``np.linalg.norm`` of each column, and the
+    # modulus of each lead is a scalar ``hypot`` like ``abs`` of a complex.
+    rest = right[:, 2:]
+    leads = rest[np.argmax(np.abs(rest), axis=0), np.arange(14)]
+    norms = np.sqrt(
+        np.vecdot(rest.real, rest.real, axis=0) + np.vecdot(rest.imag, rest.imag, axis=0)
+    )
+    right[:, 2:] = rest / leads * np.hypot(leads.real, leads.imag) / norms
 
     left = np.linalg.inv(right).conj()
 
-    ratio = rates.ratio
-    bound = -0.5 * gamma0 / ratio
+    bound = -0.5 * gamma0 / rates.ratio + 1e-9 * gamma0
     violations = tuple(
-        (k, complex(values[k]))
-        for k in range(4, 16)
-        if values[k].real > bound + 1e-9 * gamma0
+        (k, vals[order[k]]) for k in range(4, 16) if vals[order[k]].real > bound
     )
 
     return SpectrumReport(

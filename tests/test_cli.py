@@ -391,11 +391,29 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
-def test_byte_determinism(capsys):
-    args = ("--scenario", "fig2-trajectories", "--set", "points=50")
-    _, first, _ = invoke(capsys, *args)
+@pytest.mark.parametrize(
+    "scenario, fmt, override",
+    [
+        ("fig1-surface", "csv", "r_points=2"),
+        ("fig2-trajectories", "csv", "points=50"),
+        ("fig2-inset", "csv", "points=50"),
+        ("spectrum", "csv", "delta=0.1"),
+        ("spectrum", "json", "delta=0.1"),
+        ("sweep", "csv", "r_values=0.5"),
+        ("iontrap", "csv", "ion_count=200"),
+        ("iontrap", "json", "ion_count=200"),
+    ],
+)
+def test_byte_determinism(capsys, scenario, fmt, override):
+    """Repeat runs print the same bytes, and an override made in between
+    does not leak into the next run through the shared parser."""
+    args = ("--scenario", scenario, "--format", fmt)
+    code, first, _ = invoke(capsys, *args)
+    code_set, overridden, _ = invoke(capsys, *args, "--set", override)
     _, second, _ = invoke(capsys, *args)
-    assert first == second
+    assert code == code_set == 0
+    assert overridden != first
+    assert second == first
 
 
 def test_config_file_and_set_precedence(tmp_path, capsys):

@@ -55,6 +55,20 @@ class TestTrapConfig:
         assert cfg.target_ratio == 0.8
         # untouched knobs keep their defaults
         assert cfg.ohmic_coupling == 0.1
+        assert TrapConfig.from_mapping({"ion_count": 200.0}).ion_count == 200
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"ion_count": "100.7"},
+            {"ion_count": 100.7},
+            {"addressed_spacing": 2.9},
+            {"bath_dimension": "2.5"},
+        ],
+    )
+    def test_from_mapping_rejects_non_integral_counts(self, mapping):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TrapConfig.from_mapping(mapping)
 
     def test_from_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="valid keys"):

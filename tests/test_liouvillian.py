@@ -217,6 +217,87 @@ def test_oscillatory_pair_sits_at_the_splitting(reference_spectrum):
     assert reference_spectrum.eigenvalues[2].real == pytest.approx(expected, rel=0.1)
 
 
+def test_undressed_slowest_upper_eigenvalue_sits_at_the_splitting():
+    """Without Lamb or exchange terms the slowest eigenvalue with positive
+    imaginary part oscillates at the splitting Delta: the +-2 Delta pairs
+    decay at gamma0/R, faster than the slowest +-Delta pair.  So taking the
+    slowest complex pair as oscillatory needs no filter on its frequency."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        deficit = rng.uniform(1e-6, 2.0 - 1e-6)
+        ratio = 1.0 - rng.random()
+        delta_field = 10.0 ** rng.uniform(-2.0, 3.0)
+        values = np.linalg.eigvals(make_generator(deficit, ratio, delta_field).entries)
+        upper = [v for v in values.tolist() if v.imag >= 1e-9]
+        slowest = max(upper, key=lambda v: (v.real, v.imag))
+        assert abs(slowest.imag - delta_field) <= 0.5 * delta_field
+
+
+@pytest.mark.parametrize("case", [c for c in GENERATOR_CASES if c["deficit"] < 1.0])
+def test_column_normalisation_matches_per_column_route(case):
+    """Columns 2-15 are scaled in one array pass; each equals, bit for bit,
+    its eigenvector divided by the phase of its largest component and by
+    its ``np.linalg.norm``."""
+    case = dict(case)
+    gen = make_generator(case.pop("deficit"), case.pop("ratio"), **case)
+    report = classify_spectrum(gen)
+    values, right = np.linalg.eig(gen.entries)
+    for k in range(2, 16):
+        (index,) = np.flatnonzero(values == report.eigenvalues[k])
+        vec = right[:, index]
+        lead = vec[np.argmax(np.abs(vec))]
+        expected = vec / lead * abs(lead) / np.linalg.norm(vec)
+        assert np.array_equal(report.right[:, k], expected)
+
+
+def _sector_basis(*combinations):
+    """Orthonormal columns spanning Pauli vectors given as
+    ``{(i, j): coefficient}`` combinations."""
+    basis = np.zeros((16, len(combinations)))
+    for col, combination in enumerate(combinations):
+        for (i, j), coefficient in combination.items():
+            basis[flat_index(i, j), col] = coefficient
+    return basis / np.linalg.norm(basis, axis=0)
+
+
+def _swapped(i, j, sign):
+    return {(i, j): 1.0, (j, i): sign}
+
+
+#: charge 0 under the joint rotation about x, even under qubit swap
+_SECTOR_0_EVEN = _sector_basis(
+    {(0, 0): 1.0}, {(1, 1): 1.0}, _swapped(0, 1, 1.0), {(2, 2): 1.0, (3, 3): 1.0}
+)
+#: charge +-1 under the joint rotation about x, odd under qubit swap
+_SECTOR_1_ODD = _sector_basis(
+    _swapped(0, 2, -1.0), _swapped(0, 3, -1.0), _swapped(1, 2, -1.0), _swapped(1, 3, -1.0)
+)
+
+
+@pytest.mark.parametrize("strength", [0.0, 0.3, 5.0])
+def test_labels_follow_symmetry_sectors(strength):
+    """Thermal and slow modes lie in the (0, swap+) sector and the
+    oscillatory pair in (+-1, swap-), bare and dressed; the pair is exactly
+    conjugate in value and eigenvector."""
+    dressing = (
+        dict(lamb_b=strength, exchange_xi=strength, include_lamb=True, include_exchange=True)
+        if strength
+        else {}
+    )
+    for deficit in (0.001, 0.01, 0.05):
+        for ratio in (0.3, 0.7, 0.95, 1.0):
+            for delta_field in (1.0, 10.0):
+                report = classify_spectrum(
+                    make_generator(deficit, ratio, delta_field, **dressing)
+                )
+                for k, basis in enumerate((_SECTOR_0_EVEN,) * 2 + (_SECTOR_1_ODD,) * 2):
+                    vec = report.right[:, k]
+                    residual = vec - basis @ (basis.T @ vec)
+                    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(vec)
+                assert report.eigenvalues[3] == report.eigenvalues[2].conjugate()
+                assert np.array_equal(report.right[:, 3], report.right[:, 2].conj())
+
+
 def test_thermal_mode_matches_pattern(reference_spectrum):
     expected = thermal_alpha(0.9).alpha
     vec = reference_spectrum.right[:, 0]
