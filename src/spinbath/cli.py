@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 usage error (unknown scenario/key, bad value),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from typing import Mapping
@@ -29,6 +30,7 @@ import numpy as np
 
 from .bath import BathThermal, RateSet
 from .dynamics import (
+    _csv_float,
     analytic_concurrence,
     default_time_grid,
     propagate_spectral,
@@ -64,10 +66,6 @@ class UsageError(Exception):
     """Bad invocation: unknown key, malformed value, invalid grid."""
 
 
-def _format(value: float) -> str:
-    return format(float(value), ".9g")
-
-
 def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -92,8 +90,10 @@ _FIG2_SCHEMA = {
     "horizon_factor": (float, 3.0),
 }
 
-#: TrapConfig knobs; a None default leaves the knob to TrapConfig
-_TRAP_SCHEMA = {field.name: (type(field.default), None) for field in fields(TrapConfig)}
+#: TrapConfig knobs, all read as floats so that TrapConfig.from_mapping
+#: alone decides which are integers; a None default leaves the knob to
+#: TrapConfig
+_TRAP_SCHEMA = {field.name: (float, None) for field in fields(TrapConfig)}
 
 # per-scenario parameter schema: key -> (parser, default)
 _SCHEMAS: dict = {
@@ -116,8 +116,6 @@ _SCHEMAS: dict = {
         "lamb_a": (float, 0.0),
         "lamb_b": (float, 0.0),
         "exchange_xi": (float, 0.0),
-        "include_lamb": (_parse_bool, False),
-        "include_exchange": (_parse_bool, False),
     },
     "sweep": {
         "delta_values": (_parse_float_list, (0.01, 0.05, 0.2)),
@@ -127,7 +125,6 @@ _SCHEMAS: dict = {
     "iontrap": {
         **_TRAP_SCHEMA,
         "exact_delta": (_parse_bool, False),
-        "exchange_xi": (float, 0.0),
         "lamb_shift": (_parse_bool, True),
     },
 }
@@ -193,6 +190,8 @@ def _run_fig1(values: dict, fmt: str) -> str:
         raise UsageError("r_points must be >= 1 and lt_points >= 2")
     if not 0.0 < values["r_min"] <= values["r_max"] < 1.0:
         raise UsageError("need 0 < r_min <= r_max < 1")
+    if not 0.0 < values["lt_max"] < math.inf:
+        raise UsageError("lt_max must be positive and finite")
     lam = values["lambda_corr"]
     initial = z_up_down() if lam == -1.0 else state_for_correlation(lam)
     lt_grid = np.linspace(0.0, values["lt_max"], values["lt_points"])
@@ -204,7 +203,7 @@ def _run_fig1(values: dict, fmt: str) -> str:
         times = lt_grid / slow
         trajectory = propagate_spectral(report, initial, times)
         for lt, conc in zip(lt_grid, trajectory.concurrence):
-            lines.append(f"{_format(ratio)},{_format(lt)},{_format(conc)}")
+            lines.append(f"{_csv_float(ratio)},{_csv_float(lt)},{_csv_float(conc)}")
     return "\n".join(lines) + "\n"
 
 
@@ -227,9 +226,7 @@ def _run_fig2(values: dict, fmt: str, dressed: bool) -> str:
         params = ModelParams(
             delta_field=values["delta_field"], lamb_b=strength, exchange_xi=strength
         )
-        report = classify_spectrum(
-            build_generator(params, rates, include_lamb=True, include_exchange=True)
-        )
+        report = classify_spectrum(build_generator(params, rates))
     else:
         report = bare
     slow_used = -report.slow_eigenvalue
@@ -254,7 +251,7 @@ def _run_fig2(values: dict, fmt: str, dressed: bool) -> str:
 
     lines = [",".join(name for name, _ in columns)]
     for k in range(times.size):
-        lines.append(",".join(_format(col[k]) for _, col in columns))
+        lines.append(",".join(_csv_float(col[k]) for _, col in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -266,20 +263,14 @@ def _run_spectrum(values: dict, fmt: str) -> str:
         lamb_b=values["lamb_b"],
         exchange_xi=values["exchange_xi"],
     )
-    generator = build_generator(
-        params,
-        rates,
-        include_lamb=values["include_lamb"],
-        include_exchange=values["include_exchange"],
-    )
-    report = classify_spectrum(generator)
+    report = classify_spectrum(build_generator(params, rates))
     if fmt == "json":
         return spectrum_to_json(report) + "\n"
     lines = ["index,label,re,im"]
     for k in range(16):
         value = report.eigenvalues[k]
         lines.append(
-            f"{k},{report.labels[k]},{_format(value.real)},{_format(value.imag)}"
+            f"{k},{report.labels[k]},{_csv_float(value.real)},{_csv_float(value.imag)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -290,8 +281,8 @@ def _sweep_cell(cell: tuple) -> str:
     peak = analytic_concurrence(ratio, lam, slow if slow > 0 else 1.0, 0.0)
     t_c = survival_time(ratio, lam, slow)
     return (
-        f"{_format(delta)},{_format(ratio)},{_format(lam)},"
-        f"{_format(peak)},{_format(t_c)}"
+        f"{_csv_float(delta)},{_csv_float(ratio)},{_csv_float(lam)},"
+        f"{_csv_float(peak)},{_csv_float(t_c)}"
     )
 
 
@@ -322,10 +313,7 @@ def _run_iontrap(values: dict, fmt: str) -> str:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = plan(
-        config,
-        exact_delta=values["exact_delta"],
-        exchange_xi=values["exchange_xi"],
-        lamb_shift=values["lamb_shift"],
+        config, exact_delta=values["exact_delta"], lamb_shift=values["lamb_shift"]
     )
     kelvin = temperature_requirement(config)
     if fmt == "json":

@@ -165,6 +165,8 @@ def _check_times(times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times[0] < 0 or (times.size > 1 and np.any(np.diff(times) <= 0)):
         raise ValueError("times must be non-negative and strictly increasing")
     return times
@@ -245,8 +247,8 @@ def default_time_grid(gamma0: float, horizon: float, points: int = 400) -> np.nd
 
     Log spacing resolves the fast transient and the slow tail in one grid.
     """
-    if gamma0 <= 0 or horizon <= 0:
-        raise ValueError("gamma0 and horizon must be positive")
+    if not (0 < gamma0 < math.inf and 0 < horizon < math.inf):
+        raise ValueError("gamma0 and horizon must be positive and finite")
     start = 1e-3 / gamma0
     if horizon <= start:
         raise ValueError(f"horizon {horizon} is below the grid start {start}")
@@ -456,10 +458,7 @@ def _numeric_survival(
 
 
 def survival_report(
-    generator: GeneratorMatrix,
-    initial,
-    report: Optional[SpectrumReport] = None,
-    numeric: bool = True,
+    generator: GeneratorMatrix, initial, numeric: bool = True
 ) -> SurvivalReport:
     """Closed-form lifetime with an optional full-dynamics cross-check.
 
@@ -467,7 +466,7 @@ def survival_report(
     any residual discrepancy against ``t_c_numeric`` reflects eigenvector
     (not eigenvalue) corrections.
     """
-    spectrum = report if report is not None else classify_spectrum(generator)
+    spectrum = classify_spectrum(generator)
     ratio = generator.rates.ratio
     lam = correlation_scalar(_as_vector(initial))
     slow_rate = -spectrum.slow_eigenvalue

@@ -79,15 +79,19 @@ class TrapConfig:
     target_ratio: float = 0.5
 
     def __post_init__(self):
+        for name in ("trap_frequency", "rabi_ratio", "ohmic_coupling"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.trap_frequency <= 0:
             raise ValueError("trap_frequency must be positive (rad/s)")
-        if int(self.ion_count) != self.ion_count or self.ion_count < 2:
+        if not float(self.ion_count).is_integer() or self.ion_count < 2:
             raise ValueError(f"ion_count must be an integer >= 2, got {self.ion_count}")
         if self.rabi_ratio <= 0:
             raise ValueError("rabi_ratio must be positive")
         if self.ohmic_coupling < 0:
             raise ValueError("ohmic_coupling must be non-negative")
-        if int(self.addressed_spacing) != self.addressed_spacing or self.addressed_spacing < 1:
+        if not float(self.addressed_spacing).is_integer() or self.addressed_spacing < 1:
             raise ValueError("addressed_spacing must be an integer >= 1")
         if self.bath_dimension not in (1, 2, 3):
             raise ValueError("bath_dimension must be 1, 2 or 3")
@@ -160,18 +164,18 @@ class PlanResult:
 
 
 def plan(
-    config: TrapConfig,
-    exact_delta: bool = False,
-    exchange_xi: float = 0.0,
-    lamb_shift: bool = True,
+    config: TrapConfig, exact_delta: bool = False, lamb_shift: bool = True
 ) -> PlanResult:
     """Map trap knobs to model parameters and judge feasibility.
 
     The correlation deficit uses the small-separation quadratic estimate
-    by default (``exact_delta=True`` evaluates the full profile).  The
-    induced Ising exchange vanishes for an Ohmic finite chain, so
-    ``exchange_xi`` defaults to zero but can be overridden.  Lamb-shift
-    strengths are computed unless ``lamb_shift=False``.
+    by default (``exact_delta=True`` evaluates the full profile).
+    ``PlanResult.params`` is the planned model, in which a zero strength
+    means the term is absent: the induced exchange vanishes for an Ohmic
+    finite chain, so ``exchange_xi`` is zero, and the Lamb strengths are
+    computed unless ``lamb_shift=False``, which leaves them zero.  So
+    ``build_generator(result.params, result.rates)`` is the bare model
+    with ``lamb_shift=False`` and the Lamb-dressed one otherwise.
 
     Infeasible configurations come back with ``feasible=False`` and an
     explanation in ``diagnostics``; no exception is raised for them.
@@ -202,12 +206,7 @@ def plan(
     else:
         diagnostics.append("no dissipation: ohmic_coupling is zero, qubits decouple from the chain")
 
-    params = ModelParams(
-        delta_field=splitting,
-        lamb_a=lamb_a,
-        lamb_b=lamb_b,
-        exchange_xi=exchange_xi,
-    )
+    params = ModelParams(delta_field=splitting, lamb_a=lamb_a, lamb_b=lamb_b)
 
     ratio = config.target_ratio
     slow_rate = first_order_slow_rate(thermal.occupation, deficit, gamma0)

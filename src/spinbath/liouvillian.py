@@ -27,8 +27,9 @@ bi-orthonormal left/right eigensystem for spectral propagation.
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,6 +85,8 @@ class ModelParams:
         H = -(delta_field/2) (sx1 + sx2)
             + lamb_a (sx1 + sx2) + lamb_b (sz1 sz2 + sy1 sy2)
             + exchange_xi (sx1 sx2 + sy1 sy2 + sz1 sz2).
+
+    A zero strength means the term is absent.  Every field must be finite.
     """
 
     delta_field: float
@@ -92,6 +95,10 @@ class ModelParams:
     exchange_xi: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.delta_field <= 0:
             raise ValueError(f"delta_field must be positive, got {self.delta_field}")
 
@@ -103,8 +110,6 @@ class GeneratorMatrix:
     entries: np.ndarray
     params: ModelParams
     rates: RateSet
-    include_lamb: bool = False
-    include_exchange: bool = False
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -118,14 +123,13 @@ class GeneratorMatrix:
         return self.entries @ vec
 
 
-def hamiltonian_matrix(
-    params: ModelParams, include_lamb: bool = False, include_exchange: bool = False
-) -> np.ndarray:
-    """4x4 Hamiltonian for the coherent part of the evolution."""
+def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
+    """4x4 Hamiltonian for the coherent part of the evolution; a term with
+    zero strength is left out."""
     ham = -(params.delta_field / 2.0) * _X_TOTAL
-    if include_lamb:
+    if params.lamb_a or params.lamb_b:
         ham = ham + params.lamb_a * _X_TOTAL + params.lamb_b * _ZZ_PLUS_YY
-    if include_exchange:
+    if params.exchange_xi:
         ham = ham + params.exchange_xi * _HEISENBERG
     return ham
 
@@ -206,12 +210,7 @@ def _generator_columns(ham: np.ndarray, rates: RateSet, tol: float) -> np.ndarra
     return projected.real.copy()
 
 
-def build_generator(
-    params: ModelParams,
-    rates: RateSet,
-    include_lamb: bool = False,
-    include_exchange: bool = False,
-) -> GeneratorMatrix:
+def build_generator(params: ModelParams, rates: RateSet) -> GeneratorMatrix:
     """Assemble the Pauli-vector generator ``L``.
 
     Trace preservation makes the first row vanish identically; it is
@@ -219,7 +218,7 @@ def build_generator(
     real by Hermiticity preservation.  A failure of either check raises
     :class:`NumericalFailureError`.
     """
-    ham = hamiltonian_matrix(params, include_lamb, include_exchange)
+    ham = hamiltonian_matrix(params)
     scale = max(
         abs(params.delta_field), rates.gamma11_plus, abs(params.lamb_b), 1e-300
     )
@@ -228,7 +227,7 @@ def build_generator(
     if top > 1e-10 * scale:
         raise NumericalFailureError(f"trace-preservation defect {top:.3e} in generator")
     entries[0] = 0.0
-    return GeneratorMatrix(entries, params, rates, include_lamb, include_exchange)
+    return GeneratorMatrix(entries, params, rates)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +473,6 @@ def generator_to_json(generator: GeneratorMatrix) -> str:
         "lamb_a": generator.params.lamb_a,
         "lamb_b": generator.params.lamb_b,
         "exchange_xi": generator.params.exchange_xi,
-        "include_lamb": generator.include_lamb,
-        "include_exchange": generator.include_exchange,
         "gamma0": generator.rates.gamma0,
         "delta": generator.rates.delta,
         "occupation": generator.rates.occupation,

@@ -39,16 +39,12 @@ FOUR_STATES = (
 )
 
 
-def make_generator(deficit, ratio, delta_field=DELTA_FIELD, gamma0=1.0, **kwargs):
+def make_generator(deficit, ratio, delta_field=DELTA_FIELD, gamma0=1.0, **strengths):
+    """Generator in gamma0 units; ``strengths`` are the coherent
+    ModelParams fields (lamb_a, lamb_b, exchange_xi)."""
     thermal = BathThermal.from_ratio(ratio)
     rates = RateSet.from_parameters(gamma0, thermal, deficit)
-    params = ModelParams(
-        delta_field,
-        kwargs.pop("lamb_a", 0.0),
-        kwargs.pop("lamb_b", 0.0),
-        kwargs.pop("exchange_xi", 0.0),
-    )
-    return build_generator(params, rates, **kwargs)
+    return build_generator(ModelParams(delta_field, **strengths), rates)
 
 
 @pytest.fixture(scope="session")

@@ -162,8 +162,6 @@ def test_criterion_5_dressing_leaves_slow_sector():
         0.9,
         lamb_b=strength,
         exchange_xi=strength,
-        include_lamb=True,
-        include_exchange=True,
     )
     dressed = classify_spectrum(dressed_gen)
 

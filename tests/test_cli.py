@@ -1,5 +1,8 @@
 """Command-line behavior: exit codes, formats, determinism, overrides."""
 
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -174,16 +177,8 @@ def test_spectrum_json_schema(capsys):
     assert len(payload["modes"][0]["right_re"]) == 16
 
 
-def test_spectrum_dressed_flags(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "--scenario",
-        "spectrum",
-        "--set",
-        "include_lamb=true",
-        "--set",
-        "lamb_b=2.0",
-    )
+def test_spectrum_dressed_by_strength(capsys):
+    code, out, _ = invoke(capsys, "--scenario", "spectrum", "--set", "lamb_b=2.0")
     assert code == 0
     dressed_im = float(out.strip().split("\n")[3].split(",")[3])
     # the exchange-like dressing shifts the oscillation frequency
@@ -374,6 +369,123 @@ def test_iontrap_invalid_config_is_usage_error(capsys):
     )
     assert code == 2
     assert "ion_count" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_iontrap_integer_knobs_accept_integral_floats(capsys, fmt):
+    """The CLI accepts the values TrapConfig.from_mapping accepts."""
+    args = ("--scenario", "iontrap", "--format", fmt)
+    code, plain, _ = invoke(capsys, *args, "--set", "ion_count=200")
+    code_float, as_float, _ = invoke(capsys, *args, "--set", "ion_count=200.0")
+    assert code == code_float == 0
+    assert as_float == plain
+    code, _, err = invoke(capsys, *args, "--set", "ion_count=200.5")
+    assert code == 2
+    assert "must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "scenario, key",
+    [
+        ("iontrap", "trap_frequency"),
+        ("iontrap", "rabi_ratio"),
+        ("iontrap", "ohmic_coupling"),
+        ("spectrum", "delta_field"),
+        ("spectrum", "lamb_a"),
+        ("spectrum", "lamb_b"),
+        ("spectrum", "exchange_xi"),
+        ("fig2-trajectories", "horizon_factor"),
+        ("fig1-surface", "lt_max"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_values_are_usage_errors(capsys, scenario, key, value):
+    code, out, err = invoke(capsys, "--scenario", scenario, "--set", f"{key}={value}")
+    assert code == 2, out
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# Every key does something
+# ---------------------------------------------------------------------------
+
+#: one non-default value per scenario key; set alone, each must change
+#: stdout or the exit code
+_FIG2_PROBES = {
+    "delta": "0.1", "r": "0.8", "delta_field": "5", "points": "50", "horizon_factor": "2",
+}
+KEY_PROBES = {
+    "fig1-surface": {
+        "delta": "0.1", "lambda_corr": "-3", "delta_field": "5", "r_min": "0.2",
+        "r_max": "0.95", "r_points": "3", "lt_max": "2", "lt_points": "5",
+    },
+    "fig2-trajectories": _FIG2_PROBES,
+    "fig2-inset": _FIG2_PROBES,
+    "spectrum": {
+        "delta": "0.1", "r": "0.8", "delta_field": "5",
+        "lamb_a": "0.4", "lamb_b": "0.3", "exchange_xi": "0.2",
+    },
+    "sweep": {"delta_values": "0.1", "r_values": "0.8", "lambda_values": "-2"},
+    "iontrap": {
+        "trap_frequency": "1e6", "ion_count": "200", "rabi_ratio": "10",
+        "ohmic_coupling": "0.05", "addressed_spacing": "2", "bath_dimension": "2",
+        "target_ratio": "0.6", "exact_delta": "true",
+    },
+}
+#: keys allowed to leave the run unchanged.  The trap report prints only
+#: closed-form fields, so the Lamb strengths that lamb_shift switches feed
+#: nothing yet (ROADMAP, open item 2).
+INERT_KEYS = {("iontrap", "lamb_shift")}
+
+
+@functools.lru_cache(maxsize=None)
+def _run_cli(*argv):
+    """Exit code, stdout and stderr of one in-process run, cached so the
+    default run of each scenario is made once."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("scenario", sorted(KEY_PROBES))
+def test_key_probes_cover_every_key(scenario):
+    code, _, err = _run_cli("--scenario", scenario, "--set", "no_such_key=1")
+    assert code == 2
+    valid = set(err.split("valid keys: ")[1].strip().split(", "))
+    inert = {key for name, key in INERT_KEYS if name == scenario}
+    assert valid == set(KEY_PROBES[scenario]) | inert
+
+
+@pytest.mark.parametrize(
+    "scenario, key, value",
+    [
+        (scenario, key, value)
+        for scenario, probes in sorted(KEY_PROBES.items())
+        for key, value in probes.items()
+    ],
+)
+def test_every_key_changes_the_run(scenario, key, value):
+    default = _run_cli("--scenario", scenario)[:2]
+    assert default[0] == 0
+    assert _run_cli("--scenario", scenario, "--set", f"{key}={value}")[:2] != default
+
+
+@pytest.mark.parametrize(
+    "scenario, key",
+    [
+        ("spectrum", "include_lamb"),
+        ("spectrum", "include_exchange"),
+        ("iontrap", "exchange_xi"),
+    ],
+)
+def test_removed_switches_are_unknown(capsys, scenario, key):
+    """A coherent term is present exactly when its strength is non-zero, so
+    no switch duplicates the strength, and the trap model has no exchange."""
+    code, _, err = invoke(capsys, "--scenario", scenario, "--set", f"{key}=1")
+    assert code == 2
+    assert f"unknown parameter {key!r}" in err
 
 
 # ---------------------------------------------------------------------------

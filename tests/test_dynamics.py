@@ -93,6 +93,17 @@ class TestTrajectory:
             propagate_spectral(reference_spectrum, bell_singlet(), [])
 
 
+@pytest.mark.parametrize("times", [[0.0, math.nan], [0.0, math.inf], [math.nan]])
+@pytest.mark.parametrize("route", ["spectral", "ode"])
+def test_non_finite_times_are_rejected(reference_generator, reference_spectrum, times, route):
+    """A non-finite time is a bad input, not an eigensolver failure."""
+    with pytest.raises(ValueError, match="times must be finite"):
+        if route == "spectral":
+            propagate_spectral(reference_spectrum, bell_singlet(), times)
+        else:
+            propagate_ode(reference_generator, bell_singlet(), times)
+
+
 def test_default_time_grid():
     grid = default_time_grid(2.0, 10.0, points=50)
     assert grid[0] == 0.0
@@ -411,14 +422,7 @@ def _survival_cases(state, dressing, count, seed=9601):
         deficit = 1e-3 * 500.0 ** u[1]
         field = 100.0 ** u[2]
         lam = -3.0 + 4.0 * u[3]
-        gen = make_generator(
-            deficit,
-            ratio,
-            field,
-            include_lamb=bool(terms),
-            include_exchange=bool(terms),
-            **terms,
-        )
+        gen = make_generator(deficit, ratio, field, **terms)
         occupation = BathThermal.from_ratio(ratio).occupation
         matrix = oracles.liouvillian_alpha_space(
             field, 1.0, occupation, deficit, **terms

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+import oracles
 from spinbath.bath import RateSet
 from spinbath.iontrap import (
     FeasibilityReport,
@@ -15,6 +17,7 @@ from spinbath.iontrap import (
     report_to_text,
     temperature_requirement,
 )
+from spinbath.liouvillian import ModelParams, build_generator
 
 
 class TestTrapConfig:
@@ -39,11 +42,21 @@ class TestTrapConfig:
             {"bath_dimension": 4},
             {"target_ratio": 1.0},
             {"target_ratio": 0.0},
+            {"ion_count": math.inf},
+            {"addressed_spacing": math.nan},
         ],
     )
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
             TrapConfig(**overrides)
+
+    @pytest.mark.parametrize("key", ["trap_frequency", "rabi_ratio", "ohmic_coupling"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_knobs_are_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            TrapConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            TrapConfig.from_mapping({key: str(value)})
 
     def test_from_mapping(self):
         cfg = TrapConfig.from_mapping(
@@ -121,9 +134,29 @@ class TestPlan:
         assert bare.params.lamb_a == 0.0
         assert bare.params.lamb_b == 0.0
 
-    def test_exchange_passthrough(self):
-        result = plan(default_config(), exchange_xi=0.3)
-        assert result.params.exchange_xi == 0.3
+    def test_planned_params_are_the_model(self):
+        """The planned strengths decide the generator: bare without the
+        Lamb shift, Lamb-dressed with it, and never an exchange term."""
+        config = default_config()
+        bare, dressed = plan(config, lamb_shift=False), plan(config)
+        assert bare.params == ModelParams(config.rabi_ratio)
+        assert dressed.params.exchange_xi == 0.0
+        generators = []
+        for result in (bare, dressed):
+            rates = result.rates
+            reference = oracles.liouvillian_alpha_space(
+                config.rabi_ratio,
+                rates.gamma0,
+                rates.occupation,
+                rates.delta,
+                lamb_a=result.params.lamb_a,
+                lamb_b=result.params.lamb_b,
+            )
+            reference[0] = 0.0
+            entries = build_generator(result.params, rates).entries
+            assert np.max(np.abs(entries - reference)) < 1e-12 * np.max(np.abs(reference))
+            generators.append(entries)
+        assert np.max(np.abs(generators[1] - generators[0])) > 1.0
 
     def test_decoupled_chain_reports_infeasible(self):
         result = plan(TrapConfig(ohmic_coupling=0.0))

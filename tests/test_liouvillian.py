@@ -1,6 +1,7 @@
 """Generator assembly and spectrum taxonomy."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -46,67 +47,57 @@ GENERATOR_CASES = [
         lamb_a=-0.17,
         lamb_b=-0.49,
         exchange_xi=0.31,
-        include_lamb=True,
-        include_exchange=True,
     ),
+    # one coherent term at a time: each is present exactly when its
+    # strength is non-zero
+    dict(deficit=0.05, ratio=0.9, lamb_a=-0.17),
+    dict(deficit=0.2, ratio=0.5, delta_field=3.0, lamb_b=-0.49),
+    dict(deficit=0.05, ratio=0.7, exchange_xi=0.31),
 ]
+_STRENGTHS = ("lamb_a", "lamb_b", "exchange_xi")
 
 
 @pytest.mark.parametrize("case", GENERATOR_CASES)
 def test_generator_matches_kronecker_oracle(case):
     """Column-projection assembly vs an independent rho-space build."""
-    case = dict(case)
-    include_lamb = case.pop("include_lamb", False)
-    include_exchange = case.pop("include_exchange", False)
-    gen = make_generator(
-        case["deficit"],
-        case["ratio"],
-        case.get("delta_field", DELTA_FIELD),
-        case.get("gamma0", 1.0),
-        lamb_a=case.get("lamb_a", 0.0),
-        lamb_b=case.get("lamb_b", 0.0),
-        exchange_xi=case.get("exchange_xi", 0.0),
-        include_lamb=include_lamb,
-        include_exchange=include_exchange,
-    )
+    strengths = {key: case[key] for key in _STRENGTHS if key in case}
+    delta_field = case.get("delta_field", DELTA_FIELD)
+    gamma0 = case.get("gamma0", 1.0)
+    gen = make_generator(case["deficit"], case["ratio"], delta_field, gamma0, **strengths)
     occupation = (1.0 / case["ratio"] - 1.0) / 2.0
     reference = oracles.liouvillian_alpha_space(
-        case.get("delta_field", DELTA_FIELD),
-        case.get("gamma0", 1.0),
-        occupation,
-        case["deficit"],
-        lamb_a=case.get("lamb_a", 0.0) if include_lamb else 0.0,
-        lamb_b=case.get("lamb_b", 0.0) if include_lamb else 0.0,
-        exchange_xi=case.get("exchange_xi", 0.0) if include_exchange else 0.0,
+        delta_field, gamma0, occupation, case["deficit"], **strengths
     )
     reference[0] = 0.0
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(gen.entries - reference)) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("include_lamb", [False, True])
-@pytest.mark.parametrize("include_exchange", [False, True])
-def test_generator_matches_column_route(include_lamb, include_exchange):
+@pytest.mark.parametrize("lamb", [False, True])
+@pytest.mark.parametrize("exchange", [False, True])
+def test_generator_matches_column_route(lamb, exchange):
     """Precomputed-image assembly vs the master equation applied to one
     basis operator at a time.  Both sum the same terms in the same order,
     so the entries agree bit for bit.  The first case (ratio 1, deficit 1)
-    has zero absorption and cross rates, whose terms are skipped."""
+    has zero absorption and cross rates, whose terms are skipped.  A term
+    is switched off by zeroing its strengths."""
     rng = np.random.default_rng(7)
     cases = [(1.0, 1.0)] + [
         (rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.0)) for _ in range(24)
     ]
     for ratio, deficit in cases:
-        params = ModelParams(rng.uniform(0.1, 30.0), *rng.normal(size=3))
+        on = [lamb, lamb, exchange]
+        params = ModelParams(rng.uniform(0.1, 30.0), *rng.normal(size=3) * on)
         rates = RateSet.from_parameters(
             rng.uniform(0.1, 3.0), BathThermal.from_ratio(ratio), deficit
         )
-        ham = hamiltonian_matrix(params, include_lamb, include_exchange)
+        ham = hamiltonian_matrix(params)
         reference = np.empty((16, 16))
         for col in range(16):
             image = _apply_master_equation(PAULI_PRODUCTS[col] / 4.0, ham, rates)
             reference[:, col] = np.einsum("kab,ba->k", PAULI_PRODUCTS, image).real
         reference[0] = 0.0
-        gen = build_generator(params, rates, include_lamb, include_exchange)
+        gen = build_generator(params, rates)
         assert np.array_equal(gen.entries, reference)
 
 
@@ -149,15 +140,22 @@ def test_model_params_validation():
         ModelParams(-1.0)
 
 
+@pytest.mark.parametrize("field", ["delta_field", "lamb_a", "lamb_b", "exchange_xi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_params_rejects_non_finite(field, value):
+    values = dict(delta_field=1.0, lamb_a=0.1, lamb_b=0.2, exchange_xi=0.3)
+    values[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelParams(**values)
+
+
 def test_hamiltonian_matrix_matches_oracle():
     params = ModelParams(7.0, lamb_a=0.3, lamb_b=-0.2, exchange_xi=0.1)
     assert np.allclose(
-        hamiltonian_matrix(params), oracles.hamiltonian(7.0), atol=1e-15
+        hamiltonian_matrix(ModelParams(7.0)), oracles.hamiltonian(7.0), atol=1e-15
     )
     assert np.allclose(
-        hamiltonian_matrix(params, include_lamb=True, include_exchange=True),
-        oracles.hamiltonian(7.0, 0.3, -0.2, 0.1),
-        atol=1e-15,
+        hamiltonian_matrix(params), oracles.hamiltonian(7.0, 0.3, -0.2, 0.1), atol=1e-15
     )
 
 
@@ -279,11 +277,7 @@ def test_labels_follow_symmetry_sectors(strength):
     """Thermal and slow modes lie in the (0, swap+) sector and the
     oscillatory pair in (+-1, swap-), bare and dressed; the pair is exactly
     conjugate in value and eigenvector."""
-    dressing = (
-        dict(lamb_b=strength, exchange_xi=strength, include_lamb=True, include_exchange=True)
-        if strength
-        else {}
-    )
+    dressing = dict(lamb_b=strength, exchange_xi=strength)
     for deficit in (0.001, 0.01, 0.05):
         for ratio in (0.3, 0.7, 0.95, 1.0):
             for delta_field in (1.0, 10.0):
@@ -468,15 +462,7 @@ def test_analytic_slow_eigenpair_warns_at_large_deficit():
 
 def _dressed_pair(deficit, ratio, strength):
     bare = make_generator(deficit, ratio)
-    dressed = make_generator(
-        deficit,
-        ratio,
-        lamb_a=0.0,
-        lamb_b=strength,
-        exchange_xi=strength,
-        include_lamb=True,
-        include_exchange=True,
-    )
+    dressed = make_generator(deficit, ratio, lamb_b=strength, exchange_xi=strength)
     return bare, dressed
 
 
@@ -519,7 +505,11 @@ def test_generator_json_round_trip(reference_generator):
     assert np.max(np.abs(entries - reference_generator.entries)) < 1e-12
     assert payload["gamma0"] == 1.0
     assert payload["delta_field"] == DELTA_FIELD
-    assert payload["include_lamb"] is False
+    # the strengths say which coherent terms are present; no flag repeats them
+    assert payload.keys() == {
+        "entries_row_major", "delta_field", "lamb_a", "lamb_b", "exchange_xi",
+        "gamma0", "delta", "occupation",
+    }
 
 
 def test_spectrum_json_contents(reference_spectrum):
