@@ -18,7 +18,6 @@ The spatial correlation function ``f`` depends on the bath dimension:
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -41,6 +40,22 @@ __all__ = [
 ]
 
 
+def _elementwise(scalar: Callable[[float], float], x):
+    """``scalar`` of a Python number, or of each entry of an array.
+
+    Each bath quantity has one formula, written for one Python float.  A
+    number or a 0-d array gives a float, any other array a float array of
+    its shape.
+    """
+    if isinstance(x, (int, float)):
+        return scalar(x)
+    # Python floats from tolist(): on numpy scalars, or inside
+    # np.vectorize, a NaN from the formula's arithmetic warns
+    x = np.asarray(x, dtype=float)
+    value = np.array([scalar(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return float(value) if x.ndim == 0 else value
+
+
 # ---------------------------------------------------------------------------
 # Spectral density
 # ---------------------------------------------------------------------------
@@ -57,7 +72,9 @@ class SpectralDensity:
 
     The Ohmic form is ``J(omega) = (coupling / 2) * omega`` times an
     exponential or hard cutoff at ``cutoff_frequency``.  Tabulated data is
-    interpolated linearly and vanishes outside the tabulated range.
+    interpolated linearly and vanishes outside the tabulated range.  A
+    number gives a float and an array ``J`` of each entry, from the one
+    formula in :meth:`_scalar`.
     """
 
     form: str = OHMIC
@@ -88,8 +105,6 @@ class SpectralDensity:
                 raise ValueError("table entries must be finite")
             table.setflags(write=False)
             object.__setattr__(self, "table", table)
-            # Python-float columns for the scalar path's bisection
-            object.__setattr__(self, "_columns", tuple(table.T.tolist()))
 
     @classmethod
     def ohmic(
@@ -108,50 +123,25 @@ class SpectralDensity:
     @classmethod
     def from_table_file(cls, path) -> "SpectralDensity":
         """Load a two-column (omega, J) text table."""
-        data = np.loadtxt(path)
-        if data.ndim == 1:
-            data = data.reshape(1, -1)
-        return cls(form=TABULATED, table=data)
+        return cls(form=TABULATED, table=np.loadtxt(path))
 
     def __call__(self, omega):
-        if isinstance(omega, (int, float)):
-            return self._scalar()(omega)
-        omega = np.asarray(omega, dtype=float)
-        if self.form == OHMIC:
-            value = 0.5 * self.coupling * omega
-            if self.cutoff_form == EXPONENTIAL_CUTOFF:
-                value = value * np.exp(-omega / self.cutoff_frequency)
-            else:
-                value = np.where(omega <= self.cutoff_frequency, value, 0.0)
-        else:
-            value = np.interp(omega, self.table[:, 0], self.table[:, 1], left=0.0, right=0.0)
-        value = np.where(omega > 0.0, value, 0.0)
-        return float(value) if value.ndim == 0 else value
+        return _elementwise(self._scalar(), omega)
 
     def _scalar(self) -> Callable[[float], float]:
         """``J`` of one Python number, with the form's constants bound once.
 
-        Quadrature asks for ``J`` one node at a time, where numpy's per-call
-        dispatch costs far more than the arithmetic.  The values are the
-        array path's: bit for bit, except that ``math.exp`` and numpy's
-        vectorised ``exp`` may differ in the last place.  The tabulated form
-        repeats ``np.interp``'s arithmetic: the node ``w_j <= w`` by
-        bisection, then ``J_j`` at a node and ``slope * (w - w_j) + J_j``
-        between nodes.
+        This is the only formula for ``J``: quadrature asks for it one node
+        at a time, where numpy's per-call dispatch costs far more than the
+        arithmetic, and an array is evaluated entry by entry.  The
+        tabulated form is ``np.interp`` of the one frequency.
         """
         if self.form == TABULATED:
-            nodes, values = self._columns
-
-            def tabulated(omega):
-                if not (omega > 0.0 and nodes[0] <= omega <= nodes[-1]):
-                    return 0.0
-                j = bisect.bisect_right(nodes, omega) - 1
-                if nodes[j] == omega:
-                    return values[j]
-                slope = (values[j + 1] - values[j]) / (nodes[j + 1] - nodes[j])
-                return slope * (omega - nodes[j]) + values[j]
-
-            return tabulated
+            nodes, values = self.table.T
+            return lambda omega: (
+                float(np.interp(omega, nodes, values, left=0.0, right=0.0))
+                if omega > 0.0 else 0.0
+            )
         slope, cutoff = 0.5 * self.coupling, self.cutoff_frequency
         if self.cutoff_form == EXPONENTIAL_CUTOFF:
             return lambda omega: slope * omega * math.exp(-omega / cutoff) if omega > 0.0 else 0.0
@@ -176,7 +166,8 @@ class BathGeometry:
     """Qubit separation ``d``, bath dimension and dispersion ``kappa(omega)``.
 
     The default dispersion is linear, ``kappa = omega / velocity``.  An
-    arbitrary map can be supplied through ``dispersion``.
+    arbitrary map can be supplied through ``dispersion``; it is called on
+    one frequency at a time, so ``kappa`` of an array maps each entry.
     """
 
     separation: float = 0.0
@@ -193,11 +184,14 @@ class BathGeometry:
             raise ValueError("velocity must be positive for the linear dispersion")
 
     def kappa(self, omega):
+        return _elementwise(self._kappa(), omega)
+
+    def _kappa(self) -> Callable[[float], float]:
+        """``kappa`` of one Python number: the dispersion, else ``w / velocity``."""
         if self.dispersion is not None:
-            return self.dispersion(omega)
-        if isinstance(omega, (int, float)):
-            return omega / self.velocity
-        return np.asarray(omega, dtype=float) / self.velocity
+            return self.dispersion
+        velocity = self.velocity
+        return lambda omega: omega / velocity
 
 
 @dataclass(frozen=True)
@@ -276,38 +270,37 @@ def thermal_occupation(delta_freq: float, temperature: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sinc(x: float) -> float:
-    return math.sin(x) / x if x != 0.0 else 1.0
+def _cos(x: float) -> float:
+    return math.cos(x) if math.isfinite(x) else math.nan
 
 
 def _j0(x: float) -> float:
     return float(special.j0(x))
 
 
-#: the profiles of one finite Python number, by bath dimension
-_PROFILES = {1: math.cos, 2: _j0, 3: _sinc}
+def _sinc(x: float) -> float:
+    if x == 0.0:
+        return 1.0
+    return math.sin(x) / x if math.isfinite(x) else math.nan
+
+
+#: the profile of one Python number, by bath dimension: NaN at +-inf, as
+#: scipy's j0 gives, where math.cos and math.sin would raise
+_PROFILES = {1: _cos, 2: _j0, 3: _sinc}
 
 
 def spatial_correlation(x, dimension: int):
     """Normalized bath correlation profile ``f(x)`` at scaled separation x.
 
     ``cos(x)`` for a 1D bath, ``J_0(x)`` for 2D (``scipy.special.j0``),
-    ``sin(x)/x`` for 3D; all satisfy ``f(0) = 1`` and ``|f| <= 1``.  A
-    finite Python number is evaluated with ``math`` and gives the same
-    float as a one-element array.
+    ``sin(x)/x`` for 3D; all satisfy ``f(0) = 1`` and ``|f| <= 1``, and
+    are NaN at an infinite or NaN ``x``.  A number gives a float and an
+    array is evaluated entry by entry, through the same ``_PROFILES``
+    formula the Lamb-shift integrand calls.
     """
     if dimension not in _PROFILES:
         raise ValueError(f"bath dimension must be 1, 2 or 3, got {dimension}")
-    if isinstance(x, (int, float)) and math.isfinite(x):
-        return _PROFILES[dimension](x)
-    x = np.asarray(x, dtype=float)
-    if dimension == 1:
-        value = np.cos(x)
-    elif dimension == 2:
-        value = special.j0(x)
-    else:
-        value = np.where(x == 0.0, 1.0, np.divide(np.sin(x), np.where(x == 0.0, 1.0, x)))
-    return float(value) if value.ndim == 0 else value
+    return _elementwise(_PROFILES[dimension], x)
 
 
 def correlation_delta(
@@ -324,7 +317,7 @@ def correlation_delta(
     x = float(geometry.kappa(delta_freq)) * geometry.separation
     if approx:
         return x * x / (2.0 * geometry.dimension)
-    return 1.0 - float(spatial_correlation(x, geometry.dimension))
+    return 1.0 - spatial_correlation(x, geometry.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +471,7 @@ def lamb_shift_coefficients(
     density = spectral._scalar()
     coth = thermal._coth(delta_freq)
     profile = _PROFILES[geometry.dimension]
-    kappa, separation = geometry.kappa, geometry.separation
+    kappa, separation = geometry._kappa(), geometry.separation
 
     # 1 / (Delta^2 - w^2) = -1 / ((w - Delta) (Delta + w)): each numerator
     # carries -1 / (Delta + w) and the Cauchy weight supplies 1 / (w - Delta)
@@ -489,12 +482,9 @@ def lamb_shift_coefficients(
 
     def numerator_b(omega: float) -> float:
         omega = max(omega, floor)
-        x = float(kappa(omega)) * separation
-        if not math.isfinite(x):
-            # a custom dispersion's infinite kappa: math.cos would raise, a
-            # NaN makes QUADPACK fail and the failure name B
-            return math.nan
-        num = density(omega) * profile(x) * omega
+        # a custom dispersion's infinite kappa makes the profile NaN, and
+        # the NaN makes QUADPACK fail and the failure name B
+        num = density(omega) * profile(float(kappa(omega)) * separation) * omega
         return -num / (delta_freq + omega)
 
     coeff_a = _principal_value("A", numerator_a, delta_freq, upper)

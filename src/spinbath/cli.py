@@ -278,7 +278,7 @@ def _run_spectrum(values: dict, fmt: str) -> str:
 def _sweep_cell(cell: tuple) -> str:
     delta, ratio, lam = cell
     slow = first_order_slow_rate(BathThermal.from_ratio(ratio).occupation, delta)
-    peak = analytic_concurrence(ratio, lam, slow if slow > 0 else 1.0, 0.0)
+    peak = analytic_concurrence(ratio, lam, slow, 0.0)
     t_c = survival_time(ratio, lam, slow)
     return (
         f"{_csv_float(delta)},{_csv_float(ratio)},{_csv_float(lam)},"
@@ -393,10 +393,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload = _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
@@ -418,3 +415,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -214,9 +214,7 @@ def plan(
 
     generated = generation_condition(ratio, lam_corr)
     t_c = survival_time(ratio, lam_corr, slow_rate)
-    peak = float(
-        analytic_concurrence(ratio, lam_corr, slow_rate if slow_rate > 0 else 1.0, 0.0)
-    )
+    peak = float(analytic_concurrence(ratio, lam_corr, slow_rate, 0.0))
     revival = 2.0 * math.pi * config.ion_count / 100.0
     t_peak = 1.0 / gamma0 if gamma0 > 0 else math.inf
 

@@ -134,6 +134,19 @@ def test_console_script_exit_codes(argv, code, message):
     assert message in proc.stderr
 
 
+def test_module_entry_point(capsys):
+    """``python -m spinbath.cli`` runs a scenario like the console script."""
+    _, expected, _ = invoke(capsys, "--scenario", "sweep")
+    proc = _launch(sys.executable, "-m", "spinbath.cli", "--scenario", "sweep")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    proc = _launch(
+        sys.executable, "-m", "spinbath.cli", "--scenario", "sweep", "--set", "nope=1"
+    )
+    assert proc.returncode == 2
+    assert "unknown parameter 'nope'" in proc.stderr
+
+
 @pytest.mark.skipif(
     shutil.which("spinbath") is None, reason="no spinbath executable on PATH"
 )
