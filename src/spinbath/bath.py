@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import InvalidRatesError, NumericalFailureError
 
@@ -274,8 +273,13 @@ def _cos(x: float) -> float:
     return math.cos(x) if math.isfinite(x) else math.nan
 
 
-def _j0(x: float) -> float:
-    return float(special.j0(x))
+def _j0_profile() -> Callable[[float], float]:
+    from scipy import special
+
+    def j0(x: float) -> float:
+        return float(special.j0(x))
+
+    return j0
 
 
 def _sinc(x: float) -> float:
@@ -284,9 +288,10 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x if math.isfinite(x) else math.nan
 
 
-#: the profile of one Python number, by bath dimension: NaN at +-inf, as
-#: scipy's j0 gives, where math.cos and math.sin would raise
-_PROFILES = {1: _cos, 2: _j0, 3: _sinc}
+#: a factory of the profile of one Python number, by bath dimension: NaN at
+#: +-inf, as scipy's j0 gives, where math.cos and math.sin would raise.  The
+#: 2D factory imports scipy.special, once per profile rather than per node.
+_PROFILES = {1: lambda: _cos, 2: _j0_profile, 3: lambda: _sinc}
 
 
 def spatial_correlation(x, dimension: int):
@@ -300,7 +305,7 @@ def spatial_correlation(x, dimension: int):
     """
     if dimension not in _PROFILES:
         raise ValueError(f"bath dimension must be 1, 2 or 3, got {dimension}")
-    return _elementwise(_PROFILES[dimension], x)
+    return _elementwise(_PROFILES[dimension](), x)
 
 
 def correlation_delta(
@@ -418,6 +423,8 @@ def _principal_value(name: str, numerator, pole: float, upper: float) -> float:
     :class:`NumericalFailureError` names the coefficient, the estimate, the
     error estimate, the tolerance and QUADPACK's message.
     """
+    from scipy import integrate
+
     if 0.0 < pole < upper:
         result = integrate.quad(
             numerator, 0.0, upper, weight="cauchy", wvar=pole, full_output=1, **_QUAD_OPTS
@@ -470,7 +477,7 @@ def lamb_shift_coefficients(
     # constants of J, coth and f once here
     density = spectral._scalar()
     coth = thermal._coth(delta_freq)
-    profile = _PROFILES[geometry.dimension]
+    profile = _PROFILES[geometry.dimension]()
     kappa, separation = geometry._kappa(), geometry.separation
 
     # 1 / (Delta^2 - w^2) = -1 / ((w - Delta) (Delta + w)): each numerator

@@ -36,6 +36,11 @@ from .dynamics import (
     propagate_spectral,
     survival_time,
 )
+from .errors import (
+    DefectiveSpectrumError,
+    DegenerateSpectrumError,
+    NumericalFailureError,
+)
 from .iontrap import (
     TrapConfig,
     plan,
@@ -396,9 +401,10 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # covers the numerical-failure family (spectrum degeneracy,
-        # non-finite propagation, non-convergent quadrature)
+    except (NumericalFailureError, DegenerateSpectrumError, DefectiveSpectrumError) as exc:
+        # spinbath's numerical-failure family (spectrum degeneracy, non-finite
+        # generator or propagation, non-convergent quadrature); any other
+        # error is a bug and keeps its traceback
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     try:

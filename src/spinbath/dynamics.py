@@ -1,11 +1,14 @@
 """Propagation of the Pauli vector and the resulting entanglement dynamics.
 
 Two propagation routes are provided.  The spectral route expands the
-initial state over the classified eigensystem and sums ``a_l exp(lambda_l
-t) r_l``; the stepping route carries ``d alpha/dt = L alpha`` through the
-time grid by exact matrix-exponential steps ``alpha <- expm(L dt) alpha``.
-Neither has a step error; they agree to round-off and serve as mutual
-cross-checks.
+initial state over an eigensystem of the generator and sums ``a_l
+exp(lambda_l t) r_l``; the stepping route carries ``d alpha/dt = L alpha``
+through the time grid by exact matrix-exponential steps ``alpha <- expm(L
+dt) alpha``.  Neither has a step error; they agree to round-off and serve
+as mutual cross-checks.  :func:`propagate` sums the modes of any
+well-conditioned eigenbasis, labelled or not (the perfectly correlated bath
+has a doubled zero mode but a sound basis), and steps only where the
+eigenbasis is ill-conditioned.
 
 On top of the numerics sits the closed-form long-time description: after
 the fast modes die out the state is the thermal point plus a single slow
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import linalg, optimize
 
 from .errors import (
     DefectiveSpectrumError,
@@ -35,6 +37,8 @@ from .errors import (
 from .liouvillian import (
     GeneratorMatrix,
     SpectrumReport,
+    _eigensystem,
+    _label_spectrum,
     classify_spectrum,
     mode_coefficients,
     thermal_alpha,
@@ -74,6 +78,11 @@ _RECONSTRUCTION_IMAG_TOL = 1e-8
 #: headroom over the strictly-validated default: eigenvalues of the
 #: nonsymmetric spin-flip product carry O(sqrt(eps)) dust when clustered.
 _TRAJECTORY_DUST_TOL = 1e-7
+#: largest eigenvector-matrix condition number for which :func:`propagate`
+#: sums the modes of an unlabelled eigensystem.  Near the common bath the
+#: condition number stays below 2.5e3 for ratios up to 0.999999, and exceeds
+#: 7e7 at R = 1, where the sum drifts from the matrix exponential by ~1e-8.
+_MODE_SUM_MAX_COND = 1e6
 
 
 def _as_vector(state) -> np.ndarray:
@@ -172,10 +181,13 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _spectral_alphas(report: SpectrumReport, coeffs: np.ndarray, times: np.ndarray):
-    """Real mode sum at each time; a broken mode pairing raises."""
-    phases = np.exp(np.outer(times, report.eigenvalues))
-    alpha_c = (phases * coeffs) @ report.right.T
+def _spectral_alphas(
+    eigenvalues: np.ndarray, right: np.ndarray, coeffs: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """Real mode sum ``sum_l a_l exp(lambda_l t) r_l`` at each time, with
+    ``right[:, l]`` the l-th eigenvector; a broken mode pairing raises."""
+    phases = np.exp(np.outer(times, eigenvalues))
+    alpha_c = (phases * coeffs) @ right.T
     residue = float(np.max(np.abs(alpha_c.imag)))
     if residue > _RECONSTRUCTION_IMAG_TOL:
         raise NumericalFailureError(
@@ -198,7 +210,7 @@ def propagate_spectral(
     coeffs = mode_coefficients(report, initial)
     return _finish_trajectory(
         times,
-        _spectral_alphas(report, coeffs, times),
+        _spectral_alphas(report.eigenvalues, report.right, coeffs, times),
         report.gamma0,
         -report.slow_eigenvalue,
     )
@@ -215,6 +227,8 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
     degenerate or defective.  A non-finite state raises
     :class:`IntegrationFailureError`.
     """
+    from scipy import linalg
+
     times = _check_times(times)
     entries = generator.entries
     alpha = _as_vector(initial)
@@ -232,13 +246,28 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
 def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
     """Spectral propagation, falling back to matrix-exponential stepping.
 
-    The fallback covers generators whose spectrum cannot be classified
-    (perfectly correlated baths, near-defective eigenvector systems).
+    The generator is eigensolved once.  A spectrum that
+    :func:`~spinbath.liouvillian.classify_spectrum` would label goes to
+    :func:`propagate_spectral`, bit for bit.  One it cannot label (the
+    perfectly correlated bath, whose zero mode is doubled) is still summed
+    mode by mode, with coefficients solved from its eigenvector matrix, as
+    long as that matrix's condition number is at most 1e6; such a
+    trajectory has no ``slow_rate``.  Only an ill-conditioned eigenbasis
+    (zero temperature, R = 1, with a vanishing deficit) falls back to
+    :func:`propagate_ode`.
     """
     try:
-        report = classify_spectrum(generator)
-    except (DegenerateSpectrumError, DefectiveSpectrumError):
+        values, right, cond = _eigensystem(generator)
+        report = _label_spectrum(generator, values, right)
+    except DefectiveSpectrumError:
         return propagate_ode(generator, initial, times)
+    except DegenerateSpectrumError:
+        if cond > _MODE_SUM_MAX_COND:
+            return propagate_ode(generator, initial, times)
+        times = _check_times(times)
+        coeffs = np.linalg.solve(right, _as_vector(initial))
+        alphas = _spectral_alphas(values, right, coeffs, times)
+        return _finish_trajectory(times, alphas, generator.rates.gamma0, None)
     return propagate_spectral(report, initial, times)
 
 
@@ -398,11 +427,13 @@ def _numeric_survival(
     * root: Brent's method between the last positive sample and the next,
       to ``xtol = 1e-6 / |lambda_1|``.
     """
+    from scipy import optimize
+
     gamma0 = report.gamma0
     coeffs = mode_coefficients(report, initial)
 
     def signed(times: np.ndarray) -> np.ndarray:
-        alphas = _spectral_alphas(report, coeffs, times)
+        alphas = _spectral_alphas(report.eigenvalues, report.right, coeffs, times)
         matrices = _alpha_rows_to_matrices(alphas)
         return _signed_concurrence(matrices, dust_tol=_TRAJECTORY_DUST_TOL)
 

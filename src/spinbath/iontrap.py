@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
-from scipy import constants
-
 from .bath import (
     HARD_CUTOFF,
     BathGeometry,
@@ -266,6 +264,8 @@ def temperature_requirement(config: TrapConfig) -> float:
     ``Delta = rabi_ratio * trap_frequency`` in rad/s; millikelvin for
     megahertz traps.
     """
+    from scipy import constants
+
     ratio = config.target_ratio
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"target ratio must lie in (0, 1), got {ratio}")

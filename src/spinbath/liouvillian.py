@@ -194,12 +194,17 @@ def _generator_columns(ham: np.ndarray, rates: RateSet, tol: float) -> np.ndarra
     """Real 16x16 Pauli-basis matrix of the master equation.
 
     Column ``k`` is the Pauli projection of the image of the k-th basis
-    operator.  A column with an imaginary part above ``tol`` means the
-    superoperator does not preserve Hermiticity (for instance a
-    non-Hermitian ``ham``) and raises :class:`NumericalFailureError`.
+    operator.  A non-finite entry, or a column with an imaginary part above
+    ``tol`` (the superoperator does not preserve Hermiticity, for instance
+    for a non-Hermitian ``ham``), raises :class:`NumericalFailureError`.
     """
     images = _apply_master_equation(_BASIS_OPERATORS, ham, rates, _BASIS_IMAGES)
     projected = np.einsum("kab,cba->kc", PAULI_PRODUCTS, images)
+    if not np.all(np.isfinite(projected)):
+        raise NumericalFailureError(
+            "generator has non-finite entries: a coherent strength or rate "
+            "overflows double precision"
+        )
     residues = np.max(np.abs(projected.imag), axis=0)
     bad = np.flatnonzero(residues > tol)
     if bad.size:
@@ -215,14 +220,16 @@ def build_generator(params: ModelParams, rates: RateSet) -> GeneratorMatrix:
 
     Trace preservation makes the first row vanish identically; it is
     zeroed exactly after an internal consistency check.  All entries are
-    real by Hermiticity preservation.  A failure of either check raises
-    :class:`NumericalFailureError`.
+    real by Hermiticity preservation.  A failure of either check, or an
+    entry that overflows to inf or NaN, raises
+    :class:`NumericalFailureError`; overflow warns nothing on the way.
     """
-    ham = hamiltonian_matrix(params)
     scale = max(
         abs(params.delta_field), rates.gamma11_plus, abs(params.lamb_b), 1e-300
     )
-    entries = _generator_columns(ham, rates, 1e-10 * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ham = hamiltonian_matrix(params)
+        entries = _generator_columns(ham, rates, 1e-10 * scale)
     top = float(np.max(np.abs(entries[0])))
     if top > 1e-10 * scale:
         raise NumericalFailureError(f"trace-preservation defect {top:.3e} in generator")
@@ -281,31 +288,65 @@ class SpectrumReport:
         return float(self.eigenvalues[self.slow_index].real)
 
 
+#: eigenvector-matrix condition number above which a generator counts as
+#: numerically defective
+_DEFECTIVE_COND = 1e12
+
+
+def _eigensystem(generator: GeneratorMatrix) -> tuple:
+    """Eigenvalues and right eigenvectors (columns) of the generator, in
+    LAPACK's order, with the condition number of the eigenvector matrix.
+
+    An eigenvector matrix with a condition number above 1e12 is no basis
+    and raises :class:`DefectiveSpectrumError`.
+    """
+    values, right = np.linalg.eig(generator.entries)
+    cond = float(np.linalg.cond(right))
+    if cond > _DEFECTIVE_COND:
+        raise DefectiveSpectrumError(
+            f"eigenvector matrix has condition number {cond:.3e} above "
+            f"{_DEFECTIVE_COND:.0e}; generator is numerically defective"
+        )
+    return values, right, cond
+
+
 def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
     """Eigendecompose and label the generator spectrum.
 
     Requires a strictly positive correlation deficit; at ``delta = 0`` the
-    zero eigenvalue is degenerate and no unique thermal mode exists.
-
-    For a real matrix ``np.linalg.eig`` keeps LAPACK's ``dgeev`` order:
-    each complex pair sits at adjacent indices ``(k, k + 1)``, exactly
-    conjugate in value and eigenvector, positive imaginary part first.  The
-    oscillatory pair is the slowest complex pair, so it is read off as the
-    slowest eigenvalue with positive imaginary part and its successor.
+    zero eigenvalue is degenerate and no unique thermal mode exists.  An
+    eigenvector matrix with a condition number above 1e12 raises
+    :class:`DefectiveSpectrumError`.
     """
-    rates = generator.rates
-    gamma0 = rates.gamma0
+    _require_deficit(generator.rates)  # before an eigensolve it would waste
+    values, right, _ = _eigensystem(generator)
+    return _label_spectrum(generator, values, right)
+
+
+def _require_deficit(rates: RateSet) -> None:
     if rates.delta <= 0.0:
         raise DegenerateSpectrumError(
             "spectrum classification needs delta > 0; the zero eigenvalue is "
             "degenerate for perfectly correlated baths"
         )
-    values, right = np.linalg.eig(generator.entries)
-    if np.linalg.cond(right) > 1e12:
-        raise DefectiveSpectrumError(
-            "eigenvector matrix is numerically singular; generator is defective"
-        )
 
+
+def _label_spectrum(
+    generator: GeneratorMatrix, values: np.ndarray, right: np.ndarray
+) -> SpectrumReport:
+    """Label an eigensystem of the generator, as returned by ``eig``.
+
+    For a real matrix ``np.linalg.eig`` keeps LAPACK's ``dgeev`` order:
+    each complex pair sits at adjacent indices ``(k, k + 1)``, exactly
+    conjugate in value and eigenvector, positive imaginary part first.  The
+    oscillatory pair is the slowest complex pair, so it is read off as the
+    slowest eigenvalue with positive imaginary part and its successor.  A
+    spectrum without a unique label for each mode raises
+    :class:`DegenerateSpectrumError`.
+    """
+    rates = generator.rates
+    gamma0 = rates.gamma0
+    _require_deficit(rates)
     tol = 1e-9 * gamma0
     vals = values.tolist()
 

@@ -9,13 +9,16 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinbath
+from spinbath import cli
 from spinbath.cli import main
+from spinbath.errors import DefectiveSpectrumError, DegenerateSpectrumError, NumericalFailureError
 from spinbath.iontrap import default_config, plan, report_to_json, temperature_requirement
 
 
@@ -82,6 +85,53 @@ def test_degenerate_spectrum_is_numerical_failure(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("override", ["lamb_b=1.7e308", "lamb_a=-1e308", "exchange_xi=1e308"])
+def test_overflowing_generator_is_numerical_failure(capsys, override):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(capsys, "--scenario", "spectrum", "--set", override)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure: generator has non-finite entries")
+    assert caught == []
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        NumericalFailureError("quadrature"),
+        DegenerateSpectrumError("two zero modes"),
+        DefectiveSpectrumError("singular eigenvectors"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_numerical_family_exits_three(capsys, monkeypatch, error):
+    def fail(generator):
+        raise error
+
+    monkeypatch.setattr(cli, "classify_spectrum", fail)
+    code, out, err = invoke(capsys, "--scenario", "spectrum")
+    assert code == 3
+    assert out == ""
+    assert err == f"numerical failure: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "error", [RecursionError("deep"), NotImplementedError("later")],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_other_runtime_errors_keep_their_traceback(monkeypatch, error):
+    """Only spinbath's numerical family is a numerical failure; any other
+    RuntimeError is a bug and propagates."""
+
+    def fail(generator):
+        raise error
+
+    monkeypatch.setattr(cli, "classify_spectrum", fail)
+    with pytest.raises(type(error)):
+        main(["--scenario", "spectrum"])
+
+
 # The console script is checked by launching the [project.scripts] target in a
 # fresh interpreter the way the wrapper that pip generates does, so no install
 # and no PATH entry is needed. PYTHONPATH leads with the directory of the
@@ -145,6 +195,18 @@ def test_module_entry_point(capsys):
     )
     assert proc.returncode == 2
     assert "unknown parameter 'nope'" in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported only where it is called, never by importing the
+    package or its command line."""
+    proc = _launch(
+        sys.executable, "-c",
+        "import sys, spinbath, spinbath.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.skipif(

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from conftest import DELTA_FIELD, FOUR_STATES, make_generator, random_density_matrix
+from spinbath import dynamics
 from spinbath.bath import BathThermal, RateSet
 from spinbath.dynamics import (
     Trajectory,
@@ -219,7 +220,7 @@ def test_ode_non_finite_generator_raises(reference_generator):
     ids=["z_up_down", "singlet", "lambda_0.5"],
 )
 @pytest.mark.parametrize("deficit", [0.0, 1e-12])
-def test_propagate_falls_back_when_degenerate(deficit, factory):
+def test_propagate_sums_unlabelled_modes_when_degenerate(deficit, factory):
     """The common bath freezes the slow mode; at 1e-12 the zero mode is doubled."""
     ratio = 0.9
     gen = make_generator(deficit, ratio)
@@ -227,6 +228,7 @@ def test_propagate_falls_back_when_degenerate(deficit, factory):
         classify_spectrum(gen)
     times = np.linspace(0.0, 50.0, 26)
     traj = propagate(gen, factory(), times)
+    assert traj.slow_rate is None
     reference = oracles.evolve_expm(
         oracles.liouvillian_alpha_space(
             DELTA_FIELD, 1.0, BathThermal.from_ratio(ratio).occupation, deficit
@@ -242,6 +244,42 @@ def test_propagate_falls_back_when_degenerate(deficit, factory):
         # the generated entanglement never decays: the slow mode is frozen
         plateau = analytic_concurrence(ratio, -1.0, 0.0, 0.0)
         assert traj.concurrence[-1] == pytest.approx(plateau, abs=1e-3)
+
+
+@pytest.fixture
+def ode_calls(monkeypatch):
+    """Generators that ``propagate`` hands to ``propagate_ode``."""
+    calls = []
+
+    def recording(generator, initial, times):
+        calls.append(generator)
+        return propagate_ode(generator, initial, times)
+
+    monkeypatch.setattr(dynamics, "propagate_ode", recording)
+    return calls
+
+
+_DRESSING = {"lamb_a": 0.3, "lamb_b": 0.2, "exchange_xi": 0.1}
+
+
+@pytest.mark.parametrize("dressed", [False, True], ids=["bare", "dressed"])
+@pytest.mark.parametrize("deficit", [0.0, 1e-14, 1e-12, 1e-10])
+@pytest.mark.parametrize("ratio", [0.05, 0.5, 0.9, 0.999, 0.999999, 1.0])
+def test_propagate_route_and_accuracy_near_the_common_bath(ratio, deficit, dressed, ode_calls):
+    """Almost no spectrum here can be labelled.  Below R = 1 the eigenbasis is
+    sound (condition number <= 2.5e3) and its modes are summed; at R = 1 it
+    is not (>= 7e7) and only matrix-exponential stepping stays within 1e-10."""
+    strengths = _DRESSING if dressed else {}
+    gen = make_generator(deficit, ratio, **strengths)
+    times = np.linspace(0.0, 50.0, 26)
+    reference = oracles.liouvillian_alpha_space(
+        DELTA_FIELD, 1.0, BathThermal.from_ratio(ratio).occupation, deficit, **strengths
+    )
+    for factory in (z_up_down, bell_singlet):
+        traj = propagate(gen, factory(), times)
+        expected = oracles.evolve_expm(reference, factory().alpha, times)
+        assert np.max(np.abs(traj.alphas - expected)) < 1e-10
+    assert len(ode_calls) == (2 if ratio == 1.0 else 0)
 
 
 def test_propagate_uses_spectral_when_possible(reference_generator, reference_spectrum):
