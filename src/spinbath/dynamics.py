@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -79,9 +80,10 @@ _RECONSTRUCTION_IMAG_TOL = 1e-8
 #: nonsymmetric spin-flip product carry O(sqrt(eps)) dust when clustered.
 _TRAJECTORY_DUST_TOL = 1e-7
 #: largest eigenvector-matrix condition number for which :func:`propagate`
-#: sums the modes of an unlabelled eigensystem.  Near the common bath the
-#: condition number stays below 2.5e3 for ratios up to 0.999999, and exceeds
-#: 7e7 at R = 1, where the sum drifts from the matrix exponential by ~1e-8.
+#: sums the modes of an eigensystem, labelled or not.  Near the common bath
+#: the condition number stays below 5e3 for ratios up to 0.999999.  At R = 1
+#: it is ~7 / delta for deficits from 5e-8 to 1e-5, and from 7e6 up (delta
+#: <= 1e-6) the mode sum drifts from the matrix exponential by 3e-10 to 3e-9.
 _MODE_SUM_MAX_COND = 1e6
 
 
@@ -98,23 +100,22 @@ def _as_vector(state) -> np.ndarray:
 class Trajectory:
     """Sampled evolution of the 16-component Pauli vector.
 
-    ``alphas[k]`` is the state at ``times[k]``; ``concurrence`` the
-    Wootters concurrence at each sample and ``min_eigenvalues`` the lowest
-    density-matrix eigenvalue (diagnostic - small negative dust is normal
-    for spectrally reconstructed states).  Times are in the same units as
+    ``alphas[k]`` is the state at ``times[k]`` and ``concurrence`` the
+    Wootters concurrence at each sample.  Times are in the same units as
     the inverse rates used to build the generator; ``gamma0`` and
     ``slow_rate`` allow rescaling to the natural dimensionless clocks.
+    The positivity diagnostic ``min_eigenvalues`` is computed from
+    ``alphas`` on first read.
     """
 
     times: np.ndarray
     alphas: np.ndarray
     concurrence: np.ndarray
-    min_eigenvalues: np.ndarray
     gamma0: float
     slow_rate: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("times", "alphas", "concurrence", "min_eigenvalues"):
+        for name in ("times", "alphas", "concurrence"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -122,6 +123,14 @@ class Trajectory:
             raise ValueError(
                 f"alphas must be (n_times, 16), got {self.alphas.shape}"
             )
+
+    @cached_property
+    def min_eigenvalues(self) -> np.ndarray:
+        """Lowest density-matrix eigenvalue at each sample (small negative
+        dust is normal for spectrally reconstructed states)."""
+        lowest = np.linalg.eigvalsh(_alpha_rows_to_matrices(self.alphas))[:, 0].real
+        lowest.setflags(write=False)
+        return lowest
 
     def worst_negativity(self) -> float:
         """Most negative density-matrix eigenvalue along the trajectory."""
@@ -159,12 +168,10 @@ def _finish_trajectory(
     times: np.ndarray, alphas: np.ndarray, gamma0: float, slow_rate: Optional[float]
 ) -> Trajectory:
     matrices = _alpha_rows_to_matrices(alphas)
-    min_eigs = np.linalg.eigvalsh(matrices)[:, 0].real
     return Trajectory(
         times=times,
         alphas=alphas,
         concurrence=_concurrence(matrices, dust_tol=_TRAJECTORY_DUST_TOL),
-        min_eigenvalues=min_eigs,
         gamma0=gamma0,
         slow_rate=slow_rate,
     )
@@ -246,24 +253,25 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
 def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
     """Spectral propagation, falling back to matrix-exponential stepping.
 
-    The generator is eigensolved once.  A spectrum that
+    The generator is eigensolved once.  An eigenvector matrix whose
+    condition number exceeds 1e6 (zero temperature, R = 1, with a small
+    deficit) is no sound basis for a mode sum, labelled or not, and falls
+    back to :func:`propagate_ode`.  Otherwise a spectrum that
     :func:`~spinbath.liouvillian.classify_spectrum` would label goes to
     :func:`propagate_spectral`, bit for bit.  One it cannot label (the
     perfectly correlated bath, whose zero mode is doubled) is still summed
-    mode by mode, with coefficients solved from its eigenvector matrix, as
-    long as that matrix's condition number is at most 1e6; such a
-    trajectory has no ``slow_rate``.  Only an ill-conditioned eigenbasis
-    (zero temperature, R = 1, with a vanishing deficit) falls back to
-    :func:`propagate_ode`.
+    mode by mode, with coefficients solved from its eigenvector matrix;
+    such a trajectory has no ``slow_rate``.
     """
     try:
         values, right, cond = _eigensystem(generator)
-        report = _label_spectrum(generator, values, right)
     except DefectiveSpectrumError:
         return propagate_ode(generator, initial, times)
+    if cond > _MODE_SUM_MAX_COND:
+        return propagate_ode(generator, initial, times)
+    try:
+        report = _label_spectrum(generator, values, right)
     except DegenerateSpectrumError:
-        if cond > _MODE_SUM_MAX_COND:
-            return propagate_ode(generator, initial, times)
         times = _check_times(times)
         coeffs = np.linalg.solve(right, _as_vector(initial))
         alphas = _spectral_alphas(values, right, coeffs, times)

@@ -54,8 +54,10 @@ PAULI_PRODUCTS = np.stack(
 )
 PAULI_PRODUCTS.setflags(write=False)
 
-# sigma_y (x) sigma_y is real; used by the spin-flip transform below.
-_SYSY = np.kron(PAULI[2], PAULI[2]).real
+# sigma_y (x) sigma_y is anti-diagonal with entries s = (-1, 1, 1, -1) from
+# the top row down; the spin flip below multiplies entry (a, b) by s_a s_b.
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
+_FLIP_SIGNS.setflags(write=False)
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
@@ -228,6 +230,18 @@ def wootters_concurrence(rho) -> float:
     return _concurrence(dm.matrix)
 
 
+def _spin_flip(matrix: np.ndarray) -> np.ndarray:
+    """Wootters' spin flip ``(sy (x) sy) conj(rho) (sy (x) sy)`` of a 4x4
+    array, or of each matrix of a ``(..., 4, 4)`` stack.
+
+    With ``sy (x) sy`` anti-diagonal, the two products reduce to reversing
+    both indices of ``conj(rho)`` and multiplying entry ``(a, b)`` by
+    ``s_a s_b``.  The values are those of the matrix products; only the
+    sign of a zero entry may differ.
+    """
+    return matrix.conj()[..., ::-1, ::-1] * _FLIP_SIGNS
+
+
 def _signed_concurrence(matrix: np.ndarray, dust_tol: float = 1e-9):
     """Unclamped spin-flip root difference; negative for separable states.
 
@@ -238,12 +252,11 @@ def _signed_concurrence(matrix: np.ndarray, dust_tol: float = 1e-9):
     sample, counted over the flattened stack.
     """
     matrix = np.asarray(matrix)
-    flipped = _SYSY @ matrix.conj() @ _SYSY
-    mu = np.linalg.eigvals(matrix @ flipped).reshape(-1, 4)
+    mu = np.linalg.eigvals(matrix @ _spin_flip(matrix)).reshape(-1, 4)
     imag_tol = max(1e-8, dust_tol)
     imag = np.max(np.abs(mu.imag), axis=1)
-    mu = mu.real
-    lowest = np.min(mu, axis=1)
+    mu = np.sort(mu.real, axis=1)
+    lowest = mu[:, 0]
     bad = np.flatnonzero((imag > imag_tol) | (lowest < -dust_tol))
     if bad.size:
         k = bad[0]
@@ -253,8 +266,8 @@ def _signed_concurrence(matrix: np.ndarray, dust_tol: float = 1e-9):
             problem = f"eigenvalue {lowest[k]:.3e} below -{dust_tol:.1e}"
         where = "" if matrix.ndim == 2 else f" at sample {k}"
         raise InvalidStateError(f"spin-flip spectrum has {problem}{where}")
-    roots = np.sqrt(np.sort(np.clip(mu, 0.0, None), axis=1)[:, ::-1])
-    signed = roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3]
+    roots = np.sqrt(np.clip(mu, 0.0, None))
+    signed = roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0]
     return float(signed[0]) if matrix.ndim == 2 else signed.reshape(matrix.shape[:-2])
 
 

@@ -2,10 +2,12 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -601,6 +603,50 @@ def test_byte_determinism(capsys, scenario, fmt, override):
     assert code == code_set == 0
     assert overridden != first
     assert second == first
+
+
+#: the stack the default-output hashes below were recorded under; floating
+#: point results can differ in the last bit on another one
+_RECORDED_STACK = {
+    "python": "3.11.7",
+    "numpy": "2.4.6",
+    "scipy": "1.17.1",
+    "machine": "x86_64",
+}
+
+#: SHA-256 of stdout for each scenario at its defaults
+_DEFAULT_STDOUT_SHA256 = {
+    ("fig1-surface",): "c940c7ae1ca7903efbe48499132aa3dedf6a4687c9b59e7a1ef0778c93d0010f",
+    ("fig2-trajectories",): "6f4d5308d1db3fe9f46c51d8f335215771dfd053218171a6c7b41f1507cc2d6a",
+    ("fig2-inset",): "4ea8864a147f473074f7897faead2f35ce412946e057dec727bba7d3b653afb5",
+    ("spectrum",): "78ae4fdcf6f54e8cfbd3f65b53829f7a3e6ff63d6a65720061cd0c8bcda7ddfe",
+    ("spectrum", "--format", "json"): (
+        "52e9882ecd6aa484c59f9a192c064133d41a82736a863789e360fa01fd41b719"
+    ),
+    ("sweep",): "119b7b2e7b78d2367b96fb3b00394b25af1d342a9aac6550954b74e4ee827577",
+    ("iontrap",): "eec80a21732f965a99092b18e1846424cbbb70fd2d54e018a807e9edd76bfa48",
+    ("iontrap", "--format", "json"): (
+        "e8c00676d27fa729cf0af13c82d44828675030f1f5eb22a783e550d732fcb97b"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(_DEFAULT_STDOUT_SHA256), ids=" ".join)
+def test_default_output_is_pinned(capsys, argv):
+    """Every scenario prints the recorded bytes at its defaults."""
+    import scipy
+
+    stack = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+    }
+    if stack != _RECORDED_STACK:
+        pytest.skip(f"hashes were recorded under {_RECORDED_STACK}, this is {stack}")
+    code, out, err = invoke(capsys, "--scenario", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _DEFAULT_STDOUT_SHA256[argv]
 
 
 def test_config_file_and_set_precedence(tmp_path, capsys):

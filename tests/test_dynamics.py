@@ -1,5 +1,6 @@
 """Propagation routes, the long-time envelope, and lifetimes."""
 
+import dataclasses
 import io
 import math
 
@@ -69,7 +70,6 @@ class TestTrajectory:
                 times=np.array([0.0, 1.0]),
                 alphas=np.zeros((3, 16)),
                 concurrence=np.zeros(3),
-                min_eigenvalues=np.zeros(3),
                 gamma0=1.0,
             )
 
@@ -84,6 +84,22 @@ class TestTrajectory:
         assert traj.slow_rate == pytest.approx(
             -reference_spectrum.slow_eigenvalue
         )
+
+    def test_min_eigenvalues_is_read_only_and_cached(self, reference_spectrum):
+        traj = propagate_spectral(
+            reference_spectrum, z_up_down(), default_time_grid(1.0, 30.0)
+        )
+        assert "min_eigenvalues" not in {f.name for f in dataclasses.fields(Trajectory)}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.min_eigenvalues = np.zeros(traj.times.size)
+        lowest = traj.min_eigenvalues
+        assert traj.min_eigenvalues is lowest
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.min_eigenvalues = np.zeros(traj.times.size)
+        with pytest.raises(ValueError):
+            lowest[0] = 0.0
+        eager = np.linalg.eigvalsh(dynamics._alpha_rows_to_matrices(traj.alphas))[:, 0].real
+        assert lowest.tobytes() == eager.tobytes()
 
     def test_time_grid_validation(self, reference_spectrum):
         with pytest.raises(ValueError):
@@ -280,6 +296,53 @@ def test_propagate_route_and_accuracy_near_the_common_bath(ratio, deficit, dress
         expected = oracles.evolve_expm(reference, factory().alpha, times)
         assert np.max(np.abs(traj.alphas - expected)) < 1e-10
     assert len(ode_calls) == (2 if ratio == 1.0 else 0)
+
+
+@pytest.mark.parametrize("deficit", [5.6e-9, 3.2e-8, 5.6e-8, 1e-7, 1e-6])
+def test_propagate_steps_ill_conditioned_labelled_spectra(deficit, ode_calls):
+    """At R = 1 a small deficit still labels, but its eigenvector matrix has a
+    condition number of 7e6 to 1.3e8, and its mode sum drifts from the matrix
+    exponential by up to 2.6e-9.  The one condition-number gate sends it to
+    matrix-exponential stepping, as it does an unlabelled spectrum."""
+    gen = make_generator(deficit, 1.0)
+    classify_spectrum(gen)  # labels without error
+    times = np.linspace(0.0, 50.0, 26)
+    reference = oracles.liouvillian_alpha_space(
+        DELTA_FIELD, 1.0, BathThermal.from_ratio(1.0).occupation, deficit
+    )
+    for factory in (z_up_down, bell_singlet):
+        traj = propagate(gen, factory(), times)
+        expected = oracles.evolve_expm(reference, factory().alpha, times)
+        assert np.max(np.abs(traj.alphas - expected)) < 1e-10
+    assert len(ode_calls) == 2
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes passed to ``np.linalg.eigvalsh``."""
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "deficit, ratio",
+    [(0.05, 0.9), (0.0, 0.9), (1e-6, 1.0)],
+    ids=["labelled", "unlabelled", "stepped"],
+)
+def test_propagate_defers_positivity_to_first_read(deficit, ratio, eigvalsh_calls):
+    times = np.linspace(0.0, 20.0, 41)
+    traj = propagate(make_generator(deficit, ratio), z_up_down(), times)
+    assert eigvalsh_calls == []
+    traj.min_eigenvalues
+    traj.min_eigenvalues
+    assert eigvalsh_calls == [(times.size, 4, 4)]
 
 
 def test_propagate_uses_spectral_when_possible(reference_generator, reference_spectrum):

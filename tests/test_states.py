@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_density_matrix
+from conftest import FOUR_STATES, random_density_matrix
+from spinbath.dynamics import _alpha_rows_to_matrices, default_time_grid, propagate_spectral
 from spinbath.errors import InvalidStateError
 from spinbath.states import (
     PAULI,
@@ -13,6 +14,7 @@ from spinbath.states import (
     TwoQubitDensityMatrix,
     _concurrence,
     _signed_concurrence,
+    _spin_flip,
     bell_singlet,
     bell_triplet,
     bloch_to_density,
@@ -269,3 +271,74 @@ def test_batched_concurrence_names_the_bad_sample(rng):
         _concurrence(stack)
     with pytest.raises(InvalidStateError, match=message + "$"):
         _concurrence(stack[3])
+
+
+# ---------------------------------------------------------------------------
+# Spin flip by index reversal
+# ---------------------------------------------------------------------------
+
+_SYSY = np.kron(PAULI[2], PAULI[2]).real
+
+
+def _product_flip(matrix):
+    """The spin flip as the two matrix products with sigma_y (x) sigma_y."""
+    return _SYSY @ matrix.conj() @ _SYSY
+
+
+def _product_flip_signed_concurrence(matrix):
+    """Signed concurrence from the product flip, sorted after clipping."""
+    mu = np.linalg.eigvals(matrix @ _product_flip(matrix)).reshape(-1, 4).real
+    roots = np.sqrt(np.sort(np.clip(mu, 0.0, None), axis=1)[:, ::-1])
+    return roots[:, 0] - roots[:, 1] - roots[:, 2] - roots[:, 3]
+
+
+def _assert_flip_matches_products(stack, physical=True):
+    """Equal entries (a zero may differ in sign, which ``array_equal``
+    ignores), and the same bytes for the spin-flip product and for the
+    signed concurrence built on it."""
+    flipped = _spin_flip(stack)
+    assert np.array_equal(flipped, _product_flip(stack))
+    assert (stack @ flipped).tobytes() == (stack @ _product_flip(stack)).tobytes()
+    if physical:
+        signed = _signed_concurrence(stack, dust_tol=1e-7)
+        assert signed.tobytes() == _product_flip_signed_concurrence(stack).tobytes()
+
+
+def test_spin_flip_on_random_hermitian_stacks(rng):
+    raw = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
+    _assert_flip_matches_products(raw + raw.conj().swapaxes(-1, -2), physical=False)
+    _assert_flip_matches_products(_random_stack(rng, 300))
+
+
+def test_spin_flip_on_matrices_with_exact_zeros(rng):
+    """X-shaped parts of random states (still states: the two blocks are
+    principal submatrices), real parts, and the named states."""
+    x_mask = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+    stack = _random_stack(rng, 200)
+    _assert_flip_matches_products(np.where(x_mask, stack, 0.0))
+    _assert_flip_matches_products(stack.real.astype(complex))
+    named = [bell_singlet, bell_triplet, z_up_down, x_up_down, x_up_up, maximally_mixed]
+    named_stack = np.stack(
+        [bloch_to_density(f()).matrix for f in named]
+        + [bloch_to_density(werner(p)).matrix for p in (-1.0 / 3.0, 0.2, 0.5, 1.0)]
+    )
+    _assert_flip_matches_products(named_stack)
+
+
+def test_spin_flip_on_pure_states(rng):
+    _assert_flip_matches_products(
+        np.stack([random_density_matrix(rng, rank=1) for _ in range(200)])
+    )
+    kets = rng.normal(size=(200, 4))
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    _assert_flip_matches_products((kets[:, :, None] * kets[:, None, :]).astype(complex))
+
+
+def test_spin_flip_on_trajectories(reference_spectrum):
+    times = default_time_grid(1.0, 30.0)
+    for _, factory, _ in FOUR_STATES:
+        traj = propagate_spectral(reference_spectrum, factory(), times)
+        matrices = _alpha_rows_to_matrices(traj.alphas)
+        _assert_flip_matches_products(matrices)
+        clamped = np.clip(_product_flip_signed_concurrence(matrices), 0.0, 1.0)
+        assert traj.concurrence.tobytes() == clamped.tobytes()
