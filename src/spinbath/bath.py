@@ -242,7 +242,15 @@ class BathThermal:
         if self.occupation == 0.0:
             return lambda omega: 1.0
         half_beta_delta = 0.5 * math.log1p(1.0 / self.occupation)
-        return lambda omega: 1.0 / math.tanh(omega * half_beta_delta / delta_freq)
+
+        def coth(omega: float) -> float:
+            try:
+                return 1.0 / math.tanh(omega * half_beta_delta / delta_freq)
+            except ZeroDivisionError:
+                # the argument is zero, or underflowed to zero: coth's pole
+                return math.inf
+
+        return coth
 
 
 def thermal_occupation(delta_freq: float, temperature: float) -> float:

@@ -14,13 +14,20 @@ spectrum           classified eigenvalue table of the generator
 sweep              peak concurrence and survival time over (delta, R, Lambda)
 iontrap            feasibility report for a linear-chain realization
 
-Exit codes: 0 success, 2 usage error (unknown scenario/key, bad value),
-3 numerical failure.
+Each scenario is one row of ``_SCENARIOS``: its parameter schema, its
+runner and the formats it renders.
+
+Exit codes: 0 success; 2 usage error, which is any ``ValueError``
+(``UsageError`` for an unknown scenario or key, a bad value or grid, and
+spinbath's own ``ValueError`` subclasses for invalid model inputs); 3
+numerical failure, which is any ``spinbath.errors.NumericalFailureError``.
+Any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import fields
@@ -36,11 +43,7 @@ from .dynamics import (
     propagate_spectral,
     survival_time,
 )
-from .errors import (
-    DefectiveSpectrumError,
-    DegenerateSpectrumError,
-    NumericalFailureError,
-)
+from .errors import NumericalFailureError
 from .iontrap import (
     TrapConfig,
     plan,
@@ -67,7 +70,7 @@ from .states import (
 __all__ = ["main", "run"]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad invocation: unknown key, malformed value, invalid grid."""
 
 
@@ -87,56 +90,8 @@ def _parse_float_list(raw: str) -> tuple:
     return tuple(float(piece) for piece in items)
 
 
-_FIG2_SCHEMA = {
-    "delta": (float, 0.05),
-    "r": (float, 0.9),
-    "delta_field": (float, 10.0),
-    "points": (int, 400),
-    "horizon_factor": (float, 3.0),
-}
-
-#: TrapConfig knobs, all read as floats so that TrapConfig.from_mapping
-#: alone decides which are integers; a None default leaves the knob to
-#: TrapConfig
-_TRAP_SCHEMA = {field.name: (float, None) for field in fields(TrapConfig)}
-
-# per-scenario parameter schema: key -> (parser, default)
-_SCHEMAS: dict = {
-    "fig1-surface": {
-        "delta": (float, 0.05),
-        "lambda_corr": (float, -1.0),
-        "delta_field": (float, 10.0),
-        "r_min": (float, 0.1),
-        "r_max": (float, 0.99),
-        "r_points": (int, 45),
-        "lt_max": (float, 3.0),
-        "lt_points": (int, 61),
-    },
-    "fig2-trajectories": _FIG2_SCHEMA,
-    "fig2-inset": _FIG2_SCHEMA,
-    "spectrum": {
-        "delta": (float, 0.05),
-        "r": (float, 0.9),
-        "delta_field": (float, 10.0),
-        "lamb_a": (float, 0.0),
-        "lamb_b": (float, 0.0),
-        "exchange_xi": (float, 0.0),
-    },
-    "sweep": {
-        "delta_values": (_parse_float_list, (0.01, 0.05, 0.2)),
-        "r_values": (_parse_float_list, (0.5, 0.7, 0.9)),
-        "lambda_values": (_parse_float_list, (-3.0, -1.0, 0.0, 1.0)),
-    },
-    "iontrap": {
-        **_TRAP_SCHEMA,
-        "exact_delta": (_parse_bool, False),
-        "lamb_shift": (_parse_bool, True),
-    },
-}
-
-
-def _merge_parameters(scenario: str, pairs: Mapping) -> dict:
-    schema = _SCHEMAS[scenario]
+def _merge_parameters(scenario: str, schema: Mapping, pairs: Mapping) -> dict:
+    """The schema's defaults, overridden by the parsed string ``pairs``."""
     values = {key: default for key, (_, default) in schema.items()}
     for key, raw in pairs.items():
         if key not in schema:
@@ -146,7 +101,7 @@ def _merge_parameters(scenario: str, pairs: Mapping) -> dict:
             )
         parser, _ = schema[key]
         try:
-            values[key] = parser(raw) if isinstance(raw, str) else raw
+            values[key] = parser(raw)
         except ValueError as exc:
             raise UsageError(f"bad value for {key!r}: {exc}") from exc
     return values
@@ -189,8 +144,6 @@ def _model_pieces(delta: float, ratio: float, delta_field: float):
 
 
 def _run_fig1(values: dict, fmt: str) -> str:
-    if fmt != "csv":
-        raise UsageError("fig1-surface only renders CSV")
     if values["r_points"] < 1 or values["lt_points"] < 2:
         raise UsageError("r_points must be >= 1 and lt_points >= 2")
     if not 0.0 < values["r_min"] <= values["r_max"] < 1.0:
@@ -220,9 +173,7 @@ _FIG2_STATES = (
 )
 
 
-def _run_fig2(values: dict, fmt: str, dressed: bool) -> str:
-    if fmt != "csv":
-        raise UsageError("fig2 scenarios only render CSV")
+def _run_fig2(values: dict, fmt: str, dressed: bool = False) -> str:
     rates, params = _model_pieces(values["delta"], values["r"], values["delta_field"])
     bare = classify_spectrum(build_generator(params, rates))
     slow = -bare.slow_eigenvalue
@@ -292,8 +243,6 @@ def _sweep_cell(cell: tuple) -> str:
 
 
 def _run_sweep(values: dict, fmt: str) -> str:
-    if fmt != "csv":
-        raise UsageError("sweep only renders CSV")
     deltas, ratios, lams = (
         values["delta_values"],
         values["r_values"],
@@ -312,11 +261,8 @@ def _run_sweep(values: dict, fmt: str) -> str:
 
 
 def _run_iontrap(values: dict, fmt: str) -> str:
-    overrides = {key: values[key] for key in _TRAP_SCHEMA if values[key] is not None}
-    try:
-        config = TrapConfig.from_mapping(overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    knobs = {knob.name: values[knob.name] for knob in fields(TrapConfig)}
+    config = TrapConfig.from_mapping(knobs)
     result = plan(
         config, exact_delta=values["exact_delta"], lamb_shift=values["lamb_shift"]
     )
@@ -324,6 +270,73 @@ def _run_iontrap(values: dict, fmt: str) -> str:
     if fmt == "json":
         return report_to_json(result.report, kelvin) + "\n"
     return report_to_text(result.report, kelvin)
+
+
+# ---------------------------------------------------------------------------
+# Scenario table
+# ---------------------------------------------------------------------------
+
+_FIG2_SCHEMA = {
+    "delta": (float, 0.05),
+    "r": (float, 0.9),
+    "delta_field": (float, 10.0),
+    "points": (int, 400),
+    "horizon_factor": (float, 3.0),
+}
+
+#: scenario -> (parameter schema {key: (parser, default)}, runner, formats).
+#: The runners are this module's own functions and look the library
+#: functions up at call time, so a patched module binding takes effect.
+#: TrapConfig knobs are all read as floats, so that
+#: TrapConfig.from_mapping alone decides which are integers.
+_SCENARIOS: dict = {
+    "fig1-surface": (
+        {
+            "delta": (float, 0.05),
+            "lambda_corr": (float, -1.0),
+            "delta_field": (float, 10.0),
+            "r_min": (float, 0.1),
+            "r_max": (float, 0.99),
+            "r_points": (int, 45),
+            "lt_max": (float, 3.0),
+            "lt_points": (int, 61),
+        },
+        _run_fig1,
+        ("csv",),
+    ),
+    "fig2-trajectories": (_FIG2_SCHEMA, _run_fig2, ("csv",)),
+    "fig2-inset": (_FIG2_SCHEMA, functools.partial(_run_fig2, dressed=True), ("csv",)),
+    "spectrum": (
+        {
+            "delta": (float, 0.05),
+            "r": (float, 0.9),
+            "delta_field": (float, 10.0),
+            "lamb_a": (float, 0.0),
+            "lamb_b": (float, 0.0),
+            "exchange_xi": (float, 0.0),
+        },
+        _run_spectrum,
+        ("csv", "json"),
+    ),
+    "sweep": (
+        {
+            "delta_values": (_parse_float_list, (0.01, 0.05, 0.2)),
+            "r_values": (_parse_float_list, (0.5, 0.7, 0.9)),
+            "lambda_values": (_parse_float_list, (-3.0, -1.0, 0.0, 1.0)),
+        },
+        _run_sweep,
+        ("csv",),
+    ),
+    "iontrap": (
+        {
+            **{knob.name: (float, knob.default) for knob in fields(TrapConfig)},
+            "exact_delta": (_parse_bool, False),
+            "lamb_shift": (_parse_bool, True),
+        },
+        _run_iontrap,
+        ("csv", "json"),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scenario",
         required=True,
-        choices=sorted(_SCHEMAS),
+        choices=sorted(_SCENARIOS),
         help="what to compute",
     )
     parser.add_argument(
@@ -377,18 +390,11 @@ def _gather_pairs(args) -> dict:
 
 
 def _dispatch(args) -> str:
-    values = _merge_parameters(args.scenario, _gather_pairs(args))
-    if args.scenario == "fig1-surface":
-        return _run_fig1(values, args.format)
-    if args.scenario == "fig2-trajectories":
-        return _run_fig2(values, args.format, dressed=False)
-    if args.scenario == "fig2-inset":
-        return _run_fig2(values, args.format, dressed=True)
-    if args.scenario == "spectrum":
-        return _run_spectrum(values, args.format)
-    if args.scenario == "sweep":
-        return _run_sweep(values, args.format)
-    return _run_iontrap(values, args.format)
+    schema, runner, formats = _SCENARIOS[args.scenario]
+    values = _merge_parameters(args.scenario, schema, _gather_pairs(args))
+    if args.format not in formats:
+        raise UsageError(f"{args.scenario} only renders " + " or ".join(map(str.upper, formats)))
+    return runner(values, args.format)
 
 
 def main(argv=None) -> int:
@@ -398,13 +404,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         payload = _dispatch(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailureError, DegenerateSpectrumError, DefectiveSpectrumError) as exc:
-        # spinbath's numerical-failure family (spectrum degeneracy, non-finite
-        # generator or propagation, non-convergent quadrature); any other
-        # error is a bug and keeps its traceback
+    except NumericalFailureError as exc:
+        # spectrum degeneracy, non-finite generator or propagation,
+        # non-convergent quadrature; any other error is a bug and keeps its
+        # traceback
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     try:

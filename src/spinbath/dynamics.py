@@ -49,6 +49,7 @@ from .states import (
     PAULI_PRODUCTS,
     PauliVector,
     TwoQubitDensityMatrix,
+    _as_alpha,
     _concurrence,
     _signed_concurrence,
     correlation_scalar,
@@ -85,10 +86,6 @@ _TRAJECTORY_DUST_TOL = 1e-7
 #: it is ~7 / delta for deficits from 5e-8 to 1e-5, and from 7e6 up (delta
 #: <= 1e-6) the mode sum drifts from the matrix exponential by 3e-10 to 3e-9.
 _MODE_SUM_MAX_COND = 1e6
-
-
-def _as_vector(state) -> np.ndarray:
-    return state.alpha if isinstance(state, PauliVector) else np.asarray(state, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +148,7 @@ def concurrence_of_alpha(alpha) -> float:
     The vector is renormalized by its trace component, so round-off
     drift in ``alpha[0]`` does not trip validation.
     """
-    vec = _as_vector(alpha)
+    vec = _as_alpha(alpha)
     if abs(vec[0]) < 1e-6:
         raise InvalidStateError(f"trace component {vec[0]!r} is too small")
     matrix = _alpha_rows_to_matrices(vec[None, :])[0]
@@ -238,7 +235,7 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
 
     times = _check_times(times)
     entries = generator.entries
-    alpha = _as_vector(initial)
+    alpha = _as_alpha(initial)
     alphas = np.empty((times.size, alpha.size))
     for k, step in enumerate(np.diff(times, prepend=0.0)):
         alpha = linalg.expm(entries * step) @ alpha
@@ -273,7 +270,7 @@ def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
         report = _label_spectrum(generator, values, right)
     except DegenerateSpectrumError:
         times = _check_times(times)
-        coeffs = np.linalg.solve(right, _as_vector(initial))
+        coeffs = np.linalg.solve(right, _as_alpha(initial))
         alphas = _spectral_alphas(values, right, coeffs, times)
         return _finish_trajectory(times, alphas, generator.rates.gamma0, None)
     return propagate_spectral(report, initial, times)
@@ -507,7 +504,7 @@ def survival_report(
     """
     spectrum = classify_spectrum(generator)
     ratio = generator.rates.ratio
-    lam = correlation_scalar(_as_vector(initial))
+    lam = correlation_scalar(initial)
     slow_rate = -spectrum.slow_eigenvalue
     generated = generation_condition(ratio, lam)
     t_c = survival_time(ratio, lam, slow_rate)

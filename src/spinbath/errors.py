@@ -1,29 +1,41 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+There are two families.  Invalid inputs derive from ``ValueError``;
+numerical failures on valid inputs derive from
+:class:`NumericalFailureError`, a ``RuntimeError``.  The command line maps
+the first family to exit code 2 and the second to exit code 3.
+"""
 
 
 class InvalidStateError(ValueError):
-    """A density matrix or Bloch vector violates its defining constraints."""
+    """Invalid-input family: a density matrix or Bloch vector violates its
+    defining constraints."""
 
 
 class InvalidRatesError(ValueError):
-    """A rate set fails positivity / positive-semidefiniteness requirements."""
+    """Invalid-input family: a rate set fails positivity /
+    positive-semidefiniteness requirements."""
 
 
 class InvalidCoefficientsError(ValueError):
-    """Mode amplitudes produce a non-positive (unphysical) density operator."""
+    """Invalid-input family: mode amplitudes produce a non-positive
+    (unphysical) density operator."""
 
 
 class NumericalFailureError(RuntimeError):
-    """A numerical check failed: a quadrature that did not converge, an
-    imaginary residue above tolerance, a non-finite state; details in args."""
+    """Root of the numerical-failure family: a numerical check failed on
+    valid inputs, such as a quadrature that did not converge, an imaginary
+    residue above tolerance or a non-finite state; details in args."""
 
 
 class IntegrationFailureError(NumericalFailureError):
-    """Direct propagation produced a non-finite state."""
+    """Numerical-failure family: direct propagation produced a non-finite
+    state."""
 
 
-class DegenerateSpectrumError(RuntimeError):
-    """Spectrum classification is ambiguous (e.g. two slow candidates).
+class DegenerateSpectrumError(NumericalFailureError):
+    """Numerical-failure family: spectrum classification is ambiguous (e.g.
+    two slow candidates).
 
     The offending eigenvalues are attached as ``candidates``.
     """
@@ -33,6 +45,7 @@ class DegenerateSpectrumError(RuntimeError):
         self.candidates = tuple(candidates)
 
 
-class DefectiveSpectrumError(RuntimeError):
-    """The generator has no complete eigenbasis; spectral propagation is
-    unavailable and callers should fall back to direct propagation."""
+class DefectiveSpectrumError(NumericalFailureError):
+    """Numerical-failure family: the generator has no complete eigenbasis;
+    spectral propagation is unavailable and callers should fall back to
+    direct propagation."""

@@ -225,7 +225,9 @@ def plan(
             "anti-aligned product state"
         )
     if gamma0 > 0:
-        slow_window = 1.0 / (deficit * gamma0) if deficit > 0 else math.inf
+        # the product can underflow to zero although both factors are positive
+        slow_rate_scale = deficit * gamma0
+        slow_window = 1.0 / slow_rate_scale if slow_rate_scale > 0 else math.inf
         relation = "fits inside" if revival > slow_window else "exceeds"
         diagnostics.append(
             f"full slow-mode window 1/(delta*gamma0) = {slow_window:.4g}/omega_t "

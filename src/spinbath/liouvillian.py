@@ -39,7 +39,7 @@ from .errors import (
     DegenerateSpectrumError,
     NumericalFailureError,
 )
-from .states import PAULI, PAULI_PRODUCTS, PauliVector, flat_index
+from .states import PAULI, PAULI_PRODUCTS, PauliVector, _as_alpha, flat_index
 
 __all__ = [
     "ModelParams",
@@ -119,8 +119,7 @@ class GeneratorMatrix:
         object.__setattr__(self, "entries", entries)
 
     def apply(self, alpha) -> np.ndarray:
-        vec = alpha.alpha if isinstance(alpha, PauliVector) else np.asarray(alpha)
-        return self.entries @ vec
+        return self.entries @ _as_alpha(alpha)
 
 
 def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
@@ -435,8 +434,7 @@ def mode_coefficients(report: SpectrumReport, initial) -> np.ndarray:
     thermal amplitude is exactly the trace component of the input, so it
     equals one for any valid state.
     """
-    alpha = initial.alpha if isinstance(initial, PauliVector) else np.asarray(initial)
-    return report.left.conj() @ alpha
+    return report.left.conj() @ _as_alpha(initial)
 
 
 # ---------------------------------------------------------------------------

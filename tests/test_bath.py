@@ -178,6 +178,13 @@ class TestBathThermal:
         # large frequency: approaches one from above
         assert th.coth_factor(300.0, 3.0) == pytest.approx(1.0, abs=1e-10)
 
+    def test_coth_factor_pole_is_infinite(self):
+        """A zero argument, exact or underflowed, is coth's pole, not an error."""
+        th = BathThermal(0.35)
+        assert th.coth_factor(0.0, 3.0) == math.inf
+        assert th.coth_factor(5e-324, 1e300) == math.inf
+        assert th.coth_factor(1e-300, 1.0) == pytest.approx(2.0 / (1e-300 * math.log1p(1 / 0.35)))
+
     def test_occupation_underflows_beyond_expm1_range(self):
         """Delta / T above ~709.78 overflows expm1; N is then the T -> 0 limit."""
         assert thermal_occupation(1.0, 1.0 / 709.0) > 0.0

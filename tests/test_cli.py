@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import spinbath
-from spinbath import cli
+from spinbath import cli, errors
 from spinbath.cli import main
 from spinbath.errors import DefectiveSpectrumError, DegenerateSpectrumError, NumericalFailureError
 from spinbath.iontrap import default_config, plan, report_to_json, temperature_requirement
@@ -116,6 +116,30 @@ def test_numerical_family_exits_three(capsys, monkeypatch, error):
     assert code == 3
     assert out == ""
     assert err == f"numerical failure: {error}\n"
+
+
+_ERROR_TYPES = [
+    value for value in vars(errors).values()
+    if isinstance(value, type) and issubclass(value, Exception)
+]
+
+
+@pytest.mark.parametrize("error_type", _ERROR_TYPES, ids=lambda cls: cls.__name__)
+def test_every_error_type_belongs_to_one_exit_code(capsys, monkeypatch, error_type):
+    """Each spinbath error is an invalid input (a ValueError, exit 2) or a
+    numerical failure (a NumericalFailureError, exit 3), never both."""
+    assert issubclass(error_type, ValueError) != issubclass(error_type, NumericalFailureError)
+
+    def fail(generator):
+        raise error_type("probe")
+
+    monkeypatch.setattr(cli, "classify_spectrum", fail)
+    code, out, err = invoke(capsys, "--scenario", "spectrum")
+    assert out == ""
+    if issubclass(error_type, ValueError):
+        assert (code, err) == (2, "error: probe\n")
+    else:
+        assert (code, err) == (3, "numerical failure: probe\n")
 
 
 @pytest.mark.parametrize(
@@ -335,12 +359,23 @@ def test_fig1_surface_grid(capsys):
     assert float(block[4][2]) == 0.0  # gone after the survival time
 
 
-def test_fig1_rejects_json(capsys):
+@pytest.mark.parametrize(
+    "scenario", ["fig1-surface", "fig2-trajectories", "fig2-inset", "sweep"]
+)
+def test_csv_only_scenarios_reject_json(capsys, scenario):
+    code, out, err = invoke(capsys, "--scenario", scenario, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {scenario} only renders CSV\n"
+
+
+def test_unknown_key_wins_over_bad_format(capsys):
+    """Parameters are merged before the format is checked."""
     code, _, err = invoke(
-        capsys, "--scenario", "fig1-surface", "--format", "json"
+        capsys, "--scenario", "sweep", "--format", "json", "--set", "nope=1"
     )
     assert code == 2
-    assert "CSV" in err
+    assert "unknown parameter 'nope'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +481,24 @@ def test_iontrap_invalid_config_is_usage_error(capsys):
     )
     assert code == 2
     assert "ion_count" in err
+
+
+def test_iontrap_underflowing_slow_window_is_infinite(capsys):
+    """deficit * gamma0 underflows to zero; the window is then infinite."""
+    code, out, err = invoke(
+        capsys, "--scenario", "iontrap",
+        "--set", "ohmic_coupling=1e-300", "--set", "rabi_ratio=1e-12",
+    )
+    assert (code, err) == (0, "")
+    assert "1/(delta*gamma0) = inf/omega_t exceeds the revival time" in out
+
+
+@pytest.mark.parametrize("rabi_ratio", ["1e-310", "1e-320"])
+def test_iontrap_subnormal_splitting_is_numerical_failure(capsys, rabi_ratio):
+    """The Lamb integrand's coth meets its pole; QUADPACK then fails by name."""
+    code, out, err = invoke(capsys, "--scenario", "iontrap", "--set", f"rabi_ratio={rabi_ratio}")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: principal value A did not converge")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

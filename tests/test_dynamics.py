@@ -42,6 +42,7 @@ from spinbath.liouvillian import (
     ModelParams,
     build_generator,
     classify_spectrum,
+    mode_coefficients,
     thermal_alpha,
 )
 from spinbath.states import (
@@ -119,6 +120,23 @@ def test_non_finite_times_are_rejected(reference_generator, reference_spectrum, 
             propagate_spectral(reference_spectrum, bell_singlet(), times)
         else:
             propagate_ode(reference_generator, bell_singlet(), times)
+
+
+def test_wrong_length_states_are_invalid(reference_generator, reference_spectrum):
+    """Every entry point that takes a state checks its 16 components."""
+    short = np.eye(16)[0][:15]
+    times = np.linspace(0.0, 1.0, 3)
+    calls = [
+        lambda: propagate(reference_generator, short, times),
+        lambda: propagate_ode(reference_generator, short, times),
+        lambda: propagate_spectral(reference_spectrum, short, times),
+        lambda: mode_coefficients(reference_spectrum, short),
+        lambda: reference_generator.apply(short),
+        lambda: survival_report(reference_generator, short),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidStateError, match="16 Pauli components"):
+            call()
 
 
 def test_default_time_grid():

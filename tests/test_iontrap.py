@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from spinbath.bath import RateSet
+from spinbath.errors import NumericalFailureError
 from spinbath.iontrap import (
     FeasibilityReport,
     TrapConfig,
@@ -175,6 +176,22 @@ class TestPlan:
         assert report.feasible is False
         assert report.t_c > report.revival_time
         assert any("does not fit" in note for note in report.diagnostics)
+
+    def test_underflowing_slow_rate_gives_an_infinite_window(self):
+        """deficit * gamma0 underflows to zero although both are positive."""
+        report = plan(TrapConfig(ohmic_coupling=1e-300, rabi_ratio=1e-12)).report
+        assert report.delta > 0.0 and report.gamma0 > 0.0
+        assert report.delta * report.gamma0 == 0.0
+        assert report.feasible is False
+        assert any("= inf/omega_t exceeds" in note for note in report.diagnostics)
+
+    @pytest.mark.parametrize("rabi_ratio", [1e-310, 1e-320])
+    def test_subnormal_splitting_fails_by_name(self, rabi_ratio):
+        """Lamb nodes reach coth's pole; the quadrature fails with a typed error."""
+        config = TrapConfig(rabi_ratio=rabi_ratio)
+        with pytest.raises(NumericalFailureError, match="principal value A"):
+            plan(config)
+        assert plan(config, lamb_shift=False).report.feasible is False
 
     def test_long_chain_scales_the_window(self):
         short = plan(TrapConfig(ion_count=50)).report
