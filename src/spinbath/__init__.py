@@ -21,151 +21,19 @@ Layout:
 * :mod:`spinbath.cli` - the ``spinbath`` command.
 """
 
-from .errors import (
-    DefectiveSpectrumError,
-    DegenerateSpectrumError,
-    IntegrationFailureError,
-    InvalidCoefficientsError,
-    InvalidRatesError,
-    InvalidStateError,
-    NumericalFailureError,
-)
-from .states import (
-    PauliVector,
-    TwoQubitDensityMatrix,
-    bell_singlet,
-    bell_triplet,
-    bloch_to_density,
-    correlation_scalar,
-    density_to_bloch,
-    flat_index,
-    maximally_mixed,
-    state_for_correlation,
-    werner,
-    wootters_concurrence,
-    x_up_down,
-    x_up_up,
-    z_up_down,
-)
-from .bath import (
-    BathGeometry,
-    BathThermal,
-    RateSet,
-    SpectralDensity,
-    build_rates,
-    correlation_delta,
-    lamb_shift_coefficients,
-    spatial_correlation,
-    thermal_occupation,
-)
-from .liouvillian import (
-    GeneratorMatrix,
-    ModelParams,
-    SpectrumReport,
-    analytic_slow_eigenpair,
-    build_generator,
-    classify_spectrum,
-    first_order_slow_rate,
-    mode_coefficients,
-    oscillatory_alpha_pattern,
-    slow_alpha_pattern,
-    thermal_alpha,
-)
-from .dynamics import (
-    SurvivalReport,
-    Trajectory,
-    analytic_amplitude,
-    analytic_concurrence,
-    analytic_state,
-    concurrence_of_alpha,
-    default_time_grid,
-    generation_condition,
-    propagate,
-    propagate_ode,
-    propagate_spectral,
-    survival_report,
-    survival_time,
-    thermal_bath_condition,
-    thermal_bath_condition_asymptotic,
-    threshold_ratio,
-    write_trajectory_csv,
-    zero_temperature_state,
-)
-from .iontrap import (
-    FeasibilityReport,
-    PlanResult,
-    TrapConfig,
-    plan,
-    temperature_requirement,
-)
+from . import errors, states, bath, liouvillian, dynamics, iontrap
+from .errors import *
+from .states import *
+from .bath import *
+from .liouvillian import *
+from .dynamics import *
+from .iontrap import *
 
 __version__ = "0.1.0"
 
+#: each public name is listed once, in its own module's ``__all__``
 __all__ = [
-    "DefectiveSpectrumError",
-    "DegenerateSpectrumError",
-    "IntegrationFailureError",
-    "InvalidCoefficientsError",
-    "InvalidRatesError",
-    "InvalidStateError",
-    "NumericalFailureError",
-    "PauliVector",
-    "TwoQubitDensityMatrix",
-    "bell_singlet",
-    "bell_triplet",
-    "bloch_to_density",
-    "correlation_scalar",
-    "density_to_bloch",
-    "flat_index",
-    "maximally_mixed",
-    "state_for_correlation",
-    "werner",
-    "wootters_concurrence",
-    "x_up_down",
-    "x_up_up",
-    "z_up_down",
-    "BathGeometry",
-    "BathThermal",
-    "RateSet",
-    "SpectralDensity",
-    "build_rates",
-    "correlation_delta",
-    "lamb_shift_coefficients",
-    "spatial_correlation",
-    "thermal_occupation",
-    "GeneratorMatrix",
-    "ModelParams",
-    "SpectrumReport",
-    "analytic_slow_eigenpair",
-    "build_generator",
-    "classify_spectrum",
-    "first_order_slow_rate",
-    "mode_coefficients",
-    "oscillatory_alpha_pattern",
-    "slow_alpha_pattern",
-    "thermal_alpha",
-    "SurvivalReport",
-    "Trajectory",
-    "analytic_amplitude",
-    "analytic_concurrence",
-    "analytic_state",
-    "concurrence_of_alpha",
-    "default_time_grid",
-    "generation_condition",
-    "propagate",
-    "propagate_ode",
-    "propagate_spectral",
-    "survival_report",
-    "survival_time",
-    "thermal_bath_condition",
-    "thermal_bath_condition_asymptotic",
-    "threshold_ratio",
-    "write_trajectory_csv",
-    "zero_temperature_state",
-    "FeasibilityReport",
-    "PlanResult",
-    "TrapConfig",
-    "plan",
-    "temperature_requirement",
-    "__version__",
-]
+    name
+    for module in (errors, states, bath, liouvillian, dynamics, iontrap)
+    for name in module.__all__
+] + ["__version__"]

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bath import BathThermal, RateSet
 from .dynamics import (
-    _csv_float,
+    _csv_table,
     analytic_concurrence,
     default_time_grid,
     propagate_spectral,
@@ -127,15 +127,23 @@ def _read_config_file(path: str) -> dict:
 
 
 def _model_pieces(delta: float, ratio: float, delta_field: float):
-    """Rates (gamma0 = 1 units) and field parameters for a scenario."""
-    if not 0.0 < ratio <= 1.0:
-        raise UsageError(f"thermal ratio must lie in (0, 1], got {ratio}")
-    if not 0.0 <= delta <= 2.0:
-        raise UsageError(f"correlation deficit must lie in [0, 2], got {delta}")
+    """Rates (gamma0 = 1 units) and field parameters for a scenario; an
+    out-of-range ratio or deficit raises the model's ``ValueError``."""
     thermal = BathThermal.from_ratio(ratio)
     rates = RateSet.from_parameters(1.0, thermal, delta)
     params = ModelParams(delta_field=delta_field)
     return rates, params
+
+
+def _check_horizon(horizon: float, report) -> None:
+    """Refuse a time horizon at which some mode's exponent ``lambda t``
+    overflows; the check runs on Python floats, so numpy warns nothing."""
+    fastest = float(np.max(np.abs(report.eigenvalues)))
+    if not math.isfinite(horizon * fastest):
+        raise UsageError(
+            f"time horizon {horizon:.6g} overflows the exponent of the "
+            f"fastest mode (|lambda| = {fastest:.6g})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +161,17 @@ def _run_fig1(values: dict, fmt: str) -> str:
     lam = values["lambda_corr"]
     initial = z_up_down() if lam == -1.0 else state_for_correlation(lam)
     lt_grid = np.linspace(0.0, values["lt_max"], values["lt_points"])
-    lines = ["R,lambda1_t,concurrence_numeric"]
-    for ratio in np.linspace(values["r_min"], values["r_max"], values["r_points"]):
-        rates, params = _model_pieces(values["delta"], float(ratio), values["delta_field"])
+    ratios = np.linspace(values["r_min"], values["r_max"], values["r_points"]).tolist()
+    rows = []
+    for ratio in ratios:
+        rates, params = _model_pieces(values["delta"], ratio, values["delta_field"])
         report = classify_spectrum(build_generator(params, rates))
         slow = -report.slow_eigenvalue
-        times = lt_grid / slow
-        trajectory = propagate_spectral(report, initial, times)
-        for lt, conc in zip(lt_grid, trajectory.concurrence):
-            lines.append(f"{_csv_float(ratio)},{_csv_float(lt)},{_csv_float(conc)}")
-    return "\n".join(lines) + "\n"
+        _check_horizon(values["lt_max"] / slow, report)
+        trajectory = propagate_spectral(report, initial, lt_grid / slow)
+        pairs = zip(lt_grid.tolist(), trajectory.concurrence.tolist())
+        rows += [(ratio, lt, conc) for lt, conc in pairs]
+    return _csv_table(("R", "lambda1_t", "concurrence_numeric"), rows)
 
 
 _FIG2_STATES = (
@@ -195,6 +204,7 @@ def _run_fig2(values: dict, fmt: str, dressed: bool = False) -> str:
         else 10.0 / slow_used
     )
     times = default_time_grid(1.0, horizon, values["points"])
+    _check_horizon(horizon, report)
 
     columns = [("t_gamma0", times), ("t_lambda1", times * slow_used)]
     for name, factory in _FIG2_STATES:
@@ -205,10 +215,8 @@ def _run_fig2(values: dict, fmt: str, dressed: bool = False) -> str:
         columns.append((f"c_num_{name}", trajectory.concurrence))
         columns.append((f"c_ana_{name}", envelope))
 
-    lines = [",".join(name for name, _ in columns)]
-    for k in range(times.size):
-        lines.append(",".join(_csv_float(col[k]) for _, col in columns))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([col for _, col in columns])
+    return _csv_table([name for name, _ in columns], table.tolist())
 
 
 def _run_spectrum(values: dict, fmt: str) -> str:
@@ -222,24 +230,18 @@ def _run_spectrum(values: dict, fmt: str) -> str:
     report = classify_spectrum(build_generator(params, rates))
     if fmt == "json":
         return spectrum_to_json(report) + "\n"
-    lines = ["index,label,re,im"]
-    for k in range(16):
-        value = report.eigenvalues[k]
-        lines.append(
-            f"{k},{report.labels[k]},{_csv_float(value.real)},{_csv_float(value.imag)}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [
+        (k, report.labels[k], value.real, value.imag)
+        for k, value in enumerate(report.eigenvalues.tolist())
+    ]
+    return _csv_table(("index", "label", "re", "im"), rows)
 
 
-def _sweep_cell(cell: tuple) -> str:
+def _sweep_cell(cell: tuple) -> tuple:
     delta, ratio, lam = cell
     slow = first_order_slow_rate(BathThermal.from_ratio(ratio).occupation, delta)
     peak = analytic_concurrence(ratio, lam, slow, 0.0)
-    t_c = survival_time(ratio, lam, slow)
-    return (
-        f"{_csv_float(delta)},{_csv_float(ratio)},{_csv_float(lam)},"
-        f"{_csv_float(peak)},{_csv_float(t_c)}"
-    )
+    return (delta, ratio, lam, peak, survival_time(ratio, lam, slow))
 
 
 def _run_sweep(values: dict, fmt: str) -> str:
@@ -255,9 +257,8 @@ def _run_sweep(values: dict, fmt: str) -> str:
     if not all(-3.0 <= l <= 1.0 for l in lams):
         raise UsageError("lambda_values must lie in [-3, 1]")
     cells = [(d, r, l) for d in deltas for r in ratios for l in lams]
-    header = "delta,R,lambda,peak_concurrence,t_c_gamma0"
-    rows = [_sweep_cell(cell) for cell in cells]
-    return "\n".join([header] + rows) + "\n"
+    header = ("delta", "R", "lambda", "peak_concurrence", "t_c_gamma0")
+    return _csv_table(header, [_sweep_cell(cell) for cell in cells])
 
 
 def _run_iontrap(values: dict, fmt: str) -> str:

@@ -46,9 +46,9 @@ from .liouvillian import (
     slow_alpha_pattern,
 )
 from .states import (
-    PAULI_PRODUCTS,
     PauliVector,
     TwoQubitDensityMatrix,
+    _alpha_to_rho,
     _as_alpha,
     _concurrence,
     _signed_concurrence,
@@ -157,8 +157,7 @@ def concurrence_of_alpha(alpha) -> float:
 
 def _alpha_rows_to_matrices(alphas: np.ndarray) -> np.ndarray:
     """Batched ``alpha -> rho``, renormalizing each row by its trace entry."""
-    scaled = alphas / alphas[:, :1]
-    return (scaled @ PAULI_PRODUCTS.reshape(16, 16)).reshape(-1, 4, 4) / 4.0
+    return _alpha_to_rho(alphas / alphas[:, :1])
 
 
 def _finish_trajectory(
@@ -618,8 +617,16 @@ _CSV_FIELDS = (
 )
 
 
-def _csv_float(value: float) -> str:
-    return format(float(value), ".9g")
+def _csv_table(header, rows) -> str:
+    """CSV text: the ``header`` names, then one line per row.
+
+    Numbers are written with 9 significant digits (``inf`` and ``nan``
+    as such); a string entry is written as it is.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([v if isinstance(v, str) else "%.9g" % v for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 def write_trajectory_csv(target, trajectory: Trajectory, analytic=None) -> None:
@@ -637,21 +644,18 @@ def write_trajectory_csv(target, trajectory: Trajectory, analytic=None) -> None:
         if analytic_col.shape != times.shape:
             raise ValueError("analytic concurrence must match the time grid")
     slow = trajectory.slow_rate if trajectory.slow_rate is not None else math.nan
-
-    def emit(stream) -> None:
-        stream.write(",".join(_CSV_FIELDS) + "\n")
-        for k in range(times.size):
-            row = [
-                _csv_float(times[k] * trajectory.gamma0),
-                _csv_float(times[k] * slow),
-            ]
-            row += [_csv_float(v) for v in trajectory.alphas[k]]
-            row.append(_csv_float(trajectory.concurrence[k]))
-            row.append(_csv_float(analytic_col[k]))
-            stream.write(",".join(row) + "\n")
-
+    table = np.column_stack(
+        [
+            times * trajectory.gamma0,
+            times * slow,
+            trajectory.alphas,
+            trajectory.concurrence,
+            analytic_col,
+        ]
+    )
+    text = _csv_table(_CSV_FIELDS, table.tolist())
     if hasattr(target, "write"):
-        emit(target)
+        target.write(text)
     else:
         with open(target, "w", encoding="utf-8") as stream:
-            emit(stream)
+            stream.write(text)

@@ -6,6 +6,16 @@ numerical failures on valid inputs derive from
 the first family to exit code 2 and the second to exit code 3.
 """
 
+__all__ = [
+    "InvalidStateError",
+    "InvalidRatesError",
+    "InvalidCoefficientsError",
+    "NumericalFailureError",
+    "IntegrationFailureError",
+    "DegenerateSpectrumError",
+    "DefectiveSpectrumError",
+]
+
 
 class InvalidStateError(ValueError):
     """Invalid-input family: a density matrix or Bloch vector violates its

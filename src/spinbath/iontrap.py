@@ -38,6 +38,7 @@ from .bath import (
     lamb_shift_coefficients,
 )
 from .dynamics import analytic_concurrence, generation_condition, survival_time
+from .errors import NumericalFailureError
 from .liouvillian import ModelParams, first_order_slow_rate
 
 __all__ = [
@@ -176,7 +177,9 @@ def plan(
     with ``lamb_shift=False`` and the Lamb-dressed one otherwise.
 
     Infeasible configurations come back with ``feasible=False`` and an
-    explanation in ``diagnostics``; no exception is raised for them.
+    explanation in ``diagnostics``; no exception is raised for them.  A
+    spectral density that underflows to zero at a positive coupling and
+    splitting raises :class:`NumericalFailureError`.
     """
     splitting = config.rabi_ratio  # Delta in omega_t units
     alpha = config.ohmic_coupling
@@ -198,6 +201,11 @@ def plan(
     rates = None
     lamb_a = lamb_b = 0.0
     if alpha > 0:
+        # J(Delta) = alpha Delta / 2 is positive here, so a zero is underflow
+        if spectral(splitting) == 0.0:
+            raise NumericalFailureError(
+                f"spectral density at the splitting {splitting!r} underflows to 0.0"
+            )
         rates = build_rates(spectral, thermal, geometry, splitting, approx_delta=not exact_delta)
         if lamb_shift:
             lamb_a, lamb_b = lamb_shift_coefficients(spectral, thermal, geometry, splitting)

@@ -39,7 +39,14 @@ from .errors import (
     DegenerateSpectrumError,
     NumericalFailureError,
 )
-from .states import PAULI, PAULI_PRODUCTS, PauliVector, _as_alpha, flat_index
+from .states import (
+    PAULI,
+    PAULI_PRODUCTS,
+    PauliVector,
+    _as_alpha,
+    _rho_to_alpha,
+    flat_index,
+)
 
 __all__ = [
     "ModelParams",
@@ -198,7 +205,7 @@ def _generator_columns(ham: np.ndarray, rates: RateSet, tol: float) -> np.ndarra
     for a non-Hermitian ``ham``), raises :class:`NumericalFailureError`.
     """
     images = _apply_master_equation(_BASIS_OPERATORS, ham, rates, _BASIS_IMAGES)
-    projected = np.einsum("kab,cba->kc", PAULI_PRODUCTS, images)
+    projected = _rho_to_alpha(images).T
     if not np.all(np.isfinite(projected)):
         raise NumericalFailureError(
             "generator has non-finite entries: a coherent strength or rate "

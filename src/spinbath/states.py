@@ -146,6 +146,19 @@ class TwoQubitDensityMatrix:
             raise InvalidStateError(f"matrix has eigenvalue {lo:.3e} below -{tol:.1e}")
 
 
+def _alpha_to_rho(alphas: np.ndarray) -> np.ndarray:
+    """``rho = (1/4) sum_k alpha_k P_k`` of one Pauli vector, or of each
+    vector of a ``(..., 16)`` stack; no check is made."""
+    products = alphas @ PAULI_PRODUCTS.reshape(16, 16)
+    return products.reshape(alphas.shape[:-1] + (4, 4)) / 4.0
+
+
+def _rho_to_alpha(matrices: np.ndarray) -> np.ndarray:
+    """Complex ``alpha_k = Tr[rho P_k]`` of one 4x4 matrix, or of each
+    matrix of a ``(..., 4, 4)`` stack; no check is made."""
+    return np.einsum("kab,...ba->...k", PAULI_PRODUCTS, matrices)
+
+
 def _as_density(rho) -> TwoQubitDensityMatrix:
     if isinstance(rho, TwoQubitDensityMatrix):
         return rho
@@ -175,7 +188,7 @@ def density_to_bloch(rho) -> PauliVector:
     """
     dm = _as_density(rho)
     dm.assert_positive()
-    alpha_c = np.einsum("kab,ba->k", PAULI_PRODUCTS, dm.matrix)
+    alpha_c = _rho_to_alpha(dm.matrix)
     worst = float(np.max(np.abs(alpha_c.imag)))
     if worst > _IMAG_COMPONENT_TOL:
         raise InvalidStateError(
@@ -197,8 +210,7 @@ def bloch_to_density(vector) -> TwoQubitDensityMatrix:
         raise InvalidStateError(
             f"alpha[0] must be 1 for a unit-trace state, got {alpha[0]!r}"
         )
-    matrix = np.tensordot(alpha, PAULI_PRODUCTS, axes=1) / 4.0
-    return TwoQubitDensityMatrix(matrix)
+    return TwoQubitDensityMatrix(_alpha_to_rho(alpha))
 
 
 def correlation_scalar(vector) -> float:

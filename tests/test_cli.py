@@ -99,6 +99,28 @@ def test_overflowing_generator_is_numerical_failure(capsys, override):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("fig1-surface", "--set", "lt_max=1.7e308"),
+        ("fig1-surface", "--set", "lt_max=1e307", "--set", "r_points=2"),
+        ("fig2-inset", "--set", "r=1e-12", "--set", "horizon_factor=1.7e308"),
+        ("fig2-trajectories", "--set", "horizon_factor=1e306"),
+    ],
+    ids=" ".join,
+)
+def test_overflowing_horizon_is_usage_error(capsys, argv):
+    """A horizon at which some mode's exponent overflows is refused before
+    any array is scaled by it, so numpy warns nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(capsys, "--scenario", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: time horizon ")
+    assert "overflows the exponent of the fastest mode" in err
+    assert caught == []
+
+
+@pytest.mark.parametrize(
     "error",
     [
         NumericalFailureError("quadrature"),
@@ -231,6 +253,27 @@ def test_import_loads_no_scipy():
         "import sys, spinbath, spinbath.cli; "
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
     )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_scipy_free_runs_load_no_scipy():
+    """The figure, spectrum and sweep scenarios at their defaults, and the
+    common-bath propagation (deficit 0, R = 0.9), reach no scipy call site."""
+    script = """
+import contextlib, io, sys
+from spinbath import (BathThermal, ModelParams, RateSet, build_generator,
+                      default_time_grid, propagate, state_for_correlation)
+from spinbath.cli import main
+for scenario in ("fig1-surface", "fig2-trajectories", "fig2-inset", "spectrum", "sweep"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--scenario", scenario]) == 0, scenario
+rates = RateSet.from_parameters(1.0, BathThermal.from_ratio(0.9), 0.0)
+propagate(build_generator(ModelParams(10.0), rates), state_for_correlation(-1.0),
+          default_time_grid(1.0, 10.0, 400))
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+    proc = _launch(sys.executable, "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
@@ -493,12 +536,25 @@ def test_iontrap_underflowing_slow_window_is_infinite(capsys):
     assert "1/(delta*gamma0) = inf/omega_t exceeds the revival time" in out
 
 
-@pytest.mark.parametrize("rabi_ratio", ["1e-310", "1e-320"])
-def test_iontrap_subnormal_splitting_is_numerical_failure(capsys, rabi_ratio):
-    """The Lamb integrand's coth meets its pole; QUADPACK then fails by name."""
+@pytest.mark.parametrize(
+    "rabi_ratio, reason",
+    [
+        pytest.param("1e-310", "principal value A did not converge", id="1e-310"),
+        pytest.param("1e-320", "principal value A did not converge", id="1e-320"),
+        pytest.param(
+            "1e-323", "spectral density at the splitting 1e-323 underflows", id="1e-323"
+        ),
+        pytest.param(
+            "5e-324", "spectral density at the splitting 5e-324 underflows", id="5e-324"
+        ),
+    ],
+)
+def test_iontrap_subnormal_splitting_is_numerical_failure(capsys, rabi_ratio, reason):
+    """The Lamb integrand's coth meets its pole, and QUADPACK fails by name;
+    or, below that, J(Delta) itself underflows to zero."""
     code, out, err = invoke(capsys, "--scenario", "iontrap", "--set", f"rabi_ratio={rabi_ratio}")
     assert (code, out) == (3, "")
-    assert err.startswith("numerical failure: principal value A did not converge")
+    assert err.startswith(f"numerical failure: {reason}")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

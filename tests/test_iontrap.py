@@ -193,6 +193,16 @@ class TestPlan:
             plan(config)
         assert plan(config, lamb_shift=False).report.feasible is False
 
+    @pytest.mark.parametrize("rabi_ratio", [1e-323, 5e-324])
+    def test_underflowing_spectral_density_fails_by_name(self, rabi_ratio):
+        """J(Delta) = alpha Delta / 2 underflows to zero at a positive
+        coupling: a numerical failure; with no coupling, no dissipation."""
+        with pytest.raises(NumericalFailureError, match="underflows to 0.0"):
+            plan(TrapConfig(rabi_ratio=rabi_ratio), lamb_shift=False)
+        report = plan(TrapConfig(rabi_ratio=rabi_ratio, ohmic_coupling=0.0)).report
+        assert report.feasible is False
+        assert any("no dissipation" in note for note in report.diagnostics)
+
     def test_long_chain_scales_the_window(self):
         short = plan(TrapConfig(ion_count=50)).report
         long = plan(TrapConfig(ion_count=400)).report
