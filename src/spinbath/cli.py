@@ -184,16 +184,13 @@ _FIG2_STATES = (
 
 def _run_fig2(values: dict, fmt: str, dressed: bool = False) -> str:
     rates, params = _model_pieces(values["delta"], values["r"], values["delta_field"])
-    bare = classify_spectrum(build_generator(params, rates))
-    slow = -bare.slow_eigenvalue
+    report = classify_spectrum(build_generator(params, rates))
     if dressed:
-        strength = 1.0 / (2.0 * slow)
+        strength = 1.0 / (2.0 * -report.slow_eigenvalue)
         params = ModelParams(
             delta_field=values["delta_field"], lamb_b=strength, exchange_xi=strength
         )
         report = classify_spectrum(build_generator(params, rates))
-    else:
-        report = bare
     slow_used = -report.slow_eigenvalue
 
     ratio = values["r"]
@@ -250,8 +247,10 @@ def _run_sweep(values: dict, fmt: str) -> str:
         values["r_values"],
         values["lambda_values"],
     )
-    if not all(0.0 <= d <= 2.0 for d in deltas):
-        raise UsageError("delta_values must lie in [0, 2]")
+    if not all(0.0 <= d <= 1.0 for d in deltas):
+        raise UsageError(
+            "delta_values must lie in [0, 1]: d > 1 is the dual of 2 - d (delta <-> 2 - delta)"
+        )
     if not all(0.0 < r <= 1.0 for r in ratios):
         raise UsageError("r_values must lie in (0, 1]")
     if not all(-3.0 <= l <= 1.0 for l in lams):

@@ -8,7 +8,9 @@ dt) alpha``.  Neither has a step error; they agree to round-off and serve
 as mutual cross-checks.  :func:`propagate` sums the modes of any
 well-conditioned eigenbasis, labelled or not (the perfectly correlated bath
 has a doubled zero mode but a sound basis), and steps only where the
-eigenbasis is ill-conditioned.
+eigenbasis is ill-conditioned.  Both it and :func:`survival_report` read
+the generator's one cached spectrum record, so each generator is
+eigensolved once.
 
 On top of the numerics sits the closed-form long-time description: after
 the fast modes die out the state is the thermal point plus a single slow
@@ -29,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DefectiveSpectrumError,
-    DegenerateSpectrumError,
     IntegrationFailureError,
     InvalidCoefficientsError,
     InvalidStateError,
@@ -38,8 +39,6 @@ from .errors import (
 from .liouvillian import (
     GeneratorMatrix,
     SpectrumReport,
-    _eigensystem,
-    _label_spectrum,
     classify_spectrum,
     mode_coefficients,
     thermal_alpha,
@@ -184,13 +183,11 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _spectral_alphas(
-    eigenvalues: np.ndarray, right: np.ndarray, coeffs: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Real mode sum ``sum_l a_l exp(lambda_l t) r_l`` at each time, with
-    ``right[:, l]`` the l-th eigenvector; a broken mode pairing raises."""
-    phases = np.exp(np.outer(times, eigenvalues))
-    alpha_c = (phases * coeffs) @ right.T
+def _spectral_alphas(report: SpectrumReport, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Real mode sum ``sum_l a_l exp(lambda_l t) r_l`` of a spectrum record
+    at each time; a broken mode pairing raises."""
+    phases = np.exp(np.outer(times, report.eigenvalues))
+    alpha_c = (phases * coeffs) @ report.right.T
     residue = float(np.max(np.abs(alpha_c.imag)))
     if residue > _RECONSTRUCTION_IMAG_TOL:
         raise NumericalFailureError(
@@ -205,18 +202,17 @@ def propagate_spectral(
     """Evolve by summing eigenmodes: ``alpha(t) = sum a_l exp(lambda_l t) r_l``.
 
     Exact in time (no step error); accuracy is set entirely by the
-    eigendecomposition.  The reconstruction must come out real - a larger
-    imaginary residue than 1e-8 indicates a broken mode pairing and raises
+    eigendecomposition.  Any spectrum record is summed, labelled or not;
+    an unlabelled one gives a trajectory without ``slow_rate``.  The
+    reconstruction must come out real - a larger imaginary residue than
+    1e-8 indicates a broken mode pairing and raises
     :class:`NumericalFailureError`.
     """
     times = _check_times(times)
     coeffs = mode_coefficients(report, initial)
-    return _finish_trajectory(
-        times,
-        _spectral_alphas(report.eigenvalues, report.right, coeffs, times),
-        report.gamma0,
-        -report.slow_eigenvalue,
-    )
+    alphas = _spectral_alphas(report, coeffs, times)
+    slow_rate = None if report.labels is None else -report.slow_eigenvalue
+    return _finish_trajectory(times, alphas, report.gamma0, slow_rate)
 
 
 def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
@@ -249,29 +245,22 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
 def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
     """Spectral propagation, falling back to matrix-exponential stepping.
 
-    The generator is eigensolved once.  An eigenvector matrix whose
-    condition number exceeds 1e6 (zero temperature, R = 1, with a small
-    deficit) is no sound basis for a mode sum, labelled or not, and falls
-    back to :func:`propagate_ode`.  Otherwise a spectrum that
-    :func:`~spinbath.liouvillian.classify_spectrum` would label goes to
-    :func:`propagate_spectral`, bit for bit.  One it cannot label (the
-    perfectly correlated bath, whose zero mode is doubled) is still summed
-    mode by mode, with coefficients solved from its eigenvector matrix;
-    such a trajectory has no ``slow_rate``.
+    Reads the generator's cached spectrum record
+    (:attr:`~spinbath.liouvillian.GeneratorMatrix.spectrum`), so a
+    generator already classified is not eigensolved again.  A record whose
+    eigenvector matrix has a condition number up to 1e6 goes to
+    :func:`propagate_spectral`, labelled or not (the perfectly correlated
+    bath, whose zero mode is doubled, has no labels and no ``slow_rate``).
+    A larger condition number (zero temperature, R = 1, with a small
+    deficit) or a defective eigenbasis is no sound basis for a mode sum and
+    falls back to :func:`propagate_ode`.
     """
     try:
-        values, right, cond = _eigensystem(generator)
+        report = generator.spectrum
     except DefectiveSpectrumError:
         return propagate_ode(generator, initial, times)
-    if cond > _MODE_SUM_MAX_COND:
+    if report.cond > _MODE_SUM_MAX_COND:
         return propagate_ode(generator, initial, times)
-    try:
-        report = _label_spectrum(generator, values, right)
-    except DegenerateSpectrumError:
-        times = _check_times(times)
-        coeffs = np.linalg.solve(right, _as_alpha(initial))
-        alphas = _spectral_alphas(values, right, coeffs, times)
-        return _finish_trajectory(times, alphas, generator.rates.gamma0, None)
     return propagate_spectral(report, initial, times)
 
 
@@ -437,7 +426,7 @@ def _numeric_survival(
     coeffs = mode_coefficients(report, initial)
 
     def signed(times: np.ndarray) -> np.ndarray:
-        alphas = _spectral_alphas(report.eigenvalues, report.right, coeffs, times)
+        alphas = _spectral_alphas(report, coeffs, times)
         matrices = _alpha_rows_to_matrices(alphas)
         return _signed_concurrence(matrices, dust_tol=_TRAJECTORY_DUST_TOL)
 

@@ -55,6 +55,10 @@ __all__ = [
 #: the qubit splitting sits safely below this multiple of itself; a hard
 #: cutoff keeps J(Delta) exactly Ohmic while the Lamb integrals converge.
 _CUTOFF_MULTIPLE = 10.0
+#: the exact SI values of the reduced Planck constant (J s) and the
+#: Boltzmann constant (J/K); equal, bit for bit, to ``scipy.constants``
+_HBAR = 6.62607015e-34 / (2 * math.pi)
+_K_B = 1.380649e-23
 
 
 @dataclass(frozen=True)
@@ -274,13 +278,11 @@ def temperature_requirement(config: TrapConfig) -> float:
     ``Delta = rabi_ratio * trap_frequency`` in rad/s; millikelvin for
     megahertz traps.
     """
-    from scipy import constants
-
     ratio = config.target_ratio
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"target ratio must lie in (0, 1), got {ratio}")
     splitting = config.rabi_ratio * config.trap_frequency
-    return constants.hbar * splitting / (2.0 * constants.k * math.atanh(ratio))
+    return _HBAR * splitting / (2.0 * _K_B * math.atanh(ratio))
 
 
 def _json_safe(value):

@@ -20,8 +20,12 @@ For a strictly positive correlation deficit the spectrum splits into
 * one weakly damped conjugate pair oscillating at the qubit splitting,
 * twelve fast modes decaying at rates of order ``gamma0 / R``.
 
-:func:`classify_spectrum` performs that split numerically and returns a
-bi-orthonormal left/right eigensystem for spectral propagation.
+Each generator is eigensolved once, on first read of
+:attr:`GeneratorMatrix.spectrum`: one cached :class:`SpectrumReport` holds
+the bi-orthonormal left/right eigensystem, the condition number of the
+eigenvector matrix and, where the split is unique, the labels.
+:func:`classify_spectrum` returns that record when it is labelled and
+raises the reason when it is not; spectral propagation sums either kind.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -127,6 +133,14 @@ class GeneratorMatrix:
 
     def apply(self, alpha) -> np.ndarray:
         return self.entries @ _as_alpha(alpha)
+
+    @cached_property
+    def spectrum(self) -> SpectrumReport:
+        """The eigensystem record, eigensolved on first read and kept (the
+        entries are read-only); labelled where the spectrum allows.  A
+        defective eigenbasis at a positive deficit raises
+        :class:`DefectiveSpectrumError` on every read."""
+        return _spectrum_record(self)
 
 
 def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
@@ -250,22 +264,30 @@ def build_generator(params: ModelParams, rates: RateSet) -> GeneratorMatrix:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Classified eigensystem of a generator.
+    """Eigensystem record of a generator, from one eigensolve.
 
     ``right[:, k]`` is the k-th right eigenvector and ``left[k]`` the
     matching left eigenvector, normalized so that
-    ``vdot(left[k], right[:, l]) = delta_kl``.  Mode order is thermal,
-    slow, oscillatory pair (positive imaginary part first), then fast
-    modes by decreasing real part.
+    ``vdot(left[k], right[:, l]) = delta_kl``; ``cond`` is the condition
+    number of the matrix ``right``.  A labelled record orders its modes
+    thermal, slow, oscillatory pair (positive imaginary part first), then
+    fast modes by decreasing real part, and scales each eigenvector as
+    :func:`classify_spectrum` describes.  A spectrum without a unique label
+    for each mode keeps ``eig``'s order and scaling with ``labels = None``
+    and no ``fast_violations``; ``reason`` then holds the message and the
+    candidate eigenvalues, and reading a labelled index raises
+    :class:`DegenerateSpectrumError`.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    labels: tuple
+    labels: Optional[tuple]
     gamma0: float
     delta: float
     fast_violations: tuple
+    cond: float
+    reason: Optional[tuple] = None
 
     def __post_init__(self):
         for name in ("eigenvalues", "right", "left"):
@@ -273,21 +295,28 @@ class SpectrumReport:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def _labelled(self) -> tuple:
+        """The labels; an unlabelled record raises a new
+        :class:`DegenerateSpectrumError` from its reason."""
+        if self.labels is None:
+            raise DegenerateSpectrumError(*self.reason)
+        return self.labels
+
     @property
     def thermal_index(self) -> int:
-        return self.labels.index("thermal")
+        return self._labelled().index("thermal")
 
     @property
     def slow_index(self) -> int:
-        return self.labels.index("slow")
+        return self._labelled().index("slow")
 
     @property
     def oscillatory_indices(self) -> tuple:
-        return tuple(k for k, lab in enumerate(self.labels) if lab == "oscillatory")
+        return tuple(k for k, lab in enumerate(self._labelled()) if lab == "oscillatory")
 
     @property
     def fast_indices(self) -> tuple:
-        return tuple(k for k, lab in enumerate(self.labels) if lab == "fast")
+        return tuple(k for k, lab in enumerate(self._labelled()) if lab == "fast")
 
     @property
     def slow_eigenvalue(self) -> float:
@@ -299,48 +328,88 @@ class SpectrumReport:
 _DEFECTIVE_COND = 1e12
 
 
-def _eigensystem(generator: GeneratorMatrix) -> tuple:
-    """Eigenvalues and right eigenvectors (columns) of the generator, in
-    LAPACK's order, with the condition number of the eigenvector matrix.
+def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
+    """The generator's labelled spectrum record.
+
+    Reads :attr:`GeneratorMatrix.spectrum`, so a generator is eigensolved
+    once however often it is classified or propagated.  Labelling requires
+    a strictly positive correlation deficit; at ``delta = 0`` the zero
+    eigenvalue is degenerate and no unique thermal mode exists.  An
+    unlabelled record raises :class:`DegenerateSpectrumError` with its
+    reason, and at a positive deficit an eigenvector matrix with a
+    condition number above 1e12 raises :class:`DefectiveSpectrumError`.
+
+    Eigenvectors are scaled as follows: the thermal one to a unit trace
+    component, the slow one to a unit ``yy`` component (when that is not
+    negligible), every other to unit norm with its largest component real
+    and positive.
+    """
+    report = generator.spectrum
+    report._labelled()  # an unlabelled record raises its reason here
+    return report
+
+
+def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
+    """Eigensolve the generator once and label its spectrum where possible.
 
     An eigenvector matrix with a condition number above 1e12 is no basis
-    and raises :class:`DefectiveSpectrumError`.
+    and raises :class:`DefectiveSpectrumError`.  A spectrum that
+    :func:`_label_order` refuses keeps ``eig``'s order and scaling, with
+    the refusal as its ``reason``.  A zero deficit is refused before the
+    basis is judged, so its record is kept at any condition number; its
+    ``cond`` still sends :func:`~spinbath.dynamics.propagate` to expm
+    stepping.
     """
+    rates = generator.rates
     values, right = np.linalg.eig(generator.entries)
     cond = float(np.linalg.cond(right))
-    if cond > _DEFECTIVE_COND:
+    if cond > _DEFECTIVE_COND and rates.delta > 0.0:
         raise DefectiveSpectrumError(
             f"eigenvector matrix has condition number {cond:.3e} above "
             f"{_DEFECTIVE_COND:.0e}; generator is numerically defective"
         )
-    return values, right, cond
-
-
-def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
-    """Eigendecompose and label the generator spectrum.
-
-    Requires a strictly positive correlation deficit; at ``delta = 0`` the
-    zero eigenvalue is degenerate and no unique thermal mode exists.  An
-    eigenvector matrix with a condition number above 1e12 raises
-    :class:`DefectiveSpectrumError`.
-    """
-    _require_deficit(generator.rates)  # before an eigensolve it would waste
-    values, right, _ = _eigensystem(generator)
-    return _label_spectrum(generator, values, right)
-
-
-def _require_deficit(rates: RateSet) -> None:
-    if rates.delta <= 0.0:
-        raise DegenerateSpectrumError(
-            "spectrum classification needs delta > 0; the zero eigenvalue is "
-            "degenerate for perfectly correlated baths"
+    labels = reason = None
+    violations = ()
+    try:
+        order = _label_order(rates, values)
+    except DegenerateSpectrumError as exc:
+        reason = (str(exc), exc.candidates)
+    else:
+        labels = ("thermal", "slow", "oscillatory", "oscillatory") + ("fast",) * 12
+        values = values[order]
+        right = right[:, order].copy()  # C order; the fancy index alone gives F order
+        right[:, 0] = right[:, 0] / right[0, 0]
+        slow_anchor = right[flat_index(2, 2), 1]
+        if abs(slow_anchor) > 1e-6 * np.linalg.norm(right[:, 1]):
+            right[:, 1] = right[:, 1] / slow_anchor
+        # Unit norm, largest component real and positive.  The norms take
+        # the same BLAS dot products as ``np.linalg.norm`` of each column.
+        rest = right[:, 2:]
+        leads = rest[np.argmax(np.abs(rest), axis=0), np.arange(14)]
+        norms = np.sqrt(
+            np.vecdot(rest.real, rest.real, axis=0) + np.vecdot(rest.imag, rest.imag, axis=0)
         )
+        right[:, 2:] = rest / leads * np.abs(leads) / norms
+        bound = -0.5 * rates.gamma0 / rates.ratio + 1e-9 * rates.gamma0
+        vals = values.tolist()
+        violations = tuple((k, vals[k]) for k in range(4, 16) if vals[k].real > bound)
+
+    return SpectrumReport(
+        eigenvalues=values,
+        right=right,
+        left=np.linalg.inv(right).conj(),
+        labels=labels,
+        gamma0=rates.gamma0,
+        delta=rates.delta,
+        fast_violations=violations,
+        cond=cond,
+        reason=reason,
+    )
 
 
-def _label_spectrum(
-    generator: GeneratorMatrix, values: np.ndarray, right: np.ndarray
-) -> SpectrumReport:
-    """Label an eigensystem of the generator, as returned by ``eig``.
+def _label_order(rates: RateSet, values: np.ndarray) -> list:
+    """Mode order thermal, slow, oscillatory pair, fast, as indices into
+    the eigenvalues ``values`` returned by ``eig``.
 
     For a real matrix ``np.linalg.eig`` keeps LAPACK's ``dgeev`` order:
     each complex pair sits at adjacent indices ``(k, k + 1)``, exactly
@@ -350,9 +419,12 @@ def _label_spectrum(
     spectrum without a unique label for each mode raises
     :class:`DegenerateSpectrumError`.
     """
-    rates = generator.rates
+    if rates.delta <= 0.0:
+        raise DegenerateSpectrumError(
+            "spectrum classification needs delta > 0; the zero eigenvalue is "
+            "degenerate for perfectly correlated baths"
+        )
     gamma0 = rates.gamma0
-    _require_deficit(rates)
     tol = 1e-9 * gamma0
     vals = values.tolist()
 
@@ -397,41 +469,7 @@ def _label_spectrum(
     labelled = (thermal, slow, osc, osc + 1)
     fast = sorted((k for k in range(16) if k not in labelled), key=decay_order)
 
-    order = list(labelled) + fast
-    values = values[order]
-    right = right[:, order].copy()  # C order; the fancy index alone gives F order
-    labels = ("thermal", "slow", "oscillatory", "oscillatory") + ("fast",) * 12
-
-    right[:, 0] = right[:, 0] / right[0, 0]
-    slow_anchor = right[flat_index(2, 2), 1]
-    if abs(slow_anchor) > 1e-6 * np.linalg.norm(right[:, 1]):
-        right[:, 1] = right[:, 1] / slow_anchor
-    # Unit norm, largest component real and positive.  The norms take the
-    # same BLAS dot products as ``np.linalg.norm`` of each column, and the
-    # modulus of each lead is a scalar ``hypot`` like ``abs`` of a complex.
-    rest = right[:, 2:]
-    leads = rest[np.argmax(np.abs(rest), axis=0), np.arange(14)]
-    norms = np.sqrt(
-        np.vecdot(rest.real, rest.real, axis=0) + np.vecdot(rest.imag, rest.imag, axis=0)
-    )
-    right[:, 2:] = rest / leads * np.hypot(leads.real, leads.imag) / norms
-
-    left = np.linalg.inv(right).conj()
-
-    bound = -0.5 * gamma0 / rates.ratio + 1e-9 * gamma0
-    violations = tuple(
-        (k, vals[order[k]]) for k in range(4, 16) if vals[order[k]].real > bound
-    )
-
-    return SpectrumReport(
-        eigenvalues=values,
-        right=right,
-        left=left,
-        labels=labels,
-        gamma0=gamma0,
-        delta=rates.delta,
-        fast_violations=violations,
-    )
+    return list(labelled) + fast
 
 
 def mode_coefficients(report: SpectrumReport, initial) -> np.ndarray:

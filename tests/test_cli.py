@@ -258,16 +258,18 @@ def test_import_loads_no_scipy():
 
 
 def test_scipy_free_runs_load_no_scipy():
-    """The figure, spectrum and sweep scenarios at their defaults, and the
-    common-bath propagation (deficit 0, R = 0.9), reach no scipy call site."""
+    """The figure, spectrum and sweep scenarios at their defaults, the trap
+    planner without Lamb shifts, and the common-bath propagation (deficit 0,
+    R = 0.9) reach no scipy call site."""
     script = """
 import contextlib, io, sys
 from spinbath import (BathThermal, ModelParams, RateSet, build_generator,
                       default_time_grid, propagate, state_for_correlation)
 from spinbath.cli import main
-for scenario in ("fig1-surface", "fig2-trajectories", "fig2-inset", "spectrum", "sweep"):
+for argv in (["fig1-surface"], ["fig2-trajectories"], ["fig2-inset"], ["spectrum"],
+             ["sweep"], ["iontrap", "--set", "lamb_shift=false", "--format", "json"]):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["--scenario", scenario]) == 0, scenario
+        assert main(["--scenario", *argv]) == 0, argv
 rates = RateSet.from_parameters(1.0, BathThermal.from_ratio(0.9), 0.0)
 propagate(build_generator(ModelParams(10.0), rates), state_for_correlation(-1.0),
           default_time_grid(1.0, 10.0, 400))
@@ -457,6 +459,34 @@ def test_sweep_grid_validation(capsys):
     )
     assert code == 2
     assert "(0, 1]" in err
+
+
+@pytest.mark.parametrize("deltas", ["1.5", "0.05,1.95", "2"])
+def test_sweep_refuses_deficits_above_one(capsys, deltas):
+    """Above delta = 1 neither the first-order rate nor the Lambda amplitude
+    holds, so the sweep names the duality instead of printing a t_c."""
+    code, out, err = invoke(
+        capsys,
+        "--scenario",
+        "sweep",
+        "--set",
+        f"delta_values={deltas}",
+        "--set",
+        "r_values=0.9",
+        "--set",
+        "lambda_values=-1",
+    )
+    assert (code, out) == (2, "")
+    assert "delta_values must lie in [0, 1]" in err
+    assert "delta <-> 2 - delta" in err
+
+
+def test_sweep_accepts_independent_baths(capsys):
+    code, out, _ = invoke(
+        capsys, "--scenario", "sweep", "--set", "delta_values=1", "--set", "r_values=0.9"
+    )
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 4
 
 
 def test_sweep_matches_closed_forms(capsys):

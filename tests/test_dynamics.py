@@ -363,6 +363,53 @@ def test_propagate_defers_positivity_to_first_read(deficit, ratio, eigvalsh_call
     assert eigvalsh_calls == [(times.size, 4, 4)]
 
 
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Shapes passed to ``np.linalg.eig``."""
+    calls = []
+    original = np.linalg.eig
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    return calls
+
+
+def test_one_eigensolve_per_generator(eig_calls):
+    """``survival_report`` and ``propagate`` share one eigensolve of their
+    generator.  An unlabelled record (deficit 0) is still summed mode by
+    mode, and refuses its labels by name on every read."""
+    gen = make_generator(0.05, 0.9)
+    survival_report(gen, z_up_down())
+    propagate(gen, z_up_down(), default_time_grid(1.0, 30.0))
+    assert eig_calls == [(16, 16)]
+
+    gen = make_generator(0.0, 0.9)
+    times = np.linspace(0.0, 50.0, 26)
+    traj = propagate(gen, z_up_down(), times)
+    reference = oracles.liouvillian_alpha_space(
+        DELTA_FIELD, 1.0, BathThermal.from_ratio(0.9).occupation, 0.0
+    )
+    expected = oracles.evolve_expm(reference, z_up_down().alpha, times)
+    assert np.max(np.abs(traj.alphas - expected)) < 1e-10
+    assert traj.slow_rate is None
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DegenerateSpectrumError) as info:
+            classify_spectrum(gen)
+        messages.append(str(info.value))
+    assert messages == [
+        "spectrum classification needs delta > 0; the zero eigenvalue is "
+        "degenerate for perfectly correlated baths"
+    ] * 2
+    assert gen.spectrum.labels is None
+    with pytest.raises(DegenerateSpectrumError):
+        gen.spectrum.slow_eigenvalue
+    assert len(eig_calls) == 2
+
+
 def test_propagate_uses_spectral_when_possible(reference_generator, reference_spectrum):
     times = np.array([0.0, 2.0, 7.0])
     via_propagate = propagate(reference_generator, maximally_mixed(), times)
