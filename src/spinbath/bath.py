@@ -19,6 +19,7 @@ The spatial correlation function ``f`` depends on the bath dimension:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -419,33 +420,56 @@ _QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
 _PV_REL_TOL = 1e-6
 
 
-def _principal_value(name: str, numerator, pole: float, upper: float) -> float:
-    """``PV int_0^upper numerator(w) / (w - pole) dw`` in one QUADPACK call.
+def _principal_value(
+    name: str, numerator, pole: float, upper: float, nodes: tuple = ()
+) -> float:
+    """``PV int_0^upper numerator(w) / (w - pole) dw`` by pole subtraction.
 
-    A pole inside (0, upper) goes to QAWC, ``quad``'s Cauchy weight
-    (Piessens et al., *QUADPACK*, 1983), which integrates the weight
-    ``1 / (w - pole)`` in the principal-value sense; a pole outside leaves
-    an ordinary integrand for plain ``quad``.  The value is returned only
-    when QUADPACK reports success and its own error estimate is within
+    A pole inside (0, upper) is removed exactly: with ``g = numerator``,
+
+        PV int_0^U g(w) / (w - p) dw
+            = int_0^U (g(w) - g(p)) / (w - p) dw + g(p) ln((U - p) / p),
+
+    and the remaining integrand is regular at ``p``, so plain ``quad``
+    (QUADPACK's QAGP) integrates it with ``p`` as a breakpoint.  A pole
+    outside leaves an ordinary integrand.  ``nodes`` are further
+    breakpoints, the kinks of a tabulated ``J``; ``limit`` grows with
+    their number so that QUADPACK always has subdivisions left to spend.
+    A pole below the smallest normal float is refused: the integrand's
+    products underflow there, and an all-zero integrand would pass as a
+    converged zero.  The value is returned only when QUADPACK reports
+    success and its own error estimate is within
     ``_PV_REL_TOL * |value| + 1e-13``.  Otherwise
     :class:`NumericalFailureError` names the coefficient, the estimate, the
     error estimate, the tolerance and QUADPACK's message.
     """
     from scipy import integrate
 
+    if 0.0 < pole < sys.float_info.min:
+        raise NumericalFailureError(
+            f"principal value {name} did not converge: the pole {pole!r} is "
+            "subnormal, where the integrand underflows"
+        )
     if 0.0 < pole < upper:
-        result = integrate.quad(
-            numerator, 0.0, upper, weight="cauchy", wvar=pole, full_output=1, **_QUAD_OPTS
-        )
+        residue = numerator(pole)
+        singular = residue * math.log((upper - pole) / pole)
+        nodes = (*nodes, pole)
+
+        def integrand(omega: float) -> float:
+            return (numerator(omega) - residue) / (omega - pole)
     else:
-        result = integrate.quad(
-            lambda omega: numerator(omega) / (omega - pole), 0.0, upper,
-            full_output=1, **_QUAD_OPTS,
-        )
-    value, abserr = result[0], result[1]
+        singular = 0.0
+
+        def integrand(omega: float) -> float:
+            return numerator(omega) / (omega - pole)
+
+    points = sorted({w for w in nodes if 0.0 < w < upper})
+    opts = dict(_QUAD_OPTS, limit=_QUAD_OPTS["limit"] + len(points))
+    result = integrate.quad(integrand, 0.0, upper, points=points or None, full_output=1, **opts)
+    value, abserr = result[0] + singular, result[1]
     # quad appends a message only when QUADPACK's ier is non-zero
     message = result[3] if len(result) > 3 else None
-    if message is not None or abserr > _PV_REL_TOL * abs(value) + 1e-13:
+    if message is not None or not abserr <= _PV_REL_TOL * abs(value) + 1e-13:
         reason = " ".join((message or "error estimate above tolerance").split())
         raise NumericalFailureError(
             f"principal value {name} did not converge: estimate {value!r}, "
@@ -469,8 +493,12 @@ def lamb_shift_coefficients(
         B =   PV int_0^inf J(w) f(kappa(w) d)   w   / (Delta^2 - w^2) dw
 
     ``A`` is independent of the qubit separation by construction.  Each is
-    one QUADPACK principal value over the support of ``J`` (see
-    :func:`_principal_value`).  QUADPACK's own error estimate of each
+    one principal value over the support of ``J``, by pole subtraction and
+    plain QUADPACK quadrature that breaks at the pole and at the interior
+    nodes of a tabulated ``J`` (see :func:`_principal_value`).  Neither
+    integrand multiplies two frequencies, so the coefficients scale with
+    the splitting down to the smallest normal float; a subnormal splitting
+    is refused.  QUADPACK's own error estimate of each
     coefficient must stay within 1e-6 of its value (plus 1e-13 absolute).
     A spectral density without sufficient falloff makes these integrals
     ill-defined; non-convergence, or an error estimate above that
@@ -489,19 +517,22 @@ def lamb_shift_coefficients(
     kappa, separation = geometry._kappa(), geometry.separation
 
     # 1 / (Delta^2 - w^2) = -1 / ((w - Delta) (Delta + w)): each numerator
-    # carries -1 / (Delta + w) and the Cauchy weight supplies 1 / (w - Delta)
+    # carries -1 / (Delta + w), and _principal_value divides by w - Delta.
+    # The ratios Delta / (Delta + w) and w / (Delta + w) are formed first,
+    # so that no product of two small frequencies underflows.
     def numerator_a(omega: float) -> float:
         omega = max(omega, floor)
-        num = 2.0 * density(omega) * coth(omega) * delta_freq
-        return -num / (delta_freq + omega)
+        return -2.0 * density(omega) * coth(omega) * (delta_freq / (delta_freq + omega))
 
     def numerator_b(omega: float) -> float:
         omega = max(omega, floor)
         # a custom dispersion's infinite kappa makes the profile NaN, and
         # the NaN makes QUADPACK fail and the failure name B
-        num = density(omega) * profile(float(kappa(omega)) * separation) * omega
-        return -num / (delta_freq + omega)
+        profile_value = profile(float(kappa(omega)) * separation)
+        return -density(omega) * profile_value * (omega / (delta_freq + omega))
 
-    coeff_a = _principal_value("A", numerator_a, delta_freq, upper)
-    coeff_b = _principal_value("B", numerator_b, delta_freq, upper)
+    # a tabulated J has a kink at every interior node
+    nodes = tuple(spectral.table[1:-1, 0].tolist()) if spectral.form == TABULATED else ()
+    coeff_a = _principal_value("A", numerator_a, delta_freq, upper, nodes)
+    coeff_b = _principal_value("B", numerator_b, delta_freq, upper, nodes)
     return coeff_a, coeff_b

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
@@ -38,7 +39,7 @@ from .bath import (
     lamb_shift_coefficients,
 )
 from .dynamics import analytic_concurrence, generation_condition, survival_time
-from .errors import NumericalFailureError
+from .errors import InvalidRatesError, NumericalFailureError
 from .liouvillian import ModelParams, first_order_slow_rate
 
 __all__ = [
@@ -210,6 +211,13 @@ def plan(
             raise NumericalFailureError(
                 f"spectral density at the splitting {splitting!r} underflows to 0.0"
             )
+        if deficit > 2.0:
+            # only the quadratic estimate can leave [0, 2]; 1 - f cannot
+            raise InvalidRatesError(
+                f"the small-separation deficit estimate (kappa d)^2 / (2 D) = {deficit!r} "
+                "lies outside [0, 2]: the qubits are too far apart for it; "
+                "set exact_delta=true to use the full correlation profile"
+            )
         rates = build_rates(spectral, thermal, geometry, splitting, approx_delta=not exact_delta)
         if lamb_shift:
             lamb_a, lamb_b = lamb_shift_coefficients(spectral, thermal, geometry, splitting)
@@ -282,7 +290,12 @@ def temperature_requirement(config: TrapConfig) -> float:
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"target ratio must lie in (0, 1), got {ratio}")
     splitting = config.rabi_ratio * config.trap_frequency
-    return _HBAR * splitting / (2.0 * _K_B * math.atanh(ratio))
+    energy = _HBAR * splitting
+    if energy < sys.float_info.min:
+        # hbar * Delta underflowed to zero or lost digits; hbar / k_B first
+        # keeps them.  Elsewhere the product order stays, bit for bit.
+        return (_HBAR / _K_B) * splitting / (2.0 * math.atanh(ratio))
+    return energy / (2.0 * _K_B * math.atanh(ratio))
 
 
 def _json_safe(value):

@@ -407,6 +407,23 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
     )
 
 
+#: the deficits other than 0 whose spectra are exactly degenerate, and
+#: what they mean; labelling refuses within ~3e-10 of each
+_DEGENERATE_DEFICITS = (
+    (1.0, "independent baths"),
+    (2.0, "perfectly anti-correlated baths, the common bath's dual under delta -> 2 - delta"),
+)
+
+
+def _deficit_note(delta: float) -> str:
+    """`` at delta = ...``, with the meaning of a degenerate deficit within
+    1e-6 of it."""
+    for special, meaning in _DEGENERATE_DEFICITS:
+        if abs(delta - special) <= 1e-6:
+            return f" at delta = {delta!r} ({meaning})"
+    return f" at delta = {delta!r}"
+
+
 def _label_order(rates: RateSet, values: np.ndarray) -> list:
     """Mode order thermal, slow, oscillatory pair, fast, as indices into
     the eigenvalues ``values`` returned by ``eig``.
@@ -431,7 +448,8 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
     zero_modes = [k for k, v in enumerate(vals) if abs(v) < tol]
     if len(zero_modes) != 1:
         raise DegenerateSpectrumError(
-            f"expected exactly one zero mode, found {len(zero_modes)}",
+            f"expected exactly one zero mode, found {len(zero_modes)}"
+            + _deficit_note(rates.delta),
             candidates=values[zero_modes],
         )
     thermal = zero_modes[0]
@@ -447,7 +465,7 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
         gap = abs(abs(vals[real_modes[1]].real) - abs(vals[slow].real))
         if gap < 1e-10 * gamma0:
             raise DegenerateSpectrumError(
-                "two slow-mode candidates are degenerate",
+                "two slow-mode candidates are degenerate" + _deficit_note(rates.delta),
                 candidates=(values[slow], values[real_modes[1]]),
             )
 
@@ -461,7 +479,7 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
         gap = abs(vals[upper[0]].real - vals[upper[1]].real)
         if gap < 1e-10 * gamma0:
             raise DegenerateSpectrumError(
-                "two oscillatory-pair candidates are degenerate",
+                "two oscillatory-pair candidates are degenerate" + _deficit_note(rates.delta),
                 candidates=(values[upper[0]], values[upper[1]]),
             )
     osc = upper[0]

@@ -13,8 +13,11 @@ route than the package under test:
   sqrt(rho) rho~ sqrt(rho), with both square roots taken from Hermitian
   eigendecompositions (eigh), instead of the eigenvalues of the
   non-Hermitian product rho rho~;
-* principal-value integrals use pole folding (an exactly regular
-  integrand), instead of QUADPACK's Cauchy weight (QAWC);
+* principal-value integrals fold the range about the pole, pairing
+  g(p + u) with g(p - u) (an exactly regular integrand), instead of the
+  package's pole subtraction, (g(w) - g(p)) / (w - p) plus
+  g(p) ln((U - p) / p); both break at the nodes of a tabulated J, where
+  it has kinks;
 * their integrands take J, kappa and coth(w/2T) from the bath dataclasses'
   fields through numpy, with coth(w/2T) = (1 + q)/(1 - q) and
   q = e^{-w/T} = (N/(N+1))^{w/Delta} from the occupation alone, instead of
@@ -178,7 +181,7 @@ def trace_distance(rho_a, rho_b):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def principal_value_folded(numerator, pole, upper, epsabs=1e-13):
+def principal_value_folded(numerator, pole, upper, epsabs=1e-13, kinks=()):
     """PV integral of numerator(w) / (pole - w) over (0, upper).
 
     The pole is removed exactly by folding the integration range about it:
@@ -187,35 +190,38 @@ def principal_value_folded(numerator, pole, upper, epsabs=1e-13):
 
     leaving a regular integrand (limit -2 g'(p) as u -> 0), plus ordinary
     quadrature over whatever part of (0, upper) the fold does not cover.
+    ``kinks`` are frequencies where the numerator is not smooth; each
+    piece breaks there, at ``|w - p|`` on the folded one.
     """
-    if upper <= pole:
+    kinks = np.asarray(kinks, dtype=float)
+
+    def plain(low, high):
+        inside = kinks[(kinks > low) & (kinks < high)]
         value, _ = integrate.quad(
-            lambda w: numerator(w) / (pole - w), 0.0, upper,
-            limit=400, epsabs=epsabs, epsrel=1e-11,
+            lambda w: numerator(w) / (pole - w), low, high,
+            points=inside if inside.size else None,
+            limit=400 + inside.size, epsabs=epsabs, epsrel=1e-11,
         )
         return value
+
+    if upper <= pole:
+        return plain(0.0, upper)
 
     half = min(pole, upper - pole)
 
     def folded(u):
         return (numerator(pole - u) - numerator(pole + u)) / u
 
-    value, _ = integrate.quad(folded, 0.0, half, limit=400,
-                              epsabs=epsabs, epsrel=1e-11)
+    offsets = np.unique(np.abs(kinks - pole))
+    offsets = offsets[(offsets > 0.0) & (offsets < half)]
+    value, _ = integrate.quad(folded, 0.0, half, points=offsets if offsets.size else None,
+                              limit=400 + offsets.size, epsabs=epsabs, epsrel=1e-11)
     if upper - pole > pole:
         # fold covered (0, 2*pole); plain quadrature for the far tail
-        tail, _ = integrate.quad(
-            lambda w: numerator(w) / (pole - w), 2.0 * pole, upper,
-            limit=400, epsabs=epsabs, epsrel=1e-11,
-        )
-        value += tail
+        value += plain(2.0 * pole, upper)
     elif pole > upper - pole:
         # fold covered (2*pole - upper, upper); plain quadrature near zero
-        head, _ = integrate.quad(
-            lambda w: numerator(w) / (pole - w), 0.0, 2.0 * pole - upper,
-            limit=400, epsabs=epsabs, epsrel=1e-11,
-        )
-        value += head
+        value += plain(0.0, 2.0 * pole - upper)
     return value
 
 
@@ -273,6 +279,7 @@ def lamb_coefficients_folded(spectral, thermal, geometry, delta_freq):
         f_val = spatial_correlation_scipy(x, geometry.dimension)
         return spectral_density_numpy(spectral, omega) * f_val * omega / (delta_freq + omega)
 
-    coeff_a = principal_value_folded(num_a, delta_freq, upper)
-    coeff_b = principal_value_folded(num_b, delta_freq, upper)
+    kinks = spectral.table[:, 0] if spectral.form == "tabulated" else ()
+    coeff_a = principal_value_folded(num_a, delta_freq, upper, kinks=kinks)
+    coeff_b = principal_value_folded(num_b, delta_freq, upper, kinks=kinks)
     return coeff_a, coeff_b

@@ -381,7 +381,8 @@ class TestLambShiftCoefficients:
         for coupling g and c > D.  The same formula gives the exact
         B = -0.0084341570784 for the oscillatory case of
         ``test_oscillatory_case_fails_loudly`` (d = 25, v = 1, c = 250,
-        D = 1), which the Cauchy-weight route cannot yet reach.
+        D = 1), which plain quadrature of the pole-subtracted integrand
+        cannot yet reach.
         """
         k = separation / velocity
         si_minus, ci_minus = special.sici(k * (cutoff - delta_freq))
@@ -400,9 +401,10 @@ class TestLambShiftCoefficients:
     def test_oscillatory_case_fails_loudly(self):
         """1D, hard cutoff 250, separation 25, Delta 1, N 0.25.
 
-        cos(25 w) over (0, 250) exhausts QUADPACK's 400 subdivisions; the
-        estimate of B is then far from the exact -0.0084341570784, so the
-        call must raise instead of returning a number.
+        After pole subtraction, cos(25 w) over (0, 250) still exhausts
+        QUADPACK's 400 subdivisions; the estimate of B is then far from the
+        exact -0.0084341570784, so the call must raise instead of returning
+        a number.
         """
         density = SpectralDensity.ohmic(0.1, 250.0, HARD_CUTOFF)
         geom = BathGeometry(separation=25.0, dimension=1, velocity=1.0)
@@ -475,6 +477,80 @@ class TestLambShiftCoefficients:
             )
             assert result.params.lamb_a == pytest.approx(fold[0], rel=1e-8, abs=1e-12)
             assert result.params.lamb_b == pytest.approx(fold[1], rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("nodes", [8, 10, 15, 30])
+    def test_tabulated_density_matches_fold_oracle(self, nodes):
+        """J = 0.05 w e^(-w/2) sampled on a uniform table: every node is a
+        kink, and each one is a breakpoint of the quadrature."""
+        omega = np.linspace(0.0, 6.0, nodes)
+        density = SpectralDensity.from_table(omega, 0.05 * omega * np.exp(-omega / 2.0))
+        th = BathThermal(0.3)
+        geom = BathGeometry(separation=0.7, dimension=2, velocity=2.0)
+        prod = lamb_shift_coefficients(density, th, geom, 1.2)
+        fold = oracles.lamb_coefficients_folded(density, th, geom, 1.2)
+        assert prod[0] == pytest.approx(fold[0], rel=1e-8, abs=1e-12)
+        assert prod[1] == pytest.approx(fold[1], rel=1e-8, abs=1e-12)
+
+    def test_dense_table_never_runs_out_of_subdivisions(self):
+        """400 interior nodes, each a breakpoint: QUADPACK's subdivision
+        limit grows with them, so the call returns a value or raises the
+        typed error, never quad's bare breakpoint-limit ValueError."""
+        omega = np.linspace(0.0, 6.0, 402)
+        density = SpectralDensity.from_table(omega, 0.05 * omega * np.exp(-omega / 2.0))
+        geom = BathGeometry(separation=0.7, dimension=2, velocity=2.0)
+        th = BathThermal(0.3)
+        try:
+            prod = lamb_shift_coefficients(density, th, geom, 1.2)
+        except NumericalFailureError:
+            return
+        fold = oracles.lamb_coefficients_folded(density, th, geom, 1.2)
+        assert prod == pytest.approx(fold, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_reference_trap_integrand_calls(self, monkeypatch, dimension):
+        """Both principal values at the reference trap config take at most
+        200 integrand calls together.  QUADPACK's Cauchy weight (QAWC)
+        took 490 to 530 there.
+
+        Each integrand call evaluates J once, so J's calls are counted.
+        """
+        result = iontrap.plan(iontrap.TrapConfig(bath_dimension=dimension), lamb_shift=False)
+        calls = []
+        scalar = SpectralDensity._scalar
+
+        def counting(self):
+            density = scalar(self)
+
+            def counted(omega):
+                calls.append(omega)
+                return density(omega)
+
+            return counted
+
+        monkeypatch.setattr(SpectralDensity, "_scalar", counting)
+        lamb_shift_coefficients(
+            result.spectral, result.thermal, result.geometry, iontrap.default_config().rabi_ratio
+        )
+        assert 0 < len(calls) <= 200
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-200, 1e-300])
+    def test_tiny_splittings_scale_exactly(self, scale):
+        """With J = (g/2) w cut at 10 Delta and kappa = w / Delta, A and B
+        are proportional to Delta.  The integrands never multiply two
+        frequencies, so nothing underflows down to the smallest normal
+        splitting; at a subnormal one the coefficients are refused."""
+
+        def coefficients(delta_freq):
+            density = SpectralDensity.ohmic(0.1, 10.0 * delta_freq, HARD_CUTOFF)
+            geom = BathGeometry(separation=0.5, dimension=3, velocity=delta_freq)
+            return lamb_shift_coefficients(density, BathThermal(0.3), geom, delta_freq)
+
+        unit = coefficients(1.0)
+        scaled = coefficients(scale)
+        assert scaled[0] / scale == pytest.approx(unit[0], rel=1e-12)
+        assert scaled[1] / scale == pytest.approx(unit[1], rel=1e-12)
+        with pytest.raises(NumericalFailureError, match="principal value A did not converge"):
+            coefficients(1e-310)
 
     def test_tiny_occupation_stays_finite(self):
         """T = Delta / 50: N = 1.9e-22, and R = 1/(1 + 2N) rounds to 1.

@@ -87,6 +87,36 @@ def test_degenerate_spectrum_is_numerical_failure(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize(
+    "scenario, delta, reason",
+    [
+        pytest.param(
+            "spectrum", "1",
+            "two slow-mode candidates are degenerate at delta = 1.0 (independent baths)",
+            id="1",
+        ),
+        pytest.param(
+            "fig2-trajectories", "0.9999999999",
+            "two oscillatory-pair candidates are degenerate at delta = 0.9999999999 "
+            "(independent baths)",
+            id="1-1e-10",
+        ),
+        pytest.param(
+            "spectrum", "2",
+            "expected exactly one zero mode, found 2 at delta = 2.0 (perfectly "
+            "anti-correlated baths, the common bath's dual under delta -> 2 - delta)",
+            id="2",
+        ),
+    ],
+)
+def test_degenerate_deficits_are_named(capsys, scenario, delta, reason):
+    """Independent baths (delta = 1) and the anti-correlated dual of the
+    common bath (delta = 2) double a mode; the refusal names the deficit."""
+    code, out, err = invoke(capsys, "--scenario", scenario, "--set", f"delta={delta}")
+    assert (code, out) == (3, "")
+    assert err == f"numerical failure: {reason}\n"
+
+
 @pytest.mark.parametrize("override", ["lamb_b=1.7e308", "lamb_a=-1e308", "exchange_xi=1e308"])
 def test_overflowing_generator_is_numerical_failure(capsys, override):
     with warnings.catch_warnings(record=True) as caught:
@@ -556,6 +586,37 @@ def test_iontrap_invalid_config_is_usage_error(capsys):
     assert "ion_count" in err
 
 
+def test_iontrap_quadratic_deficit_out_of_range_is_named(capsys):
+    """30 spacings put (kappa d)^2 / (2 D) at 28.125: the estimate, not the
+    config, leaves [0, 2], and the full profile still plans it."""
+    code, out, err = invoke(capsys, "--scenario", "iontrap", "--set", "addressed_spacing=30")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the small-separation deficit estimate (kappa d)^2 / (2 D) = 28.125 "
+        "lies outside [0, 2]: the qubits are too far apart for it; "
+        "set exact_delta=true to use the full correlation profile\n"
+    )
+    code, _, err = invoke(
+        capsys, "--scenario", "iontrap", "--set", "addressed_spacing=30",
+        "--set", "exact_delta=true",
+    )
+    assert (code, err) == (0, "")
+
+
+def test_iontrap_tiny_splitting_keeps_its_temperature(capsys):
+    """hbar * Delta underflows at rabi_ratio 1e-300, but the temperature
+    h f / (2 k_B artanh R), about 4.4e-305 K, is a normal float."""
+    code, out, err = invoke(
+        capsys, "--scenario", "iontrap", "--format", "json", "--set", "rabi_ratio=1e-300"
+    )
+    assert (code, err) == (0, "")
+    kelvin = json.loads(out)["bath_temperature_kelvin"]
+    # h / k_B times f = 1e-300 * 1 MHz, over 2 artanh(0.5)
+    expected = 6.62607015e-34 / 1.380649e-23 * 1e-294 / (2.0 * math.atanh(0.5))
+    assert kelvin == pytest.approx(expected, rel=1e-12)
+    assert kelvin == pytest.approx(4.37e-305, rel=1e-3)
+
+
 def test_iontrap_underflowing_slow_window_is_infinite(capsys):
     """deficit * gamma0 underflows to zero; the window is then infinite."""
     code, out, err = invoke(
@@ -580,8 +641,9 @@ def test_iontrap_underflowing_slow_window_is_infinite(capsys):
     ],
 )
 def test_iontrap_subnormal_splitting_is_numerical_failure(capsys, rabi_ratio, reason):
-    """The Lamb integrand's coth meets its pole, and QUADPACK fails by name;
-    or, below that, J(Delta) itself underflows to zero."""
+    """The Lamb integrand underflows at a subnormal pole, and the principal
+    value is refused by name; or, below that, J(Delta) itself underflows to
+    zero."""
     code, out, err = invoke(capsys, "--scenario", "iontrap", "--set", f"rabi_ratio={rabi_ratio}")
     assert (code, out) == (3, "")
     assert err.startswith(f"numerical failure: {reason}")

@@ -187,7 +187,8 @@ class TestPlan:
 
     @pytest.mark.parametrize("rabi_ratio", [1e-310, 1e-320])
     def test_subnormal_splitting_fails_by_name(self, rabi_ratio):
-        """Lamb nodes reach coth's pole; the quadrature fails with a typed error."""
+        """A subnormal pole underflows the Lamb integrand; the principal
+        value is refused with a typed error."""
         config = TrapConfig(rabi_ratio=rabi_ratio)
         with pytest.raises(NumericalFailureError, match="principal value A"):
             plan(config)
@@ -218,6 +219,27 @@ def test_temperature_requirement():
     # colder target ratio needs a colder bath
     colder = temperature_requirement(TrapConfig(target_ratio=0.9))
     assert colder < kelvin
+
+
+def test_temperature_keeps_its_product_order_where_it_is_exact():
+    """hbar * Delta is formed first wherever it is a normal float, so the
+    temperatures keep their last bits; the reordered form is only for
+    splittings where that product underflows."""
+    hbar, k_b = 6.62607015e-34 / (2 * math.pi), 1.380649e-23
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        config = TrapConfig(
+            trap_frequency=float(10.0 ** rng.uniform(3.0, 9.0)),
+            rabi_ratio=float(10.0 ** rng.uniform(-260.0, 1.0)),
+            target_ratio=float(rng.uniform(0.01, 0.99)),
+        )
+        splitting = config.rabi_ratio * config.trap_frequency
+        expected = hbar * splitting / (2.0 * k_b * math.atanh(config.target_ratio))
+        assert temperature_requirement(config) == expected
+    tiny = TrapConfig(rabi_ratio=1e-300)
+    assert temperature_requirement(tiny) == pytest.approx(
+        1e-300 * temperature_requirement(TrapConfig(rabi_ratio=1.0)), rel=1e-12
+    )
 
 
 class TestReports:
