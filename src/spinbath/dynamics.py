@@ -85,6 +85,13 @@ _TRAJECTORY_DUST_TOL = 1e-7
 #: it is ~7 / delta for deficits from 5e-8 to 1e-5, and from 7e6 up (delta
 #: <= 1e-6) the mode sum drifts from the matrix exponential by 3e-10 to 3e-9.
 _MODE_SUM_MAX_COND = 1e6
+#: samples per round of the numeric survival check on each side of the peak
+#: bracket's best point and in the root bracket, so that each round shrinks
+#: both brackets about fivefold
+_SIDE_POINTS = 4
+#: the float spacing near t is below 4 eps t, so a root bracket can always
+#: shrink to ``xtol + 4 eps t``
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +387,11 @@ class SurvivalReport:
 
     ``t_c`` is the closed-form envelope zero (using the numerically
     extracted slow rate); ``t_c_numeric`` the last root of the full
-    propagated concurrence, found by Brent's method and absent when the
-    numeric cross-check was skipped.  With the cross-check,
-    ``peak_concurrence`` is the maximum of the full concurrence, reached
-    at ``peak_time``; without it, the envelope at t = 0.  Divergent
-    lifetimes are ``inf``.
+    propagated concurrence, the midpoint of a sign-change bracket about
+    ``1e-6 / |lambda_1|`` wide, and absent when the numeric cross-check
+    was skipped.  With the cross-check, ``peak_concurrence`` is the
+    maximum of the full concurrence, reached at ``peak_time``; without it,
+    the envelope at t = 0.  Divergent lifetimes are ``inf``.
     """
 
     ratio: float
@@ -402,8 +409,8 @@ def _numeric_survival(
 ) -> tuple[float, float, float]:
     """Peak and final zero of the propagated concurrence.
 
-    Only the signed concurrence of the spectral mode sum is evaluated, in
-    three steps:
+    Only the signed concurrence of the spectral mode sum is evaluated, each
+    call on a batch of times, in three steps:
 
     * scan: t = 0 and 64 log-spaced samples over the transient window
       ``[1e-3, min(8, horizon)] / gamma0``, then 48 linear samples over
@@ -414,14 +421,18 @@ def _numeric_survival(
       No positive sample means no entanglement: ``(0, 0, 0)``.  The
       envelope only seeds the horizon, never the bracket, since it can
       promise entanglement that the full dynamics does not generate.
-    * refine: bounded Brent minimisation of ``-C`` between the two
-      neighbours of the best sample, to 1e-5 of that bracket, kept only
-      when it beats that sample.
-    * root: Brent's method between the last positive sample and the next,
-      to ``xtol = 1e-6 / |lambda_1|``.
-    """
-    from scipy import optimize
+    * refine: the bracket is the two neighbours of the best sample.  Each
+      round samples it evenly on either side of the best value seen, and
+      the bracket becomes the neighbours of the new best, until it is
+      within 1e-5 of its first width.
+    * root: the bracket is the last positive sample and the next.  Each
+      round samples it evenly and keeps the last sign change, until it is
+      within ``xtol + 4 eps t`` with ``xtol = 1e-6 / |lambda_1|``; the zero
+      is the bracket's midpoint.
 
+    A round samples each side of the peak bracket and the root bracket at
+    :data:`_SIDE_POINTS` points, all in one call.
+    """
     gamma0 = report.gamma0
     coeffs = mode_coefficients(report, initial)
 
@@ -429,9 +440,6 @@ def _numeric_survival(
         alphas = _spectral_alphas(report, coeffs, times)
         matrices = _alpha_rows_to_matrices(alphas)
         return _signed_concurrence(matrices, dust_tol=_TRAJECTORY_DUST_TOL)
-
-    def signed_at(t: float) -> float:
-        return float(signed(np.array([t]))[0])
 
     def stretch(start: float, stop: float) -> np.ndarray:
         return np.linspace(start, stop, 49)[1:]
@@ -455,30 +463,40 @@ def _numeric_survival(
         horizon *= 2.0
 
     k = int(np.argmax(values))
-    peak_c, peak_t = float(values[k]), float(times[k])
-    lo, hi = times[max(k - 1, 0)], times[min(k + 1, times.size - 1)]
-    refined = optimize.minimize_scalar(
-        lambda t: -signed_at(t),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-5 * (hi - lo)},
-    )
-    if -refined.fun > peak_c:
-        peak_c, peak_t = -float(refined.fun), float(refined.x)
-    peak_c = min(peak_c, 1.0)
-
+    peak = times[max(k - 1, 0)], times[k], times[min(k + 1, times.size - 1)]
+    peak_c = float(values[k])
+    peak_tol = 1e-5 * (peak[2] - peak[0])
     last = int(np.flatnonzero(values > 0.0)[-1])
-    if last == times.size - 1:
-        return peak_c, peak_t, math.inf
-    lo, hi = times[last], times[last + 1]
-    try:
-        t_zero = optimize.brentq(
-            signed_at, lo, hi, xtol=1e-6 / max(-report.slow_eigenvalue, 1e-300)
-        )
-    except ValueError:
-        # endpoint landed exactly on the root
-        t_zero = hi if signed_at(hi) == 0.0 else lo
-    return peak_c, peak_t, float(t_zero)
+    root = None if last == times.size - 1 else (times[last], times[last + 1])
+    xtol = 1e-6 / max(-report.slow_eigenvalue, 1e-300)
+    while True:
+        peak_grid = _peak_grid(*peak) if peak[2] - peak[0] > peak_tol else np.empty(0)
+        # the ends and the best point are known, and an empty side adds nothing
+        fresh = (peak_grid != peak[0]) & (peak_grid != peak[1]) & (peak_grid != peak[2])
+        root_open = root is not None and root[1] - root[0] > xtol + _ROOT_RTOL * root[1]
+        if not (peak_grid.size or root_open):
+            break
+        root_grid = np.linspace(*root, _SIDE_POINTS + 2) if root_open else np.empty(0)
+        found = signed(np.concatenate([peak_grid[fresh], root_grid[1:-1]]))
+        if peak_grid.size:
+            scores = np.full(peak_grid.size, -np.inf)
+            scores[_SIDE_POINTS + 1] = peak_c
+            scores[fresh] = found[: np.count_nonzero(fresh)]
+            j = int(np.argmax(scores))
+            peak, peak_c = tuple(peak_grid[j - 1 : j + 2]), float(scores[j])
+        if root_open:
+            entangled = np.flatnonzero(found[-_SIDE_POINTS:] > 0.0)
+            i = entangled[-1] + 1 if entangled.size else 0
+            root = root_grid[i], root_grid[i + 1]
+    t_zero = math.inf if root is None else 0.5 * (root[0] + root[1])
+    return min(peak_c, 1.0), float(peak[1]), float(t_zero)
+
+
+def _peak_grid(lo: float, best: float, hi: float) -> np.ndarray:
+    """A peak bracket sampled evenly on both sides of its best point: ``lo``,
+    :data:`_SIDE_POINTS` samples, ``best``, as many samples, ``hi``."""
+    side = _SIDE_POINTS + 2
+    return np.concatenate([np.linspace(lo, best, side)[:-1], np.linspace(best, hi, side)])
 
 
 def survival_report(

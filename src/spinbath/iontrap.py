@@ -291,11 +291,22 @@ def temperature_requirement(config: TrapConfig) -> float:
         raise ValueError(f"target ratio must lie in (0, 1), got {ratio}")
     splitting = config.rabi_ratio * config.trap_frequency
     energy = _HBAR * splitting
+    denominator = 2.0 * _K_B * math.atanh(ratio)
+    # Where hbar * Delta or 2 k_B artanh(R) is zero or subnormal, dividing by
+    # k_B first keeps the digits.  Elsewhere the product order stays, bit for
+    # bit.
     if energy < sys.float_info.min:
-        # hbar * Delta underflowed to zero or lost digits; hbar / k_B first
-        # keeps them.  Elsewhere the product order stays, bit for bit.
-        return (_HBAR / _K_B) * splitting / (2.0 * math.atanh(ratio))
-    return energy / (2.0 * _K_B * math.atanh(ratio))
+        kelvin = (_HBAR / _K_B) * splitting / (2.0 * math.atanh(ratio))
+    elif denominator < sys.float_info.min:
+        kelvin = energy / _K_B / (2.0 * math.atanh(ratio))
+    else:
+        kelvin = energy / denominator
+    if kelvin == math.inf:
+        raise ValueError(
+            f"bath temperature overflows at splitting {splitting!r} rad/s and "
+            f"target ratio {ratio!r}"
+        )
+    return kelvin
 
 
 def _json_safe(value):

@@ -289,20 +289,29 @@ def test_import_loads_no_scipy():
 
 def test_scipy_free_runs_load_no_scipy():
     """The figure, spectrum and sweep scenarios at their defaults, the trap
-    planner without Lamb shifts, and the common-bath propagation (deficit 0,
-    R = 0.9) reach no scipy call site."""
+    planner without Lamb shifts, the common-bath propagation (deficit 0,
+    R = 0.9) and the numeric survival check, both at the lifetime reference
+    point (deficit 0.05, R = 0.9, splitting 10, Lambda = -1) and for a state
+    that never becomes entangled (maximally mixed, R = 0.7, deficit 0.05),
+    reach no scipy call site."""
     script = """
 import contextlib, io, sys
 from spinbath import (BathThermal, ModelParams, RateSet, build_generator,
-                      default_time_grid, propagate, state_for_correlation)
+                      default_time_grid, maximally_mixed, propagate,
+                      state_for_correlation, survival_report)
 from spinbath.cli import main
 for argv in (["fig1-surface"], ["fig2-trajectories"], ["fig2-inset"], ["spectrum"],
              ["sweep"], ["iontrap", "--set", "lamb_shift=false", "--format", "json"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--scenario", *argv]) == 0, argv
-rates = RateSet.from_parameters(1.0, BathThermal.from_ratio(0.9), 0.0)
-propagate(build_generator(ModelParams(10.0), rates), state_for_correlation(-1.0),
-          default_time_grid(1.0, 10.0, 400))
+def generator(ratio, deficit):
+    rates = RateSet.from_parameters(1.0, BathThermal.from_ratio(ratio), deficit)
+    return build_generator(ModelParams(10.0), rates)
+propagate(generator(0.9, 0.0), state_for_correlation(-1.0), default_time_grid(1.0, 10.0, 400))
+report = survival_report(generator(0.9, 0.05), state_for_correlation(-1.0), numeric=True)
+assert 0.0 < report.t_c_numeric < float("inf"), report
+report = survival_report(generator(0.7, 0.05), maximally_mixed(), numeric=True)
+assert report.t_c_numeric == 0.0, report
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
     proc = _launch(sys.executable, "-c", script)
@@ -615,6 +624,23 @@ def test_iontrap_tiny_splitting_keeps_its_temperature(capsys):
     expected = 6.62607015e-34 / 1.380649e-23 * 1e-294 / (2.0 * math.atanh(0.5))
     assert kelvin == pytest.approx(expected, rel=1e-12)
     assert kelvin == pytest.approx(4.37e-305, rel=1e-3)
+
+
+def test_iontrap_tiny_target_ratio_keeps_its_temperature(capsys):
+    """2 k_B artanh R is subnormal at target_ratio 1e-300, but the
+    temperature hbar Delta / (2 k_B artanh R), about 6.0e+296 K, is a
+    normal float."""
+    code, out, err = invoke(
+        capsys, "--scenario", "iontrap", "--format", "json",
+        "--set", "target_ratio=1e-300", "--set", "lamb_shift=false",
+    )
+    assert (code, err) == (0, "")
+    kelvin = json.loads(out)["bath_temperature_kelvin"]
+    config = default_config()
+    splitting = config.rabi_ratio * config.trap_frequency
+    expected = 6.62607015e-34 / (2 * math.pi) * splitting / 1.380649e-23 / 2e-300
+    assert kelvin == pytest.approx(expected, rel=1e-12)
+    assert kelvin == pytest.approx(5.99905e296, rel=1e-5)
 
 
 def test_iontrap_underflowing_slow_window_is_infinite(capsys):

@@ -639,8 +639,8 @@ def test_survival_peak_is_the_dense_maximum(state, dressing):
 @pytest.mark.parametrize("state", sorted(SURVIVAL_STATES))
 def test_survival_time_is_an_oracle_sign_change(state, dressing):
     """The oracle concurrence vanishes just after t_c_numeric, and is
-    positive just before it, within brentq's guarantee xtol + 4 eps t with
-    the search's xtol = 1e-6 / |lambda_1|."""
+    positive just before it, within the root bracket's guarantee
+    xtol + 4 eps t with the search's xtol = 1e-6 / |lambda_1|."""
     roots = 0
     for gen, initial, matrix in _survival_cases(state, dressing, count=4):
         rep = survival_report(gen, initial)
@@ -656,6 +656,29 @@ def test_survival_time_is_an_oracle_sign_change(state, dressing):
         if t_zero - margin > rep.peak_time:
             assert before > 0.0
     assert roots > 0
+
+
+#: signed-concurrence calls one survival report may make at the reference
+#: point, where it makes 9: the scan, then 8 rounds that sample both
+#: brackets at once (scalar Brent searches, one sample a call, make 15)
+SURVIVAL_CALL_BOUND = 10
+
+
+def test_survival_search_is_batched(monkeypatch):
+    """Every signed-concurrence call of the numeric survival check takes a
+    batch of samples, and one report makes few calls."""
+    stacks = []
+    original = dynamics._signed_concurrence
+
+    def counting(matrices, *args, **kwargs):
+        stacks.append(len(matrices))
+        return original(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_signed_concurrence", counting)
+    rep = survival_report(make_generator(0.05, 0.9), z_up_down())
+    assert 0.0 < rep.t_c_numeric < math.inf
+    assert min(stacks) > 1, stacks
+    assert len(stacks) <= SURVIVAL_CALL_BOUND, stacks
 
 
 def test_exponential_tail_slope():

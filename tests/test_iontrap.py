@@ -242,6 +242,19 @@ def test_temperature_keeps_its_product_order_where_it_is_exact():
     )
 
 
+def test_temperature_at_a_subnormal_target_ratio():
+    """2 k_B artanh R is subnormal at R = 1e-310; the temperature
+    hbar Delta / (2 k_B artanh R) is still a normal float, and one that
+    overflows is refused by name."""
+    config = TrapConfig(target_ratio=1e-310)
+    hbar, k_b = 6.62607015e-34 / (2 * math.pi), 1.380649e-23
+    splitting = config.rabi_ratio * config.trap_frequency
+    expected = hbar * splitting / k_b / 2.0 / 1e-310
+    assert temperature_requirement(config) == pytest.approx(expected, rel=1e-9)
+    with pytest.raises(ValueError, match="bath temperature overflows"):
+        temperature_requirement(TrapConfig(target_ratio=1e-320))
+
+
 class TestReports:
     def test_json_payload(self):
         result = plan(default_config())

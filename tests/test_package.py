@@ -1,4 +1,8 @@
-"""The package namespace: each public name is listed once, in its module."""
+"""The package namespace: each public name is listed once, in its module,
+and scipy is imported only where it is called."""
+
+import ast
+from pathlib import Path
 
 import spinbath
 from spinbath import bath, dynamics, errors, iontrap, liouvillian, states
@@ -16,3 +20,42 @@ def test_package_exports_each_module_list_once():
         for name in module.__all__:
             assert getattr(spinbath, name) is getattr(module, name), name
     assert isinstance(spinbath.__version__, str)
+
+
+#: the functions that import scipy, as ``module.function``; each site costs a
+#: fresh process the import of its scipy submodule, so adding one is a
+#: deliberate change to this list
+SCIPY_SITES = {"bath._j0_profile", "bath._principal_value", "dynamics.propagate_ode"}
+
+
+def _scipy_import_sites(path: Path) -> list:
+    """``module.function`` of each scipy import in a source file; an import
+    at module scope gives ``module`` alone."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module or ""]
+            else:
+                modules = []
+            if any(module.partition(".")[0] == "scipy" for module in modules):
+                sites.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    return sites
+
+
+def test_scipy_is_imported_only_at_its_call_sites():
+    """No module imports scipy at module scope, and only the quadrature, the
+    2D correlation profile and expm stepping import it at all."""
+    sources = sorted(Path(spinbath.__file__).parent.glob("*.py"))
+    assert len(sources) == len(_MODULES) + 2  # the modules, __init__ and cli
+    sites = [site for path in sources for site in _scipy_import_sites(path)]
+    assert sorted(sites) == sorted(SCIPY_SITES)
