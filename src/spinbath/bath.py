@@ -414,10 +414,13 @@ def build_rates(
 # Lamb-shift coefficients (principal-value integrals)
 # ---------------------------------------------------------------------------
 
-_QUAD_OPTS = dict(limit=400, epsabs=1e-13, epsrel=1e-11)
-#: largest accepted QUADPACK error estimate, relative to the value (plus
-#: 1e-13 absolute), for a Lamb-shift coefficient
+_QUAD_OPTS = dict(limit=400, epsrel=1e-11)
+#: largest accepted QUADPACK error estimate, relative to the value, for a
+#: Lamb-shift coefficient
 _PV_REL_TOL = 1e-6
+#: QUADPACK's absolute tolerance and the gate's absolute floor, in units of
+#: the numerator's magnitude (see :func:`_principal_value`)
+_PV_ABS_TOL = 1e-13
 
 
 def _principal_value(
@@ -439,7 +442,15 @@ def _principal_value(
     products underflow there, and an all-zero integrand would pass as a
     converged zero.  The value is returned only when QUADPACK reports
     success and its own error estimate is within
-    ``_PV_REL_TOL * |value| + 1e-13``.  Otherwise
+    ``_PV_REL_TOL * |value| + _PV_ABS_TOL * scale``, where ``scale`` is
+    the largest ``|g|`` at the pole and at ``U``, ``U / 4``, ``U / 16`` and
+    ``U / 64``.  That floor and QUADPACK's own ``epsabs`` are linear in
+    ``J``, so a coefficient of a tiny coupling is held to the same relative
+    accuracy as one of a large coupling.  The samples away from the pole
+    keep ``scale`` at the integrand's size where ``g(p)`` is small (the
+    pole outside the support, a near zero of the profile, or ``J`` far
+    below its peak), since an ``epsabs`` far below the integrand's
+    round-off makes QUADPACK give up.  Otherwise
     :class:`NumericalFailureError` names the coefficient, the estimate, the
     error estimate, the tolerance and QUADPACK's message.
     """
@@ -450,8 +461,10 @@ def _principal_value(
             f"principal value {name} did not converge: the pole {pole!r} is "
             "subnormal, where the integrand underflows"
         )
+    residue = numerator(pole)
+    # U / 64 < U / 45, the peak of an exponential cutoff's J, < U / 16
+    scale = max(abs(residue), *(abs(numerator(upper * 0.25**k)) for k in range(4)))
     if 0.0 < pole < upper:
-        residue = numerator(pole)
         singular = residue * math.log((upper - pole) / pole)
         nodes = (*nodes, pole)
 
@@ -464,12 +477,13 @@ def _principal_value(
             return numerator(omega) / (omega - pole)
 
     points = sorted({w for w in nodes if 0.0 < w < upper})
-    opts = dict(_QUAD_OPTS, limit=_QUAD_OPTS["limit"] + len(points))
+    floor = _PV_ABS_TOL * scale
+    opts = dict(_QUAD_OPTS, limit=_QUAD_OPTS["limit"] + len(points), epsabs=floor)
     result = integrate.quad(integrand, 0.0, upper, points=points or None, full_output=1, **opts)
     value, abserr = result[0] + singular, result[1]
     # quad appends a message only when QUADPACK's ier is non-zero
     message = result[3] if len(result) > 3 else None
-    if message is not None or not abserr <= _PV_REL_TOL * abs(value) + 1e-13:
+    if message is not None or not abserr <= _PV_REL_TOL * abs(value) + floor:
         reason = " ".join((message or "error estimate above tolerance").split())
         raise NumericalFailureError(
             f"principal value {name} did not converge: estimate {value!r}, "
@@ -499,7 +513,9 @@ def lamb_shift_coefficients(
     integrand multiplies two frequencies, so the coefficients scale with
     the splitting down to the smallest normal float; a subnormal splitting
     is refused.  QUADPACK's own error estimate of each
-    coefficient must stay within 1e-6 of its value (plus 1e-13 absolute).
+    coefficient must stay within 1e-6 of its value, plus an absolute floor
+    of 1e-13 times the size of the integrand's numerator; the floor is
+    linear in ``J``, so the gate holds at any coupling strength.
     A spectral density without sufficient falloff makes these integrals
     ill-defined; non-convergence, or an error estimate above that
     tolerance, raises :class:`NumericalFailureError`.

@@ -414,6 +414,48 @@ class TestLambShiftCoefficients:
         ):
             lamb_shift_coefficients(density, BathThermal(0.25), geom, 1.0)
 
+    @pytest.mark.parametrize("coupling", [1e-10, 1e-20])
+    def test_oscillatory_case_fails_loudly_at_any_coupling(self, coupling):
+        """The case above scaled down in coupling: the gate's absolute floor
+        and QUADPACK's epsabs scale with J, so B still raises instead of
+        passing on a first estimate far below any fixed floor (at 1e-20 a
+        floor of 1e-13 accepts -5.1e-20 against the exact -8.4e-22)."""
+        density = SpectralDensity.ohmic(coupling, 250.0, HARD_CUTOFF)
+        geom = BathGeometry(separation=25.0, dimension=1, velocity=1.0)
+        with pytest.raises(NumericalFailureError, match=r"principal value B did not converge"):
+            lamb_shift_coefficients(density, BathThermal(0.25), geom, 1.0)
+
+    @pytest.mark.parametrize(
+        "cutoff_form, cutoff", [(EXPONENTIAL_CUTOFF, 5.0), (HARD_CUTOFF, 0.5)]
+    )
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_coefficients_are_linear_in_the_coupling(self, dimension, cutoff_form, cutoff):
+        """A and B are linear in J: at coupling 1e-20 they are 1e-19 times
+        those at 0.1, also with the pole outside a hard cutoff at 0.5."""
+        geom = BathGeometry(separation=0.7, dimension=dimension)
+        th = BathThermal(0.3)
+        strong = lamb_shift_coefficients(SpectralDensity.ohmic(0.1, cutoff, cutoff_form), th, geom, 1.0)
+        weak = lamb_shift_coefficients(SpectralDensity.ohmic(1e-20, cutoff, cutoff_form), th, geom, 1.0)
+        assert np.all(np.abs(strong) > 1e-3)
+        assert np.array(weak) * 1e19 == pytest.approx(strong, rel=1e-12)
+
+    def test_small_numerator_at_the_pole_keeps_a_reachable_tolerance(self):
+        """A 1D trap bath (84 ions, Delta = 22.94 omega_t, cutoff 10 Delta)
+        where B's numerator at the pole is 17 times below its peak, because
+        J grows linearly to the cutoff and f(kappa d) is small at Delta.  An
+        epsabs scaled by |g(Delta)| alone sits below QUADPACK's round-off
+        there and B is refused; scaled by the integrand's size, A and B
+        converge onto the fold oracle."""
+        config = iontrap.TrapConfig(
+            ion_count=84, rabi_ratio=22.939057126065013,
+            ohmic_coupling=0.03025998866430586, target_ratio=0.8013607316683192,
+        )
+        result = iontrap.plan(config, lamb_shift=False)
+        args = (result.spectral, result.thermal, result.geometry, config.rabi_ratio)
+        assert lamb_shift_coefficients(*args) == pytest.approx(
+            oracles.lamb_coefficients_folded(*args), rel=1e-9
+        )
+
     def test_infinite_custom_dispersion_fails_loudly(self):
         """An infinite kappa makes every profile NaN, and B fails by name."""
         for dimension in (1, 2, 3):
