@@ -37,6 +37,7 @@ import numpy as np
 
 from .bath import BathThermal, RateSet
 from .dynamics import (
+    _check_horizon,
     _csv_table,
     analytic_concurrence,
     default_time_grid,
@@ -133,17 +134,6 @@ def _model_pieces(delta: float, ratio: float, delta_field: float):
     rates = RateSet.from_parameters(1.0, thermal, delta)
     params = ModelParams(delta_field=delta_field)
     return rates, params
-
-
-def _check_horizon(horizon: float, report) -> None:
-    """Refuse a time horizon at which some mode's exponent ``lambda t``
-    overflows; the check runs on Python floats, so numpy warns nothing."""
-    fastest = float(np.max(np.abs(report.eigenvalues)))
-    if not math.isfinite(horizon * fastest):
-        raise UsageError(
-            f"time horizon {horizon:.6g} overflows the exponent of the "
-            f"fastest mode (|lambda| = {fastest:.6g})"
-        )
 
 
 # ---------------------------------------------------------------------------

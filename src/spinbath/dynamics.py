@@ -5,12 +5,15 @@ initial state over an eigensystem of the generator and sums ``a_l
 exp(lambda_l t) r_l``; the stepping route carries ``d alpha/dt = L alpha``
 through the time grid by exact matrix-exponential steps ``alpha <- expm(L
 dt) alpha``.  Neither has a step error; they agree to round-off and serve
-as mutual cross-checks.  :func:`propagate` sums the modes of any
-well-conditioned eigenbasis, labelled or not (the perfectly correlated bath
-has a doubled zero mode but a sound basis), and steps only where the
-eigenbasis is ill-conditioned.  Both it and :func:`survival_report` read
-the generator's one cached spectrum record, so each generator is
-eigensolved once.
+as mutual cross-checks.  Every mode sum starts with
+:func:`~spinbath.liouvillian.mode_coefficients`, which refuses an
+eigenbasis too ill-conditioned to sum with
+:class:`~spinbath.errors.DefectiveSpectrumError`; :func:`propagate` sums
+the modes of any other record, labelled or not (the perfectly correlated
+bath has a doubled zero mode but usually a sound basis), and steps by
+matrix exponentials where that refusal comes.  Both it and
+:func:`survival_report` read the generator's one cached spectrum record,
+so each generator is eigensolved once.
 
 On top of the numerics sits the closed-form long-time description: after
 the fast modes die out the state is the thermal point plus a single slow
@@ -79,12 +82,6 @@ _RECONSTRUCTION_IMAG_TOL = 1e-8
 #: headroom over the strictly-validated default: eigenvalues of the
 #: nonsymmetric spin-flip product carry O(sqrt(eps)) dust when clustered.
 _TRAJECTORY_DUST_TOL = 1e-7
-#: largest eigenvector-matrix condition number for which :func:`propagate`
-#: sums the modes of an eigensystem, labelled or not.  Near the common bath
-#: the condition number stays below 5e3 for ratios up to 0.999999.  At R = 1
-#: it is ~7 / delta for deficits from 5e-8 to 1e-5, and from 7e6 up (delta
-#: <= 1e-6) the mode sum drifts from the matrix exponential by 3e-10 to 3e-9.
-_MODE_SUM_MAX_COND = 1e6
 #: samples per round of the numeric survival check on each side of the peak
 #: bracket's best point and in the root bracket, so that each round shrinks
 #: both brackets about fivefold
@@ -152,12 +149,10 @@ def concurrence_of_alpha(alpha) -> float:
     """Wootters concurrence of a Pauli vector (tolerant of numeric dust).
 
     The vector is renormalized by its trace component, so round-off
-    drift in ``alpha[0]`` does not trip validation.
+    drift in ``alpha[0]`` does not trip validation; a trace component that
+    is not positive raises :class:`InvalidStateError`.
     """
-    vec = _as_alpha(alpha)
-    if abs(vec[0]) < 1e-6:
-        raise InvalidStateError(f"trace component {vec[0]!r} is too small")
-    matrix = _alpha_rows_to_matrices(vec[None, :])[0]
+    matrix = _alpha_rows_to_matrices(_state_alpha(alpha)[None, :])[0]
     return _concurrence(matrix, dust_tol=_TRAJECTORY_DUST_TOL)
 
 
@@ -190,6 +185,27 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
+def _check_horizon(horizon: float, report: SpectrumReport) -> None:
+    """Refuse a time horizon at which some mode's exponent ``lambda t``
+    overflows; the check runs on Python floats, so numpy warns nothing."""
+    fastest = float(np.max(np.abs(report.eigenvalues)))
+    if not math.isfinite(horizon * fastest):
+        raise ValueError(
+            f"time horizon {horizon:.6g} overflows the exponent of the "
+            f"fastest mode (|lambda| = {fastest:.6g})"
+        )
+
+
+def _state_alpha(vector) -> np.ndarray:
+    """The Pauli vector of a state to propagate or renormalize; a trace
+    component that is not positive (no state, and no trace to renormalize
+    by) raises."""
+    alpha = _as_alpha(vector)
+    if not alpha[0] > 0.0:
+        raise InvalidStateError(f"trace component {alpha[0]!r} must be positive")
+    return alpha
+
+
 def _spectral_alphas(report: SpectrumReport, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Real mode sum ``sum_l a_l exp(lambda_l t) r_l`` of a spectrum record
     at each time; a broken mode pairing raises."""
@@ -210,13 +226,19 @@ def propagate_spectral(
 
     Exact in time (no step error); accuracy is set entirely by the
     eigendecomposition.  Any spectrum record is summed, labelled or not;
-    an unlabelled one gives a trajectory without ``slow_rate``.  The
+    an unlabelled one gives a trajectory without ``slow_rate``.  A record
+    too ill-conditioned to sum raises
+    :class:`~spinbath.errors.DefectiveSpectrumError`
+    (:func:`~spinbath.liouvillian.mode_coefficients`), a last time at which
+    some mode's exponent overflows raises ``ValueError``, and a trace
+    component that is not positive :class:`InvalidStateError`.  The
     reconstruction must come out real - a larger imaginary residue than
     1e-8 indicates a broken mode pairing and raises
     :class:`NumericalFailureError`.
     """
     times = _check_times(times)
-    coeffs = mode_coefficients(report, initial)
+    _check_horizon(float(times[-1]), report)
+    coeffs = mode_coefficients(report, _state_alpha(initial))
     alphas = _spectral_alphas(report, coeffs, times)
     slow_rate = None if report.labels is None else -report.slow_eigenvalue
     return _finish_trajectory(times, alphas, report.gamma0, slow_rate)
@@ -230,14 +252,15 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
     scaling-and-squaring ``expm``, Al-Mohy & Higham 2009).  No
     eigendecomposition is involved, so this route serves as the
     cross-check of the spectral route and works where the spectrum is
-    degenerate or defective.  A non-finite state raises
+    degenerate or defective.  A trace component that is not positive
+    raises :class:`InvalidStateError`, and a non-finite state
     :class:`IntegrationFailureError`.
     """
     from scipy import linalg
 
     times = _check_times(times)
     entries = generator.entries
-    alpha = _as_alpha(initial)
+    alpha = _state_alpha(initial)
     alphas = np.empty((times.size, alpha.size))
     for k, step in enumerate(np.diff(times, prepend=0.0)):
         alpha = linalg.expm(entries * step) @ alpha
@@ -252,23 +275,20 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
 def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
     """Spectral propagation, falling back to matrix-exponential stepping.
 
-    Reads the generator's cached spectrum record
-    (:attr:`~spinbath.liouvillian.GeneratorMatrix.spectrum`), so a
-    generator already classified is not eigensolved again.  A record whose
-    eigenvector matrix has a condition number up to 1e6 goes to
+    Sums the modes of the generator's cached spectrum record
+    (:attr:`~spinbath.liouvillian.GeneratorMatrix.spectrum`) by
     :func:`propagate_spectral`, labelled or not (the perfectly correlated
-    bath, whose zero mode is doubled, has no labels and no ``slow_rate``).
-    A larger condition number (zero temperature, R = 1, with a small
-    deficit) or a defective eigenbasis is no sound basis for a mode sum and
-    falls back to :func:`propagate_ode`.
+    bath, whose zero mode is doubled, has no labels and no ``slow_rate``),
+    so a generator already classified is not eigensolved again.  Where
+    that mode sum refuses the eigenbasis as too ill-conditioned
+    (:class:`~spinbath.errors.DefectiveSpectrumError`: zero temperature,
+    R = 1, with a small deficit, or a rare near-parallel basis at deficit
+    0) it steps by :func:`propagate_ode` instead.
     """
     try:
-        report = generator.spectrum
+        return propagate_spectral(generator.spectrum, initial, times)
     except DefectiveSpectrumError:
         return propagate_ode(generator, initial, times)
-    if report.cond > _MODE_SUM_MAX_COND:
-        return propagate_ode(generator, initial, times)
-    return propagate_spectral(report, initial, times)
 
 
 def default_time_grid(gamma0: float, horizon: float, points: int = 400) -> np.ndarray:
@@ -444,7 +464,7 @@ def _numeric_survival(
     would with even points only.  A round samples both brackets in one call.
     """
     gamma0 = report.gamma0
-    coeffs = mode_coefficients(report, initial)
+    coeffs = mode_coefficients(report, _state_alpha(initial))
 
     def signed(times: np.ndarray) -> np.ndarray:
         alphas = _spectral_alphas(report, coeffs, times)
@@ -561,7 +581,11 @@ def survival_report(
 
     The envelope prediction uses the numerically extracted slow rate, so
     any residual discrepancy against ``t_c_numeric`` reflects eigenvector
-    (not eigenvalue) corrections.
+    (not eigenvalue) corrections.  The cross-check is a mode sum, so it
+    raises :class:`~spinbath.errors.DefectiveSpectrumError` where the
+    eigenbasis is too ill-conditioned to sum, and
+    :class:`InvalidStateError` where the initial trace component is not
+    positive.
     """
     spectrum = classify_spectrum(generator)
     ratio = generator.rates.ratio

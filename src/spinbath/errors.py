@@ -56,6 +56,6 @@ class DegenerateSpectrumError(NumericalFailureError):
 
 
 class DefectiveSpectrumError(NumericalFailureError):
-    """Numerical-failure family: the generator has no complete eigenbasis;
-    spectral propagation is unavailable and callers should fall back to
-    direct propagation."""
+    """Numerical-failure family: a spectrum record's eigenvector matrix is
+    too ill-conditioned to sum its modes; ``propagate`` falls back to
+    matrix-exponential stepping, every other mode sum raises."""

@@ -23,9 +23,12 @@ For a strictly positive correlation deficit the spectrum splits into
 Each generator is eigensolved once, on first read of
 :attr:`GeneratorMatrix.spectrum`: one cached :class:`SpectrumReport` holds
 the bi-orthonormal left/right eigensystem, the condition number of the
-eigenvector matrix and, where the split is unique, the labels.
-:func:`classify_spectrum` returns that record when it is labelled and
-raises the reason when it is not; spectral propagation sums either kind.
+eigenvector matrix and, where the split is unique, the labels.  Reading it
+never raises.  :func:`classify_spectrum` returns that record when it is
+labelled and raises the reason when it is not.  Whether the eigenbasis is
+sound enough to sum is decided in one place, :func:`mode_coefficients`,
+the first step of every mode sum: it sums either kind of record up to a
+condition number of 1e6 and raises :class:`DefectiveSpectrumError` above.
 """
 
 from __future__ import annotations
@@ -137,9 +140,9 @@ class GeneratorMatrix:
     @cached_property
     def spectrum(self) -> SpectrumReport:
         """The eigensystem record, eigensolved on first read and kept (the
-        entries are read-only); labelled where the spectrum allows.  A
-        defective eigenbasis at a positive deficit raises
-        :class:`DefectiveSpectrumError` on every read."""
+        entries are read-only); labelled where the spectrum allows, with its
+        condition number either way.  Never raises: a mode sum judges the
+        eigenbasis (:func:`mode_coefficients`)."""
         return _spectrum_record(self)
 
 
@@ -269,7 +272,8 @@ class SpectrumReport:
     ``right[:, k]`` is the k-th right eigenvector and ``left[k]`` the
     matching left eigenvector, normalized so that
     ``vdot(left[k], right[:, l]) = delta_kl``; ``cond`` is the condition
-    number of the matrix ``right``.  A labelled record orders its modes
+    number of the matrix ``right``, which :func:`mode_coefficients` gates
+    before any mode sum.  A labelled record orders its modes
     thermal, slow, oscillatory pair (positive imaginary part first), then
     fast modes by decreasing real part, and scales each eigenvector as
     :func:`classify_spectrum` describes.  A spectrum without a unique label
@@ -323,9 +327,12 @@ class SpectrumReport:
         return float(self.eigenvalues[self.slow_index].real)
 
 
-#: eigenvector-matrix condition number above which a generator counts as
-#: numerically defective
-_DEFECTIVE_COND = 1e12
+#: largest eigenvector-matrix condition number for which a mode sum runs,
+#: labelled or not.  Near the common bath the condition number stays below
+#: 5e3 for ratios up to 0.999999.  At R = 1 it is ~7 / delta for deficits
+#: from 5e-8 to 1e-5, and from 7e6 up (delta <= 1e-6) the mode sum drifts
+#: from the matrix exponential by 3e-10 to 3e-9.
+_MODE_SUM_MAX_COND = 1e6
 
 
 def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
@@ -336,8 +343,9 @@ def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
     a strictly positive correlation deficit; at ``delta = 0`` the zero
     eigenvalue is degenerate and no unique thermal mode exists.  An
     unlabelled record raises :class:`DegenerateSpectrumError` with its
-    reason, and at a positive deficit an eigenvector matrix with a
-    condition number above 1e12 raises :class:`DefectiveSpectrumError`.
+    reason on every call.  The condition number is not judged here: a
+    labelled record is returned at any ``cond``, and only a mode sum
+    (:func:`mode_coefficients`) refuses an ill-conditioned one.
 
     Eigenvectors are scaled as follows: the thermal one to a unit trace
     component, the slow one to a unit ``yy`` component (when that is not
@@ -352,22 +360,13 @@ def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
 def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
     """Eigensolve the generator once and label its spectrum where possible.
 
-    An eigenvector matrix with a condition number above 1e12 is no basis
-    and raises :class:`DefectiveSpectrumError`.  A spectrum that
-    :func:`_label_order` refuses keeps ``eig``'s order and scaling, with
-    the refusal as its ``reason``.  A zero deficit is refused before the
-    basis is judged, so its record is kept at any condition number; its
-    ``cond`` still sends :func:`~spinbath.dynamics.propagate` to expm
-    stepping.
+    A spectrum that :func:`_label_order` refuses keeps ``eig``'s order and
+    scaling, with the refusal as its ``reason``.  The condition number of
+    the eigenvector matrix is recorded, not judged.
     """
     rates = generator.rates
     values, right = np.linalg.eig(generator.entries)
     cond = float(np.linalg.cond(right))
-    if cond > _DEFECTIVE_COND and rates.delta > 0.0:
-        raise DefectiveSpectrumError(
-            f"eigenvector matrix has condition number {cond:.3e} above "
-            f"{_DEFECTIVE_COND:.0e}; generator is numerically defective"
-        )
     labels = reason = None
     violations = ()
     try:
@@ -491,12 +490,21 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
 
 
 def mode_coefficients(report: SpectrumReport, initial) -> np.ndarray:
-    """Expansion amplitudes ``a_l = <left_l | alpha(0)>``.
+    """Expansion amplitudes ``a_l = <left_l | alpha(0)>``, the first step of
+    every mode sum.
 
     The reconstruction ``sum_l a_l right_l`` reproduces the input; the
     thermal amplitude is exactly the trace component of the input, so it
-    equals one for any valid state.
+    equals one for any valid state.  A record labelled or not is expanded,
+    but only up to an eigenvector-matrix condition number of 1e6; above
+    it the eigenbasis is too ill-conditioned to sum and
+    :class:`DefectiveSpectrumError` names both numbers.
     """
+    if not report.cond <= _MODE_SUM_MAX_COND:
+        raise DefectiveSpectrumError(
+            f"eigenvector matrix has condition number {report.cond:.3e} above "
+            f"{_MODE_SUM_MAX_COND:.0e}; too ill-conditioned for a mode sum"
+        )
     return report.left.conj() @ _as_alpha(initial)
 
 

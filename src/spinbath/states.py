@@ -71,6 +71,9 @@ def flat_index(i: int, j: int) -> int:
 
 
 def _as_alpha(vector) -> np.ndarray:
+    """The 16 Pauli components of a :class:`PauliVector`, a flat vector or a
+    4x4 array; a wrong shape or a non-finite component raises
+    :class:`InvalidStateError`."""
     alpha = np.asarray(
         vector.alpha if isinstance(vector, PauliVector) else vector, dtype=float
     )
@@ -78,6 +81,8 @@ def _as_alpha(vector) -> np.ndarray:
         alpha = alpha.reshape(16)
     if alpha.shape != (16,):
         raise InvalidStateError(f"expected 16 Pauli components, got shape {alpha.shape}")
+    if not np.all(np.isfinite(alpha)):
+        raise InvalidStateError("Pauli components must be finite")
     return alpha
 
 

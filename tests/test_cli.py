@@ -150,6 +150,20 @@ def test_overflowing_horizon_is_usage_error(capsys, argv):
     assert caught == []
 
 
+def test_ill_conditioned_figure_is_numerical_failure(capsys):
+    """At R = 1 and deficit 1e-6 the spectrum labels, but its eigenbasis has
+    a condition number of 7e6: the figure's mode sum refuses it by name."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(
+            capsys, "--scenario", "fig2-trajectories", "--set", "r=1", "--set", "delta=1e-6"
+        )
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: eigenvector matrix has condition number ")
+    assert err.endswith(" above 1e+06; too ill-conditioned for a mode sum\n")
+    assert caught == []
+
+
 @pytest.mark.parametrize(
     "error",
     [

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,45 @@ def test_ode_non_finite_generator_raises(reference_generator):
         propagate_ode(gen, z_up_down(), np.linspace(0.0, 1.0, 3))
 
 
+#: each route from a generator, an initial vector and a time grid
+_ROUTES = {
+    "propagate": propagate,
+    "propagate_spectral": lambda gen, initial, times: propagate_spectral(
+        gen.spectrum, initial, times
+    ),
+    "propagate_ode": propagate_ode,
+    "survival_report": lambda gen, initial, times: survival_report(gen, initial),
+}
+
+
+@pytest.mark.parametrize(
+    "initial",
+    [np.full(16, np.nan), np.r_[z_up_down().alpha[:15], np.inf], np.zeros(16)],
+    ids=["nan", "inf", "zeros"],
+)
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_invalid_initial_vectors_are_refused(reference_generator, route, initial):
+    """A non-finite component, or a trace component that is not positive,
+    is no state to propagate: every route refuses it by type, and numpy
+    warns nothing on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidStateError):
+            _ROUTES[route](reference_generator, initial, [0.0, 1.0])
+    assert caught == []
+
+
+@pytest.mark.parametrize("route", ["propagate", "propagate_spectral"])
+def test_overflowing_horizon_is_refused(reference_generator, route):
+    """A last time at which some mode's exponent overflows is refused by the
+    same rule as the figure horizons, before numpy warns."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="overflows the exponent of the fastest mode"):
+            _ROUTES[route](reference_generator, z_up_down(), [0.0, 1.7e308])
+    assert caught == []
+
+
 @pytest.mark.parametrize(
     "factory",
     [z_up_down, bell_singlet, lambda: state_for_correlation(0.5)],
@@ -260,7 +300,7 @@ def test_propagate_sums_unlabelled_modes_when_degenerate(deficit, factory):
     """The common bath freezes the slow mode; at 1e-12 the zero mode is doubled."""
     ratio = 0.9
     gen = make_generator(deficit, ratio)
-    with pytest.raises((DegenerateSpectrumError, DefectiveSpectrumError)):
+    with pytest.raises(DegenerateSpectrumError):
         classify_spectrum(gen)
     times = np.linspace(0.0, 50.0, 26)
     traj = propagate(gen, factory(), times)
@@ -337,6 +377,24 @@ def test_propagate_steps_ill_conditioned_labelled_spectra(deficit, ode_calls):
     assert len(ode_calls) == 2
 
 
+@pytest.mark.parametrize(
+    "deficit, survival_error",
+    [(1e-6, DefectiveSpectrumError), (0.0, DegenerateSpectrumError)],
+    ids=["labelled", "unlabelled"],
+)
+def test_mode_sums_refuse_an_ill_conditioned_basis(deficit, survival_error):
+    """At R = 1 the eigenbasis has a condition number of 7e6 at deficit
+    1e-6 (labelled) and ~1e16 at deficit 0 (unlabelled).  Every mode sum
+    refuses either by name, with the number and the 1e6 threshold;
+    ``survival_report`` refuses the unlabelled one before it sums."""
+    gen = make_generator(deficit, 1.0)
+    refusal = r"condition number \S+ above 1e\+06; too ill-conditioned for a mode sum"
+    with pytest.raises(DefectiveSpectrumError, match=refusal):
+        propagate_spectral(gen.spectrum, z_up_down(), [0.0, 1.0])
+    with pytest.raises(survival_error):
+        survival_report(gen, z_up_down())
+
+
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """Shapes passed to ``np.linalg.eigvalsh``."""
@@ -382,7 +440,9 @@ def eig_calls(monkeypatch):
 def test_one_eigensolve_per_generator(eig_calls):
     """``survival_report`` and ``propagate`` share one eigensolve of their
     generator.  An unlabelled record (deficit 0) is still summed mode by
-    mode, and refuses its labels by name on every read."""
+    mode, and refuses its labels by name on every read.  A record too
+    ill-conditioned to sum (R = 1, deficit 1e-12) is kept as well: it is
+    stepped and refused without a second eigensolve."""
     gen = make_generator(0.05, 0.9)
     survival_report(gen, z_up_down())
     propagate(gen, z_up_down(), default_time_grid(1.0, 30.0))
@@ -411,6 +471,13 @@ def test_one_eigensolve_per_generator(eig_calls):
         gen.spectrum.slow_eigenvalue
     assert len(eig_calls) == 2
 
+    gen = make_generator(1e-12, 1.0)
+    for _ in range(3):
+        propagate(gen, z_up_down(), times)
+        with pytest.raises(DegenerateSpectrumError, match="expected exactly one zero mode"):
+            classify_spectrum(gen)
+    assert len(eig_calls) == 3
+
 
 def test_propagate_uses_spectral_when_possible(reference_generator, reference_spectrum):
     times = np.array([0.0, 2.0, 7.0])
@@ -423,8 +490,15 @@ def test_propagate_uses_spectral_when_possible(reference_generator, reference_sp
 FLIP_QUBIT_2 = np.tile([1.0, 1.0, -1.0, -1.0], 4)
 
 
+#: deficits over [0, 2]: the degenerate deficits 0, 1 and 2, a deficit 1e-6
+#: from each, three fixed ones and two seeded draws
+_DUALITY_DEFICITS = (0.0, 1e-6, 0.05, 0.3, 0.7, 1.0 - 1e-6, 1.0, 2.0 - 1e-6, 2.0) + tuple(
+    np.random.default_rng(20261019).uniform(0.0, 2.0, 2).tolist()
+)
+
+
 @pytest.mark.parametrize("lamb_a, lamb_b", [(0.0, 0.0), (-0.17, -0.49)])
-@pytest.mark.parametrize("deficit", [0.05, 0.3, 0.7])
+@pytest.mark.parametrize("deficit", _DUALITY_DEFICITS)
 def test_deficit_duality(deficit, lamb_a, lamb_b):
     """With S the flip of qubit 2 by X, S L(delta, A, B) S = L(2 - delta, A, -B)
     without exchange (which breaks it).  The two generators are built and
@@ -435,22 +509,23 @@ def test_deficit_duality(deficit, lamb_a, lamb_b):
     rank-deficient state turn O(eps) dust into O(sqrt(eps)) errors."""
     from scipy.optimize import linear_sum_assignment
 
-    gen = make_generator(deficit, 0.9, lamb_a=lamb_a, lamb_b=lamb_b)
-    dual = make_generator(2.0 - deficit, 0.9, lamb_a=lamb_a, lamb_b=-lamb_b)
-    values = np.linalg.eigvals(gen.entries)
-    gaps = np.abs(values[:, None] - np.linalg.eigvals(dual.entries)[None, :])
-    assert gaps[linear_sum_assignment(gaps)].max() <= 1e-12
-    times = default_time_grid(1.0, 60.0, points=120)
-    for initial, tol in (
-        (werner(0.2), 1e-12),
-        (werner(0.9), 1e-12),
-        (state_for_correlation(0.6), 1e-12),
-        (x_up_down(), 1e-7),
-    ):
-        traj = propagate(gen, initial, times)
-        image = propagate(dual, PauliVector(FLIP_QUBIT_2 * initial.alpha), times)
-        assert np.max(np.abs(traj.alphas - FLIP_QUBIT_2 * image.alphas)) <= 1e-12
-        assert np.max(np.abs(traj.concurrence - image.concurrence)) <= tol
+    times = default_time_grid(1.0, 60.0, points=60)
+    for ratio in (0.5, 0.9, 0.99):
+        gen = make_generator(deficit, ratio, lamb_a=lamb_a, lamb_b=lamb_b)
+        dual = make_generator(2.0 - deficit, ratio, lamb_a=lamb_a, lamb_b=-lamb_b)
+        values = np.linalg.eigvals(gen.entries)
+        gaps = np.abs(values[:, None] - np.linalg.eigvals(dual.entries)[None, :])
+        assert gaps[linear_sum_assignment(gaps)].max() <= 1e-12, ratio
+        for initial, tol in (
+            (werner(0.2), 1e-12),
+            (werner(0.9), 1e-12),
+            (state_for_correlation(0.6), 1e-12),
+            (x_up_down(), 1e-7),
+        ):
+            traj = propagate(gen, initial, times)
+            image = propagate(dual, PauliVector(FLIP_QUBIT_2 * initial.alpha), times)
+            assert np.max(np.abs(traj.alphas - FLIP_QUBIT_2 * image.alphas)) <= 1e-12, ratio
+            assert np.max(np.abs(traj.concurrence - image.concurrence)) <= tol, ratio
 
 
 def test_positivity_along_trajectories(reference_spectrum):
@@ -886,15 +961,16 @@ class TestZeroTemperatureState:
             zero_temperature_state(-0.5, 0.1, 0.0, 10.0, branch=2)
 
     def test_matches_spectral_evolution_near_the_limit(self):
-        """Propagating the t=0 closed form reproduces its own rotation."""
+        """Propagating the t=0 closed form reproduces its own rotation.  The
+        eigenbasis at R = 1, deficit 1e-6 is too ill-conditioned to sum, so
+        ``propagate`` steps it by matrix exponentials."""
         gen = make_generator(1e-6, 1.0)
-        report = classify_spectrum(gen)
         a1, a2 = -0.5, 0.1
         initial = density_to_bloch(
             zero_temperature_state(a1, a2, 0.0, 10.0).matrix
         )
         times = np.array([0.05, 0.1, 0.2, 0.4, 0.8])
-        traj = propagate_spectral(report, initial, times)
+        traj = propagate(gen, initial, times)
         for k, t in enumerate(times):
             expected = zero_temperature_state(a1, a2, float(t), 10.0).matrix
             got = oracles.density_from_alpha(traj.alphas[k])
