@@ -157,7 +157,7 @@ def _run_fig1(values: dict, fmt: str) -> str:
         rates, params = _model_pieces(values["delta"], ratio, values["delta_field"])
         report = classify_spectrum(build_generator(params, rates))
         slow = -report.slow_eigenvalue
-        _check_horizon(values["lt_max"] / slow, report)
+        _check_horizon(values["lt_max"] / slow, float(np.max(np.abs(report.eigenvalues))))
         trajectory = propagate_spectral(report, initial, lt_grid / slow)
         pairs = zip(lt_grid.tolist(), trajectory.concurrence.tolist())
         rows += [(ratio, lt, conc) for lt, conc in pairs]
@@ -191,7 +191,7 @@ def _run_fig2(values: dict, fmt: str, dressed: bool = False) -> str:
         else 10.0 / slow_used
     )
     times = default_time_grid(1.0, horizon, values["points"])
-    _check_horizon(horizon, report)
+    _check_horizon(horizon, float(np.max(np.abs(report.eigenvalues))))
 
     columns = [("t_gamma0", times), ("t_lambda1", times * slow_used)]
     for name, factory in _FIG2_STATES:

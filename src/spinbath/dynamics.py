@@ -50,9 +50,9 @@ from .liouvillian import (
 from .states import (
     PauliVector,
     TwoQubitDensityMatrix,
+    _POSITIVITY_TOL,
     _alpha_to_rho,
     _as_alpha,
-    _concurrence,
     _signed_concurrence,
     correlation_scalar,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "propagate_ode",
     "propagate",
     "default_time_grid",
-    "concurrence_of_alpha",
     "analytic_amplitude",
     "analytic_state",
     "analytic_concurrence",
@@ -79,9 +78,6 @@ __all__ = [
 ]
 
 _RECONSTRUCTION_IMAG_TOL = 1e-8
-#: headroom over the strictly-validated default: eigenvalues of the
-#: nonsymmetric spin-flip product carry O(sqrt(eps)) dust when clustered.
-_TRAJECTORY_DUST_TOL = 1e-7
 #: samples per round of the numeric survival check on each side of the peak
 #: bracket's best point and in the root bracket, so that each round shrinks
 #: both brackets about fivefold
@@ -140,20 +136,9 @@ class Trajectory:
         """The sampled Pauli vector at ``times[k]``."""
         return PauliVector(self.alphas[k])
 
-    def positivity_violations(self, tol: float = 1e-8) -> tuple:
-        """Indices of samples whose lowest eigenvalue is below ``-tol``."""
-        return tuple(int(k) for k in np.flatnonzero(self.min_eigenvalues < -tol))
-
-
-def concurrence_of_alpha(alpha) -> float:
-    """Wootters concurrence of a Pauli vector (tolerant of numeric dust).
-
-    The vector is renormalized by its trace component, so round-off
-    drift in ``alpha[0]`` does not trip validation; a trace component that
-    is not positive raises :class:`InvalidStateError`.
-    """
-    matrix = _alpha_rows_to_matrices(_state_alpha(alpha)[None, :])[0]
-    return _concurrence(matrix, dust_tol=_TRAJECTORY_DUST_TOL)
+    def positivity_violations(self) -> tuple:
+        """Indices of samples whose lowest eigenvalue is below ``-1e-8``."""
+        return tuple(int(k) for k in np.flatnonzero(self.min_eigenvalues < -1e-8))
 
 
 def _alpha_rows_to_matrices(alphas: np.ndarray) -> np.ndarray:
@@ -168,7 +153,7 @@ def _finish_trajectory(
     return Trajectory(
         times=times,
         alphas=alphas,
-        concurrence=_concurrence(matrices, dust_tol=_TRAJECTORY_DUST_TOL),
+        concurrence=np.clip(_signed_concurrence(matrices), 0.0, 1.0),
         gamma0=gamma0,
         slow_rate=slow_rate,
     )
@@ -185,14 +170,18 @@ def _check_times(times) -> np.ndarray:
     return times
 
 
-def _check_horizon(horizon: float, report: SpectrumReport) -> None:
-    """Refuse a time horizon at which some mode's exponent ``lambda t``
-    overflows; the check runs on Python floats, so numpy warns nothing."""
-    fastest = float(np.max(np.abs(report.eigenvalues)))
-    if not math.isfinite(horizon * fastest):
+def _check_horizon(horizon: float, rate: float) -> None:
+    """Refuse a time horizon at which an exponent ``rate * t`` overflows.
+
+    ``rate`` is the fastest rate a route scales by the time: the largest
+    ``|lambda|`` of a mode sum, or the largest generator entry ``|L_ij|``
+    of a matrix-exponential step.  A non-finite rate is no fault of the
+    horizon and passes, for the route to refuse its non-finite result.  The
+    check runs on Python floats, so numpy warns nothing.
+    """
+    if math.isfinite(rate) and not math.isfinite(horizon * rate):
         raise ValueError(
-            f"time horizon {horizon:.6g} overflows the exponent of the "
-            f"fastest mode (|lambda| = {fastest:.6g})"
+            f"time horizon {horizon:.6g} overflows the exponent at rate {rate:.6g}"
         )
 
 
@@ -237,7 +226,7 @@ def propagate_spectral(
     :class:`NumericalFailureError`.
     """
     times = _check_times(times)
-    _check_horizon(float(times[-1]), report)
+    _check_horizon(float(times[-1]), float(np.max(np.abs(report.eigenvalues))))
     coeffs = mode_coefficients(report, _state_alpha(initial))
     alphas = _spectral_alphas(report, coeffs, times)
     slow_rate = None if report.labels is None else -report.slow_eigenvalue
@@ -252,14 +241,16 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
     scaling-and-squaring ``expm``, Al-Mohy & Higham 2009).  No
     eigendecomposition is involved, so this route serves as the
     cross-check of the spectral route and works where the spectrum is
-    degenerate or defective.  A trace component that is not positive
-    raises :class:`InvalidStateError`, and a non-finite state
+    degenerate or defective.  A last time at which some step's exponent
+    ``L t`` overflows raises ``ValueError``, a trace component that is not
+    positive :class:`InvalidStateError`, and a non-finite state
     :class:`IntegrationFailureError`.
     """
     from scipy import linalg
 
     times = _check_times(times)
     entries = generator.entries
+    _check_horizon(float(times[-1]), float(np.max(np.abs(entries))))
     alpha = _state_alpha(initial)
     alphas = np.empty((times.size, alpha.size))
     for k, step in enumerate(np.diff(times, prepend=0.0)):
@@ -294,10 +285,14 @@ def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
 def default_time_grid(gamma0: float, horizon: float, points: int = 400) -> np.ndarray:
     """Logarithmic grid from ``1e-3 / gamma0`` to ``horizon``, with t = 0.
 
-    Log spacing resolves the fast transient and the slow tail in one grid.
+    Log spacing resolves the fast transient and the slow tail in one grid
+    of ``points`` samples after t = 0; ``points`` must be at least 2, so
+    that the grid reaches the horizon.
     """
     if not (0 < gamma0 < math.inf and 0 < horizon < math.inf):
         raise ValueError("gamma0 and horizon must be positive and finite")
+    if points < 2:
+        raise ValueError(f"points must be >= 2, got {points}")
     start = 1e-3 / gamma0
     if horizon <= start:
         raise ValueError(f"horizon {horizon} is below the grid start {start}")
@@ -469,7 +464,7 @@ def _numeric_survival(
     def signed(times: np.ndarray) -> np.ndarray:
         alphas = _spectral_alphas(report, coeffs, times)
         matrices = _alpha_rows_to_matrices(alphas)
-        return _signed_concurrence(matrices, dust_tol=_TRAJECTORY_DUST_TOL)
+        return _signed_concurrence(matrices)
 
     def stretch(start: float, stop: float) -> np.ndarray:
         return np.linspace(start, stop, 49)[1:]
@@ -685,7 +680,7 @@ def zero_temperature_state(
     )
     state = TwoQubitDensityMatrix(matrix)
     lowest = state.min_eigenvalue()
-    if lowest < -1e-10:
+    if lowest < -_POSITIVITY_TOL:
         raise InvalidCoefficientsError(
             f"weights (a1={a1}, a2={a2}) give eigenvalue {lowest:.3e} < 0"
         )

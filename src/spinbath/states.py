@@ -63,6 +63,10 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _POSITIVITY_TOL = 1e-10
 _IMAG_COMPONENT_TOL = 1e-10
+#: the one bound on spin-flip dust, real and imaginary: the eigenvalues of the
+#: nonsymmetric product ``rho rho_tilde`` carry O(sqrt(eps)) dust when
+#: clustered, and spectrally reconstructed states add their own
+_SPIN_FLIP_DUST_TOL = 1e-7
 
 
 def flat_index(i: int, j: int) -> int:
@@ -145,10 +149,12 @@ class TwoQubitDensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def assert_positive(self, tol: float = _POSITIVITY_TOL) -> None:
+    def assert_positive(self) -> None:
         lo = self.min_eigenvalue()
-        if lo < -tol:
-            raise InvalidStateError(f"matrix has eigenvalue {lo:.3e} below -{tol:.1e}")
+        if lo < -_POSITIVITY_TOL:
+            raise InvalidStateError(
+                f"matrix has eigenvalue {lo:.3e} below -{_POSITIVITY_TOL:.1e}"
+            )
 
 
 def _alpha_to_rho(alphas: np.ndarray) -> np.ndarray:
@@ -239,12 +245,14 @@ def wootters_concurrence(rho) -> float:
     eigenvalues of ``rho @ rho_tilde`` in decreasing order.  See
     https://en.wikipedia.org/wiki/Concurrence_(quantum_computing).
 
-    Eigenvalue dust more negative than -1e-12 but within -1e-9 is clamped
-    to zero before the square roots; anything worse raises.
+    The input must be a density matrix (Hermitian, unit trace, positive
+    within 1e-10).  Spin-flip eigenvalues down to -1e-7, and imaginary
+    parts up to 1e-7, are dust and clamped to zero before the square
+    roots; anything worse raises :class:`InvalidStateError`.
     """
     dm = _as_density(rho)
     dm.assert_positive()
-    return _concurrence(dm.matrix)
+    return float(np.clip(_signed_concurrence(dm.matrix), 0.0, 1.0))
 
 
 def _spin_flip(matrix: np.ndarray) -> np.ndarray:
@@ -259,40 +267,34 @@ def _spin_flip(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj()[..., ::-1, ::-1] * _FLIP_SIGNS
 
 
-def _signed_concurrence(matrix: np.ndarray, dust_tol: float = 1e-9):
+def _signed_concurrence(matrix: np.ndarray):
     """Unclamped spin-flip root difference; negative for separable states.
 
     Useful for root-finding on the entanglement boundary, where the
     clamped concurrence is identically zero on one side.  ``matrix`` is one
     4x4 array, giving a float, or a ``(..., 4, 4)`` stack, giving an array
-    of the stack's shape; an error on a stack names the first offending
-    sample, counted over the flattened stack.
+    of the stack's shape; no check is made on it.  A spin-flip eigenvalue
+    below ``-1e-7``, or an imaginary part above ``1e-7``, raises
+    :class:`InvalidStateError`; on a stack the error names the first
+    offending sample, counted over the flattened stack.
     """
     matrix = np.asarray(matrix)
     mu = np.linalg.eigvals(matrix @ _spin_flip(matrix)).reshape(-1, 4)
-    imag_tol = max(1e-8, dust_tol)
     imag = np.max(np.abs(mu.imag), axis=1)
     mu = np.sort(mu.real, axis=1)
     lowest = mu[:, 0]
-    bad = np.flatnonzero((imag > imag_tol) | (lowest < -dust_tol))
+    bad = np.flatnonzero(np.maximum(imag, -lowest) > _SPIN_FLIP_DUST_TOL)
     if bad.size:
         k = bad[0]
-        if imag[k] > imag_tol:
+        if imag[k] > _SPIN_FLIP_DUST_TOL:
             problem = f"imaginary residue {imag[k]:.3e}"
         else:
-            problem = f"eigenvalue {lowest[k]:.3e} below -{dust_tol:.1e}"
+            problem = f"eigenvalue {lowest[k]:.3e} below -{_SPIN_FLIP_DUST_TOL:.1e}"
         where = "" if matrix.ndim == 2 else f" at sample {k}"
         raise InvalidStateError(f"spin-flip spectrum has {problem}{where}")
     roots = np.sqrt(np.clip(mu, 0.0, None))
     signed = roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0]
     return float(signed[0]) if matrix.ndim == 2 else signed.reshape(matrix.shape[:-2])
-
-
-def _concurrence(matrix: np.ndarray, dust_tol: float = 1e-9):
-    """Concurrence of an (assumed Hermitian, unit-trace) 4x4 array, or of
-    each matrix of a ``(..., 4, 4)`` stack."""
-    c = np.clip(_signed_concurrence(matrix, dust_tol), 0.0, 1.0)
-    return float(c) if c.ndim == 0 else c
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,19 @@ def test_overflowing_horizon_is_usage_error(capsys, argv):
         code, out, err = invoke(capsys, "--scenario", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: time horizon ")
-    assert "overflows the exponent of the fastest mode" in err
+    assert "overflows the exponent at rate" in err
     assert caught == []
+
+
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_short_time_grid_is_usage_error(capsys, points):
+    """A grid needs t = 0 and at least two log-spaced samples to reach its
+    horizon."""
+    code, out, err = invoke(
+        capsys, "--scenario", "fig2-trajectories", "--set", f"points={points}"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: points must be >= 2, got {points}\n"
 
 
 def test_ill_conditioned_figure_is_numerical_failure(capsys):

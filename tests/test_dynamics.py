@@ -17,7 +17,6 @@ from spinbath.dynamics import (
     analytic_amplitude,
     analytic_concurrence,
     analytic_state,
-    concurrence_of_alpha,
     default_time_grid,
     generation_condition,
     propagate,
@@ -153,12 +152,9 @@ def test_default_time_grid():
         default_time_grid(-1.0, 10.0)
     with pytest.raises(ValueError):
         default_time_grid(1.0, 1e-5)
-
-
-def test_concurrence_of_alpha_guard():
-    assert concurrence_of_alpha(bell_singlet()) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(InvalidStateError):
-        concurrence_of_alpha(np.zeros(16))
+    for points in (0, 1):
+        with pytest.raises(ValueError, match=f"points must be >= 2, got {points}"):
+            default_time_grid(1.0, 10.0, points)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +275,14 @@ def test_invalid_initial_vectors_are_refused(reference_generator, route, initial
     assert caught == []
 
 
-@pytest.mark.parametrize("route", ["propagate", "propagate_spectral"])
+@pytest.mark.parametrize("route", ["propagate", "propagate_spectral", "propagate_ode"])
 def test_overflowing_horizon_is_refused(reference_generator, route):
-    """A last time at which some mode's exponent overflows is refused by the
-    same rule as the figure horizons, before numpy warns."""
+    """A last time at which an exponent overflows is refused by the same rule
+    as the figure horizons, before numpy warns: the mode sums scale the
+    eigenvalues by it, the matrix-exponential steps the generator entries."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="overflows the exponent of the fastest mode"):
+        with pytest.raises(ValueError, match="overflows the exponent at rate"):
             _ROUTES[route](reference_generator, z_up_down(), [0.0, 1.7e308])
     assert caught == []
 

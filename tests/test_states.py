@@ -12,7 +12,7 @@ from spinbath.states import (
     PAULI_PRODUCTS,
     PauliVector,
     TwoQubitDensityMatrix,
-    _concurrence,
+    _rho_to_alpha,
     _signed_concurrence,
     _spin_flip,
     bell_singlet,
@@ -242,35 +242,45 @@ def _random_stack(rng, n):
 
 
 def test_batched_concurrence_equals_single_calls(rng):
-    """One pass over a stack gives the per-matrix values bit for bit."""
+    """One pass over a stack gives the per-matrix values bit for bit, and
+    clamped, the public concurrence of each matrix."""
     stack = _random_stack(rng, 300)
     signed = _signed_concurrence(stack)
-    clamped = _concurrence(stack)
     assert np.array_equal(signed, [_signed_concurrence(m) for m in stack])
-    assert np.array_equal(clamped, [_concurrence(m) for m in stack])
-    assert np.array_equal(clamped, [wootters_concurrence(m) for m in stack])
+    assert np.array_equal(np.clip(signed, 0.0, 1.0), [wootters_concurrence(m) for m in stack])
 
 
 def test_batched_concurrence_shapes(rng):
     stack = _random_stack(rng, 6)
-    single = _concurrence(stack[0])
+    single = _signed_concurrence(stack[0])
     assert isinstance(single, float)
-    assert isinstance(_signed_concurrence(stack[0]), float)
-    assert _concurrence(stack).shape == (6,)
-    assert _concurrence(stack[:1]).shape == (1,)
-    assert _concurrence(stack.reshape(2, 3, 4, 4)).shape == (2, 3)
-    assert _concurrence(stack)[0] == single
+    assert isinstance(wootters_concurrence(stack[0]), float)
+    assert _signed_concurrence(stack).shape == (6,)
+    assert _signed_concurrence(stack[:1]).shape == (1,)
+    assert _signed_concurrence(stack.reshape(2, 3, 4, 4)).shape == (2, 3)
+    assert _signed_concurrence(stack)[0] == single
 
 
-def test_batched_concurrence_names_the_bad_sample(rng):
-    """diag(0.6, 0.5, -0.1, 0) has spin-flip eigenvalues (0, -0.05, -0.05, 0)."""
-    stack = _random_stack(rng, 6)
-    stack[3] = np.diag([0.6, 0.5, -0.1, 0.0])
-    message = r"eigenvalue -5\.000e-02 below -1\.0e-09"
-    with pytest.raises(InvalidStateError, match=message + " at sample 3$"):
-        _concurrence(stack)
-    with pytest.raises(InvalidStateError, match=message + "$"):
-        _concurrence(stack[3])
+@pytest.mark.parametrize("path", ["batched", "public"])
+def test_batched_concurrence_names_the_bad_sample(rng, reference_spectrum, path):
+    """diag(0.6, 0.5, -0.1, 0) has spin-flip eigenvalues (0, -0.05, -0.05, 0).
+
+    The batched routine meets it as sample 3 of a stack.  The public
+    concurrence refuses it as indefinite before any spin flip, so the public
+    path that reaches the spin-flip gate is a propagation, which takes an
+    initial state without a positivity check; the state is its sample 0."""
+    bad = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
+    message = r"spin-flip spectrum has eigenvalue -5\.000e-02 below -1\.0e-07"
+    if path == "batched":
+        stack = _random_stack(rng, 6)
+        stack[3] = bad
+        with pytest.raises(InvalidStateError, match=message + " at sample 3$"):
+            _signed_concurrence(stack)
+        with pytest.raises(InvalidStateError, match=message + "$"):
+            _signed_concurrence(bad)
+    else:
+        with pytest.raises(InvalidStateError, match=message + " at sample 0$"):
+            propagate_spectral(reference_spectrum, _rho_to_alpha(bad).real, [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +310,7 @@ def _assert_flip_matches_products(stack, physical=True):
     assert np.array_equal(flipped, _product_flip(stack))
     assert (stack @ flipped).tobytes() == (stack @ _product_flip(stack)).tobytes()
     if physical:
-        signed = _signed_concurrence(stack, dust_tol=1e-7)
+        signed = _signed_concurrence(stack)
         assert signed.tobytes() == _product_flip_signed_concurrence(stack).tobytes()
 
 
