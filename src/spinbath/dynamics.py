@@ -15,6 +15,14 @@ matrix exponentials where that refusal comes.  Both it and
 :func:`survival_report` read the generator's one cached spectrum record,
 so each generator is eigensolved once.
 
+Every route reads the concurrence of all its samples at once.  A state
+that starts in the sector even under conjugation by ``sigma_x (x)
+sigma_x`` stays there under every generator
+:func:`~spinbath.liouvillian.build_generator` makes, an X-state in the
+``sigma_x`` basis.  A batch whose odd components are all within
+round-off takes its spin-flip eigenvalues in closed form; any other
+eigensolves ``rho rho_tilde`` per sample.
+
 On top of the numerics sits the closed-form long-time description: after
 the fast modes die out the state is the thermal point plus a single slow
 mode whose amplitude is set by the initial correlation scalar
@@ -53,7 +61,10 @@ from .states import (
     _POSITIVITY_TOL,
     _alpha_to_rho,
     _as_alpha,
-    _signed_concurrence,
+    _is_x_even,
+    _signed_from_spin_flip,
+    _spin_flip_spectrum,
+    _x_even_spin_flip_spectrum,
     correlation_scalar,
 )
 
@@ -146,14 +157,28 @@ def _alpha_rows_to_matrices(alphas: np.ndarray) -> np.ndarray:
     return _alpha_to_rho(alphas / alphas[:, :1])
 
 
+def _signed_samples(alphas: np.ndarray) -> np.ndarray:
+    """Signed concurrence of each row of ``alphas``.
+
+    A batch whose rows all lie in the ``sigma_x (x) sigma_x`` even sector,
+    odd components within round-off, takes its spin-flip spectra in closed
+    form from the even components; any other is eigensolved from its
+    renormalized density matrices.  Both go through the one dust rule.
+    """
+    if _is_x_even(alphas):
+        mu = _x_even_spin_flip_spectrum(alphas)
+    else:
+        mu = _spin_flip_spectrum(_alpha_rows_to_matrices(alphas))
+    return _signed_from_spin_flip(mu, alphas.shape[:-1])
+
+
 def _finish_trajectory(
     times: np.ndarray, alphas: np.ndarray, gamma0: float, slow_rate: Optional[float]
 ) -> Trajectory:
-    matrices = _alpha_rows_to_matrices(alphas)
     return Trajectory(
         times=times,
         alphas=alphas,
-        concurrence=np.clip(_signed_concurrence(matrices), 0.0, 1.0),
+        concurrence=np.clip(_signed_samples(alphas), 0.0, 1.0),
         gamma0=gamma0,
         slow_rate=slow_rate,
     )
@@ -197,9 +222,14 @@ def _state_alpha(vector) -> np.ndarray:
 
 def _spectral_alphas(report: SpectrumReport, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Real mode sum ``sum_l a_l exp(lambda_l t) r_l`` of a spectrum record
-    at each time; a broken mode pairing raises."""
-    phases = np.exp(np.outer(times, report.eigenvalues))
-    alpha_c = (phases * coeffs) @ report.right.T
+    at each time; a non-finite sum (an eigenvalue whose real part, error
+    included, overflows the exponent) or a broken mode pairing raises
+    :class:`NumericalFailureError`, and numpy warns nothing on the way."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(np.outer(times, report.eigenvalues))
+        alpha_c = (phases * coeffs) @ report.right.T
+    if not np.all(np.isfinite(alpha_c)):
+        raise NumericalFailureError("spectral reconstruction is not finite")
     residue = float(np.max(np.abs(alpha_c.imag)))
     if residue > _RECONSTRUCTION_IMAG_TOL:
         raise NumericalFailureError(
@@ -462,9 +492,7 @@ def _numeric_survival(
     coeffs = mode_coefficients(report, _state_alpha(initial))
 
     def signed(times: np.ndarray) -> np.ndarray:
-        alphas = _spectral_alphas(report, coeffs, times)
-        matrices = _alpha_rows_to_matrices(alphas)
-        return _signed_concurrence(matrices)
+        return _signed_samples(_spectral_alphas(report, coeffs, times))
 
     def stretch(start: float, stop: float) -> np.ndarray:
         return np.linspace(start, stop, 49)[1:]

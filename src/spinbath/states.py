@@ -59,6 +59,15 @@ PAULI_PRODUCTS.setflags(write=False)
 _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 _FLIP_SIGNS.setflags(write=False)
 
+#: the Pauli components odd under conjugation by sigma_x (x) sigma_x, those
+#: with exactly one sigma_y or sigma_z factor: IY IZ XY XZ YI ZI YX ZX
+_X_ODD = np.array([(i > 1) != (j > 1) for i in range(4) for j in range(4)])
+_X_ODD.setflags(write=False)
+#: odd components up to this fraction of the trace component count as
+#: round-off: mode sums of even states under the model's generators, whose
+#: every term keeps the sectors, leave at most ~2e-15 there
+_X_ODD_RTOL = 1e-12
+
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _POSITIVITY_TOL = 1e-10
@@ -267,19 +276,75 @@ def _spin_flip(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj()[..., ::-1, ::-1] * _FLIP_SIGNS
 
 
+def _is_x_even(alphas: np.ndarray) -> bool:
+    """Whether every Pauli vector of a ``(..., 16)`` stack lies in the
+    sector even under conjugation by ``sigma_x (x) sigma_x``: each of its
+    eight odd components is within round-off, 1e-12 of its trace
+    component."""
+    alphas = np.asarray(alphas)
+    return bool(np.all(np.abs(alphas[..., _X_ODD]) <= _X_ODD_RTOL * np.abs(alphas[..., :1])))
+
+
 def _signed_concurrence(matrix: np.ndarray):
     """Unclamped spin-flip root difference; negative for separable states.
 
     Useful for root-finding on the entanglement boundary, where the
     clamped concurrence is identically zero on one side.  ``matrix`` is one
     4x4 array, giving a float, or a ``(..., 4, 4)`` stack, giving an array
-    of the stack's shape; no check is made on it.  A spin-flip eigenvalue
-    below ``-1e-7``, or an imaginary part above ``1e-7``, raises
-    :class:`InvalidStateError`; on a stack the error names the first
-    offending sample, counted over the flattened stack.
+    of the stack's shape; no check is made on it.  The spectrum
+    (:func:`_spin_flip_spectrum`) is judged by the one dust rule of
+    :func:`_signed_from_spin_flip`.
     """
     matrix = np.asarray(matrix)
-    mu = np.linalg.eigvals(matrix @ _spin_flip(matrix)).reshape(-1, 4)
+    return _signed_from_spin_flip(_spin_flip_spectrum(matrix), matrix.shape[:-2])
+
+
+def _spin_flip_spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``rho rho_tilde`` of a 4x4 array, or of each matrix
+    of a ``(..., 4, 4)`` stack, one row of four per matrix of the
+    flattened stack; no check is made on it."""
+    return np.linalg.eigvals(matrix @ _spin_flip(matrix)).reshape(-1, 4)
+
+
+def _x_even_spin_flip_spectrum(alphas: np.ndarray) -> np.ndarray:
+    """:func:`_spin_flip_spectrum` of states in the ``sigma_x (x) sigma_x``
+    even sector, from their eight even Pauli components, with no eigensolve.
+
+    ``alphas`` is one Pauli vector or a ``(..., 16)`` stack; each is divided
+    by its trace component, and its odd components are not read.  In the
+    ``sigma_x`` eigenbasis such a state is an X-state, whose spin-flip
+    eigenvalues are ``(sqrt(r11 r44) +- |r14|)^2`` and ``(sqrt(r22 r33) +-
+    |r23|)^2`` (Yu & Eberly, QIC 7, 459, 2007).  The square roots are taken
+    in complex, so a product that is not positive leaves the imaginary
+    residue that an eigensolve leaves.
+    """
+    a = np.asarray(alphas).reshape(-1, 16)
+    a = a / a[:, :1]
+    ii, ix, xi, xx = a[:, 0], a[:, 1], a[:, 4], a[:, 5]
+    yy, yz, zy, zz = a[:, 10], a[:, 11], a[:, 14], a[:, 15]
+    # four times the populations and the moduli of the two coherences
+    r11 = ii + ix + xi + xx
+    r22 = ii - ix + xi - xx
+    r33 = ii + ix - xi - xx
+    r44 = ii - ix - xi + xx
+    root14 = np.sqrt((r11 * r44).astype(complex))
+    root23 = np.sqrt((r22 * r33).astype(complex))
+    c14 = np.hypot(zz - yy, zy + yz)
+    c23 = np.hypot(zz + yy, yz - zy)
+    sums = np.stack([root14 + c14, root14 - c14, root23 + c23, root23 - c23], axis=1)
+    return np.square(sums / 4.0)
+
+
+def _signed_from_spin_flip(mu: np.ndarray, shape: tuple):
+    """Signed concurrence from spin-flip spectra ``mu``, one row of four
+    per sample, for samples of batch shape ``shape`` (``()`` for one
+    sample, giving a float).
+
+    The one dust rule: a spin-flip eigenvalue below ``-1e-7``, or an
+    imaginary part above ``1e-7``, raises :class:`InvalidStateError`; on a
+    stack the error names the first offending sample, counted over the
+    flattened stack.  Smaller dust is clamped to zero before the roots.
+    """
     imag = np.max(np.abs(mu.imag), axis=1)
     mu = np.sort(mu.real, axis=1)
     lowest = mu[:, 0]
@@ -290,11 +355,11 @@ def _signed_concurrence(matrix: np.ndarray):
             problem = f"imaginary residue {imag[k]:.3e}"
         else:
             problem = f"eigenvalue {lowest[k]:.3e} below -{_SPIN_FLIP_DUST_TOL:.1e}"
-        where = "" if matrix.ndim == 2 else f" at sample {k}"
+        where = "" if shape == () else f" at sample {k}"
         raise InvalidStateError(f"spin-flip spectrum has {problem}{where}")
     roots = np.sqrt(np.clip(mu, 0.0, None))
     signed = roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0]
-    return float(signed[0]) if matrix.ndim == 2 else signed.reshape(matrix.shape[:-2])
+    return float(signed[0]) if shape == () else signed.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ route than the package under test:
 * concurrence uses the matrix-square-root form of Wootters' formula,
   sqrt(rho) rho~ sqrt(rho), with both square roots taken from Hermitian
   eigendecompositions (eigh), instead of the eigenvalues of the
-  non-Hermitian product rho rho~;
+  non-Hermitian product rho rho~ or their closed form for X-states; a
+  40-digit ``mpmath`` eigensolve of rho rho~ gives the spin-flip spectrum
+  itself;
 * principal-value integrals fold the range about the pole, pairing
   g(p + u) with g(p - u) (an exactly regular integrand), instead of the
   package's pole subtraction, (g(w) - g(p)) / (w - p) plus
@@ -173,6 +175,20 @@ def concurrence_sqrtm(rho):
     root = (vectors * values) @ vectors.conj().T
     lams = np.sort(_sqrt_eigenvalues(root @ flipped @ root)[0])[::-1]
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+
+
+def spin_flip_spectrum_mp(rho, dps=40):
+    """Eigenvalues of rho rho~, ascending by real part, from ``mpmath.eig``
+    at ``dps`` digits on the exact double entries of ``rho``, with the spin
+    flip (sy x sy) rho* (sy x sy) formed by products in mp arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        yy = mpmath.matrix(np.kron(_SY, _SY).tolist())
+        m = mpmath.matrix(np.asarray(rho, dtype=complex).tolist())
+        flipped = yy * m.conjugate() * yy
+        values = mpmath.eig(m * flipped, left=False, right=False)
+        return sorted(values, key=lambda v: v.real)
 
 
 def trace_distance(rho_a, rho_b):

