@@ -237,7 +237,7 @@ def plan(
     t_peak = 1.0 / gamma0 if gamma0 > 0 else math.inf
 
     window = max(t_peak, t_c)
-    feasible = bool(revival > window and generated and gamma0 > 0)
+    feasible = bool(revival > window and generated)
 
     if not generated:
         diagnostics.append(
@@ -253,7 +253,7 @@ def plan(
             f"full slow-mode window 1/(delta*gamma0) = {slow_window:.4g}/omega_t "
             f"{relation} the revival time {revival:.4g}/omega_t"
         )
-    if math.isfinite(window) and not feasible and gamma0 > 0 and generated:
+    if math.isfinite(window) and not feasible and generated:
         diagnostics.append(
             f"transient window {window:.4g}/omega_t does not fit inside "
             f"the revival time {revival:.4g}/omega_t"
@@ -287,8 +287,6 @@ def temperature_requirement(config: TrapConfig) -> float:
     megahertz traps.
     """
     ratio = config.target_ratio
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"target ratio must lie in (0, 1), got {ratio}")
     splitting = config.rabi_ratio * config.trap_frequency
     energy = _HBAR * splitting
     denominator = 2.0 * _K_B * math.atanh(ratio)

@@ -22,10 +22,11 @@ For a strictly positive correlation deficit the spectrum splits into
 
 Each generator is eigensolved once, on first read of
 :attr:`GeneratorMatrix.spectrum`: one cached :class:`SpectrumReport` holds
-the bi-orthonormal left/right eigensystem, the condition number of the
-eigenvector matrix and, where the split is unique, the labels.  Reading it
-never raises.  :func:`classify_spectrum` returns that record when it is
-labelled and raises the reason when it is not.  Whether the eigenbasis is
+the bi-orthonormal left/right eigensystem and the condition number of the
+eigenvector matrix, with the modes in the order above where the split is
+unique and no mode grows.  Reading it never raises.
+:func:`classify_spectrum` returns that record when it is labelled and
+raises the reason when it is not.  Whether the eigenbasis is
 sound enough to sum is decided in one place, :func:`mode_coefficients`,
 the first step of every mode sum: it sums either kind of record up to a
 condition number of 1e6 and raises :class:`DefectiveSpectrumError` above.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -189,16 +190,11 @@ def _term_rates(rates: RateSet) -> list:
 
 
 def _apply_master_equation(
-    state: np.ndarray, ham: np.ndarray, rates: RateSet, images=None
+    state: np.ndarray, ham: np.ndarray, rates: RateSet, images: np.ndarray
 ) -> np.ndarray:
     """Right-hand side of the master equation for a 4x4 operator, or for
-    each operator of a ``(..., 4, 4)`` stack.
-
-    ``images`` may pass ``_dissipator_images(state)`` precomputed; the
-    terms are summed in the same order either way.
-    """
-    if images is None:
-        images = _dissipator_images(state)
+    each operator of a ``(..., 4, 4)`` stack, given its
+    ``_dissipator_images(state)``."""
     out = -1j * (ham @ state - state @ ham)
     for g, image in zip(_term_rates(rates), images):
         if g != 0.0:
@@ -213,13 +209,17 @@ _BASIS_IMAGES = _dissipator_images(_BASIS_OPERATORS)
 _BASIS_IMAGES.setflags(write=False)
 
 
-def _generator_columns(ham: np.ndarray, rates: RateSet, tol: float) -> np.ndarray:
+def _generator_columns(ham: np.ndarray, rates: RateSet) -> np.ndarray:
     """Real 16x16 Pauli-basis matrix of the master equation.
 
     Column ``k`` is the Pauli projection of the image of the k-th basis
-    operator.  A non-finite entry, or a column with an imaginary part above
-    ``tol`` (the superoperator does not preserve Hermiticity, for instance
-    for a non-Hermitian ``ham``), raises :class:`NumericalFailureError`.
+    operator.  Two consistency gates, both at 1e-10 of the largest
+    |entry| of ``ham`` or |rate| (the scale of what is summed), raise
+    :class:`NumericalFailureError`: an imaginary residue in a column (the
+    superoperator does not preserve Hermiticity, for instance for a
+    non-Hermitian ``ham``) and a non-zero first row (trace preservation
+    makes it vanish identically; it is zeroed exactly once checked).  So
+    does a non-finite entry.
     """
     images = _apply_master_equation(_BASIS_OPERATORS, ham, rates, _BASIS_IMAGES)
     projected = _rho_to_alpha(images).T
@@ -228,6 +228,7 @@ def _generator_columns(ham: np.ndarray, rates: RateSet, tol: float) -> np.ndarra
             "generator has non-finite entries: a coherent strength or rate "
             "overflows double precision"
         )
+    tol = 1e-10 * max(float(np.max(np.abs(ham))), *map(abs, _term_rates(rates)))
     residues = np.max(np.abs(projected.imag), axis=0)
     bad = np.flatnonzero(residues > tol)
     if bad.size:
@@ -235,34 +236,36 @@ def _generator_columns(ham: np.ndarray, rates: RateSet, tol: float) -> np.ndarra
         raise NumericalFailureError(
             f"generator column {col} has imaginary residue {residues[col]:.3e}"
         )
-    return projected.real.copy()
+    entries = projected.real.copy()
+    top = float(np.max(np.abs(entries[0])))
+    if top > tol:
+        raise NumericalFailureError(f"trace-preservation defect {top:.3e} in generator")
+    entries[0] = 0.0
+    return entries
 
 
 def build_generator(params: ModelParams, rates: RateSet) -> GeneratorMatrix:
     """Assemble the Pauli-vector generator ``L``.
 
-    Trace preservation makes the first row vanish identically; it is
-    zeroed exactly after an internal consistency check.  All entries are
-    real by Hermiticity preservation.  A failure of either check, or an
-    entry that overflows to inf or NaN, raises
+    All entries are real by Hermiticity preservation and the first row is
+    zero by trace preservation; :func:`_generator_columns` checks both.  A
+    failed check, or an entry that overflows to inf or NaN, raises
     :class:`NumericalFailureError`; overflow warns nothing on the way.
     """
-    scale = max(
-        abs(params.delta_field), rates.gamma11_plus, abs(params.lamb_b), 1e-300
-    )
     with np.errstate(over="ignore", invalid="ignore"):
-        ham = hamiltonian_matrix(params)
-        entries = _generator_columns(ham, rates, 1e-10 * scale)
-    top = float(np.max(np.abs(entries[0])))
-    if top > 1e-10 * scale:
-        raise NumericalFailureError(f"trace-preservation defect {top:.3e} in generator")
-    entries[0] = 0.0
+        entries = _generator_columns(hamiltonian_matrix(params), rates)
     return GeneratorMatrix(entries, params, rates)
 
 
 # ---------------------------------------------------------------------------
 # Spectrum
 # ---------------------------------------------------------------------------
+
+
+#: the labelled mode order, by position: thermal, slow, the oscillatory
+#: pair (positive imaginary part first), then twelve fast modes by
+#: decreasing real part
+_MODE_LABELS = ("thermal", "slow", "oscillatory", "oscillatory") + ("fast",) * 12
 
 
 @dataclass(frozen=True)
@@ -273,20 +276,18 @@ class SpectrumReport:
     matching left eigenvector, normalized so that
     ``vdot(left[k], right[:, l]) = delta_kl``; ``cond`` is the condition
     number of the matrix ``right``, which :func:`mode_coefficients` gates
-    before any mode sum.  A labelled record orders its modes
-    thermal, slow, oscillatory pair (positive imaginary part first), then
-    fast modes by decreasing real part, and scales each eigenvector as
-    :func:`classify_spectrum` describes.  A spectrum without a unique label
-    for each mode keeps ``eig``'s order and scaling with ``labels = None``
-    and no ``fast_violations``; ``reason`` then holds the message and the
-    candidate eigenvalues, and reading a labelled index raises
-    :class:`DegenerateSpectrumError`.
+    before any mode sum.  A labelled record (``reason`` is ``None``)
+    orders its modes as ``labels`` reads, by position, and scales each
+    eigenvector as :func:`classify_spectrum` describes.  A spectrum
+    without a unique label for each mode keeps ``eig``'s order and
+    scaling with no ``fast_violations``; ``reason`` then holds the message
+    and the candidate eigenvalues, ``labels`` is ``None``, and reading a
+    labelled index raises :class:`DegenerateSpectrumError`.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    labels: Optional[tuple]
     gamma0: float
     delta: float
     fast_violations: tuple
@@ -299,28 +300,23 @@ class SpectrumReport:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def _labelled(self) -> tuple:
-        """The labels; an unlabelled record raises a new
-        :class:`DegenerateSpectrumError` from its reason."""
-        if self.labels is None:
+    @property
+    def labels(self) -> Optional[tuple]:
+        """The label of each mode, or ``None`` for an unlabelled record."""
+        return _MODE_LABELS if self.reason is None else None
+
+    def _labelled(self, positions=None):
+        """``positions``, once the record is known to be labelled; an
+        unlabelled record raises a new :class:`DegenerateSpectrumError`
+        from its reason."""
+        if self.reason is not None:
             raise DegenerateSpectrumError(*self.reason)
-        return self.labels
+        return positions
 
-    @property
-    def thermal_index(self) -> int:
-        return self._labelled().index("thermal")
-
-    @property
-    def slow_index(self) -> int:
-        return self._labelled().index("slow")
-
-    @property
-    def oscillatory_indices(self) -> tuple:
-        return tuple(k for k, lab in enumerate(self._labelled()) if lab == "oscillatory")
-
-    @property
-    def fast_indices(self) -> tuple:
-        return tuple(k for k, lab in enumerate(self._labelled()) if lab == "fast")
+    thermal_index = property(lambda self: self._labelled(0))
+    slow_index = property(lambda self: self._labelled(1))
+    oscillatory_indices = property(lambda self: self._labelled((2, 3)))
+    fast_indices = property(lambda self: self._labelled(tuple(range(4, 16))))
 
     @property
     def slow_eigenvalue(self) -> float:
@@ -353,7 +349,7 @@ def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
     and positive.
     """
     report = generator.spectrum
-    report._labelled()  # an unlabelled record raises its reason here
+    report._labelled()
     return report
 
 
@@ -367,14 +363,13 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
     rates = generator.rates
     values, right = np.linalg.eig(generator.entries)
     cond = float(np.linalg.cond(right))
-    labels = reason = None
+    reason = None
     violations = ()
     try:
         order = _label_order(rates, values)
     except DegenerateSpectrumError as exc:
         reason = (str(exc), exc.candidates)
     else:
-        labels = ("thermal", "slow", "oscillatory", "oscillatory") + ("fast",) * 12
         values = values[order]
         right = right[:, order].copy()  # C order; the fancy index alone gives F order
         right[:, 0] = right[:, 0] / right[0, 0]
@@ -397,7 +392,6 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
         eigenvalues=values,
         right=right,
         left=np.linalg.inv(right).conj(),
-        labels=labels,
         gamma0=rates.gamma0,
         delta=rates.delta,
         fast_violations=violations,
@@ -427,11 +421,16 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
     """Mode order thermal, slow, oscillatory pair, fast, as indices into
     the eigenvalues ``values`` returned by ``eig``.
 
-    For a real matrix ``np.linalg.eig`` keeps LAPACK's ``dgeev`` order:
-    each complex pair sits at adjacent indices ``(k, k + 1)``, exactly
-    conjugate in value and eigenvector, positive imaginary part first.  The
-    oscillatory pair is the slowest complex pair, so it is read off as the
-    slowest eigenvalue with positive imaginary part and its successor.  A
+    The modes are sorted once, by decreasing real part then decreasing
+    imaginary part, and every label is drawn from that list: the thermal
+    mode is the one zero eigenvalue, the slow mode the first real one, and
+    the oscillatory pair the first eigenvalue with positive imaginary
+    part and its successor in ``eig``'s order.  For a real matrix
+    ``np.linalg.eig`` keeps LAPACK's ``dgeev`` order, in which each complex
+    pair sits at adjacent indices ``(k, k + 1)``, exactly conjugate in
+    value and eigenvector, positive imaginary part first; so an odd number
+    of the fifteen other modes, at least one, is real.  A growing mode
+    (real part above 1e-9 gamma0), which no Lindblad generator has, or a
     spectrum without a unique label for each mode raises
     :class:`DegenerateSpectrumError`.
     """
@@ -443,8 +442,18 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
     gamma0 = rates.gamma0
     tol = 1e-9 * gamma0
     vals = values.tolist()
+    order = sorted(range(16), key=lambda k: (-vals[k].real, -vals[k].imag))
 
-    zero_modes = [k for k, v in enumerate(vals) if abs(v) < tol]
+    growing = [k for k in order if vals[k].real > tol]
+    if growing:
+        raise DegenerateSpectrumError(
+            f"growing mode {vals[growing[0]]!r} (one of {len(growing)} with a real "
+            f"part above {tol:.1e}): a dissipative generator has none, so the "
+            "eigensolver cannot resolve this spectrum",
+            candidates=values[growing],
+        )
+
+    zero_modes = [k for k in order if abs(vals[k]) < tol]
     if len(zero_modes) != 1:
         raise DegenerateSpectrumError(
             f"expected exactly one zero mode, found {len(zero_modes)}"
@@ -453,40 +462,24 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
         )
     thermal = zero_modes[0]
 
-    real_modes = sorted(
-        (k for k, v in enumerate(vals) if k != thermal and abs(v.imag) < tol),
-        key=lambda k: abs(vals[k].real),
-    )
-    if not real_modes:
-        raise DegenerateSpectrumError("no real nonzero eigenvalue to label as slow")
-    slow = real_modes[0]
-    if len(real_modes) > 1:
-        gap = abs(abs(vals[real_modes[1]].real) - abs(vals[slow].real))
-        if gap < 1e-10 * gamma0:
-            raise DegenerateSpectrumError(
-                "two slow-mode candidates are degenerate" + _deficit_note(rates.delta),
-                candidates=(values[slow], values[real_modes[1]]),
-            )
+    def first(candidates: list, name: str) -> int:
+        if len(candidates) > 1:
+            lead, runner = candidates[:2]
+            if abs(vals[lead].real - vals[runner].real) < 1e-10 * gamma0:
+                raise DegenerateSpectrumError(
+                    f"two {name} candidates are degenerate" + _deficit_note(rates.delta),
+                    candidates=(values[lead], values[runner]),
+                )
+        return candidates[0]
 
-    def decay_order(k):
-        return (-vals[k].real, -vals[k].imag)
-
-    upper = sorted((k for k, v in enumerate(vals) if v.imag >= tol), key=decay_order)
+    slow = first([k for k in order if k != thermal and abs(vals[k].imag) < tol], "slow-mode")
+    upper = [k for k in order if vals[k].imag >= tol]
     if not upper:
         raise DegenerateSpectrumError("no conjugate pair available as oscillatory")
-    if len(upper) > 1:
-        gap = abs(vals[upper[0]].real - vals[upper[1]].real)
-        if gap < 1e-10 * gamma0:
-            raise DegenerateSpectrumError(
-                "two oscillatory-pair candidates are degenerate" + _deficit_note(rates.delta),
-                candidates=(values[upper[0]], values[upper[1]]),
-            )
-    osc = upper[0]
+    osc = first(upper, "oscillatory-pair")
 
     labelled = (thermal, slow, osc, osc + 1)
-    fast = sorted((k for k in range(16) if k not in labelled), key=decay_order)
-
-    return list(labelled) + fast
+    return list(labelled) + [k for k in order if k not in labelled]
 
 
 def mode_coefficients(report: SpectrumReport, initial) -> np.ndarray:
@@ -579,10 +572,7 @@ def analytic_slow_eigenpair(rates: RateSet) -> tuple[float, PauliVector]:
 def generator_to_json(generator: GeneratorMatrix) -> str:
     payload = {
         "entries_row_major": [float(x) for x in generator.entries.reshape(-1)],
-        "delta_field": generator.params.delta_field,
-        "lamb_a": generator.params.lamb_a,
-        "lamb_b": generator.params.lamb_b,
-        "exchange_xi": generator.params.exchange_xi,
+        **asdict(generator.params),
         "gamma0": generator.rates.gamma0,
         "delta": generator.rates.delta,
         "occupation": generator.rates.occupation,

@@ -128,6 +128,18 @@ def test_overflowing_generator_is_numerical_failure(capsys, override):
     assert caught == []
 
 
+@pytest.mark.parametrize("lamb_b", ["1e18", "1e30"])
+def test_growing_modes_are_numerical_failures(capsys, lamb_b):
+    """A spectrum with growing modes, from eigensolver error at a huge
+    coherent strength, is refused by name rather than printed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = invoke(capsys, "--scenario", "spectrum", "--set", f"lamb_b={lamb_b}")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: growing mode (")
+    assert caught == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

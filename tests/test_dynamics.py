@@ -309,6 +309,14 @@ def test_overflowing_mode_sums_are_numerical_failures(route, lamb_b, factory):
     assert caught == []
 
 
+def test_survival_report_refuses_growing_modes():
+    """At lamb_b = 1e30 the mode that would be labelled slow grows; the
+    lifetime is refused as a numerical failure, not as a bad input."""
+    gen = make_generator(0.05, 0.9, lamb_b=1e30)
+    with pytest.raises(NumericalFailureError, match="growing mode"):
+        survival_report(gen, werner(2.0 / 3.0))
+
+
 @pytest.mark.parametrize(
     "factory",
     [z_up_down, bell_singlet, lambda: state_for_correlation(0.5)],
@@ -510,8 +518,7 @@ def _sector_coupling_generator(field=0.3):
     generator that couples the sigma_x (x) sigma_x even and odd sectors."""
     reference = make_generator(0.05, 0.9)
     ham = hamiltonian_matrix(reference.params) + field * np.kron(PAULI[3], np.eye(2))
-    entries = _generator_columns(ham, reference.rates, 1e-10)
-    entries[0] = 0.0
+    entries = _generator_columns(ham, reference.rates)
     return GeneratorMatrix(entries, reference.params, reference.rates)
 
 

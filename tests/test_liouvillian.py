@@ -15,6 +15,7 @@ from spinbath.liouvillian import (
     ModelParams,
     _X_TOTAL,
     _apply_master_equation,
+    _dissipator_images,
     _generator_columns,
     analytic_slow_eigenpair,
     build_generator,
@@ -107,7 +108,8 @@ def test_generator_matches_column_route(lamb, exchange):
         ham = hamiltonian_matrix(params)
         reference = np.empty((16, 16))
         for col in range(16):
-            image = _apply_master_equation(PAULI_PRODUCTS[col] / 4.0, ham, rates)
+            basis = PAULI_PRODUCTS[col] / 4.0
+            image = _apply_master_equation(basis, ham, rates, _dissipator_images(basis))
             reference[:, col] = np.einsum("kab,ba->k", PAULI_PRODUCTS, image).real
         reference[0] = 0.0
         gen = build_generator(params, rates)
@@ -159,7 +161,25 @@ def test_non_hermitian_hamiltonian_is_a_numerical_failure():
     column (column 1, sigma_0 (x) sigma_x, commutes with the field term)."""
     rates = RateSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(NumericalFailureError, match="generator column 2 has imaginary"):
-        _generator_columns(1j * _X_TOTAL, rates, 1e-10)
+        _generator_columns(1j * _X_TOTAL, rates)
+
+
+def test_large_exchange_model_builds():
+    """The gates scale with the largest Hamiltonian entry, here the
+    exchange at ~1e9, so its round-off (~6e-8 in column 3) is not read as
+    a Hermiticity defect; a scale without the exchange refused this model
+    for any rates."""
+    params = ModelParams(
+        47.085345016334095,
+        lamb_a=0.01926360245789568,
+        lamb_b=3.565805076588644,
+        exchange_xi=-1045001654.6230235,
+    )
+    for ratio, deficit in ((0.9, 0.05), (0.3, 1.5)):
+        rates = RateSet.from_parameters(1.0, BathThermal.from_ratio(ratio), deficit)
+        gen = build_generator(params, rates)
+        assert np.all(np.isfinite(gen.entries))
+        assert np.all(gen.entries[0] == 0.0)
 
 
 def test_first_row_zero_and_real(reference_generator):
@@ -249,6 +269,50 @@ def test_classification_counts_and_structure(deficit, ratio):
     assert abs(report.eigenvalues[0]) < 1e-9
     assert np.all(report.eigenvalues[1:].real < 0.0)
     assert report.fast_violations == ()
+
+
+def _sweep_models(count=200):
+    """Seeded models over the valid domain, each coherent strength off or
+    of either sign up to 1e15, where eigensolver error can exceed the
+    slowest decay rates."""
+    rng = np.random.default_rng(23)
+    for _ in range(count):
+        on = rng.random(3) < 0.7
+        strengths = rng.choice([-1.0, 1.0], 3) * 10.0 ** rng.uniform(-3.0, 15.0, 3) * on
+        params = ModelParams(10.0 ** rng.uniform(-1.0, 3.0), *strengths)
+        thermal = BathThermal.from_ratio(rng.uniform(0.05, 1.0))
+        rates = RateSet.from_parameters(10.0 ** rng.uniform(-1.0, 1.0), thermal, rng.uniform(0.0, 2.0))
+        yield params, rates
+
+
+def test_sweep_builds_and_labels_only_decaying_spectra():
+    """Every finite model builds, and every labelled record decays in every
+    mode (real parts at most 1e-9 gamma0) with its labels at fixed
+    positions; a record that labelling refuses has no labels."""
+    labelled = 0
+    for params, rates in _sweep_models():
+        report = build_generator(params, rates).spectrum
+        if report.reason is not None:
+            assert report.labels is None
+            continue
+        labelled += 1
+        assert np.max(report.eigenvalues.real) <= 1e-9 * rates.gamma0
+        assert report.labels == ("thermal", "slow") + ("oscillatory",) * 2 + ("fast",) * 12
+        assert (report.thermal_index, report.slow_index) == (0, 1)
+        assert report.oscillatory_indices == (2, 3)
+        assert report.fast_indices == tuple(range(4, 16))
+    assert labelled >= 190
+
+
+@pytest.mark.parametrize("lamb_b", [1e18, 1e30])
+def test_growing_modes_are_refused_by_name(lamb_b):
+    """At huge strengths eigensolver error leaves modes with a positive
+    real part, which no Lindblad generator has; labelling refuses them."""
+    gen = make_generator(0.05, 0.9, lamb_b=lamb_b)
+    assert gen.spectrum.labels is None
+    with pytest.raises(DegenerateSpectrumError, match="growing mode") as info:
+        classify_spectrum(gen)
+    assert all(value.real > 1e-9 for value in info.value.candidates)
 
 
 def test_spectrum_closed_under_conjugation(reference_spectrum):
