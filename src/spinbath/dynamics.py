@@ -34,6 +34,7 @@ and a finite disentanglement time for any bath ratio ``R < 1``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -95,7 +96,7 @@ _RECONSTRUCTION_IMAG_TOL = 1e-8
 _SIDE_POINTS = 4
 #: the float spacing near t is below 4 eps t, so a root bracket can always
 #: shrink to ``xtol + 4 eps t``
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -487,41 +488,47 @@ def _numeric_survival(
     peak bracket's best point and inside the root bracket, alone shrink each
     bracket about fivefold a round, so no search takes more rounds than it
     would with even points only.  A round samples both brackets in one call.
+
+    Only the scan grid and the concurrence batches are numpy arrays.  The
+    brackets and their candidates are lists of Python floats, whose
+    arithmetic is the same IEEE double arithmetic numpy does element by
+    element, so every sample time is the one ``np.linspace``,
+    ``np.setdiff1d`` and a stable ``np.argsort`` would give.
     """
     gamma0 = report.gamma0
     coeffs = mode_coefficients(report, _state_alpha(initial))
 
-    def signed(times: np.ndarray) -> np.ndarray:
-        return _signed_samples(_spectral_alphas(report, coeffs, times))
+    def signed(times: list) -> list:
+        return _signed_samples(_spectral_alphas(report, coeffs, np.array(times))).tolist()
 
-    def stretch(start: float, stop: float) -> np.ndarray:
-        return np.linspace(start, stop, 49)[1:]
+    def stretch(start: float, stop: float) -> list:
+        return np.linspace(start, stop, 49)[1:].tolist()
 
     horizon = 1.6 * t_guess if math.isfinite(t_guess) and t_guess > 0 else 30.0 / gamma0
     horizon = max(horizon, 5.0 / gamma0)
     # the fast modes decay at rates of order gamma0 or faster
     window = min(8.0 / gamma0, horizon)
-    times = np.concatenate([[0.0], np.geomspace(1e-3 / gamma0, window, 64)])
+    times = [0.0, *np.geomspace(1e-3 / gamma0, window, 64).tolist()]
     if horizon > window:
-        times = np.concatenate([times, stretch(window, horizon)])
+        times += stretch(window, horizon)
     values = signed(times)
-    if not np.any(values > 0.0):
+    if max(values) <= 0.0:
         return 0.0, 0.0, 0.0
     for _ in range(7):
         if values[-1] <= 0.0:
             break
         tail = stretch(horizon, 2.0 * horizon)
-        times = np.concatenate([times, tail])
-        values = np.concatenate([values, signed(tail)])
+        times += tail
+        values += signed(tail)
         horizon *= 2.0
 
-    # each bracket is a pair of arrays: its sample times and their values
-    k = int(np.argmax(values))
-    around = [max(k - 1, 0), k, min(k + 1, times.size - 1)]
-    peak = times[around], values[around]
+    # each bracket is a pair of lists: its sample times and their values
+    k = values.index(max(values))
+    around = (max(k - 1, 0), k, min(k + 1, len(times) - 1))
+    peak = [times[i] for i in around], [values[i] for i in around]
     peak_tol = 1e-5 * (peak[0][2] - peak[0][0])
-    last = int(np.flatnonzero(values > 0.0)[-1])
-    root = None if last == times.size - 1 else (times[last : last + 2], values[last : last + 2])
+    last = _last_positive(values)
+    root = None if last == len(times) - 1 else (times[last : last + 2], values[last : last + 2])
     xtol = 1e-6 / max(-report.slow_eigenvalue, 1e-300)
     while True:
         peak_open = peak[0][2] - peak[0][0] > peak_tol
@@ -529,72 +536,82 @@ def _numeric_survival(
         root_open = root is not None and root[0][1] - root[0][0] > root_tol
         if not (peak_open or root_open):
             break
-        peak_new = _peak_candidates(*peak, 0.45 * peak_tol) if peak_open else np.empty(0)
-        root_new = _root_candidates(*root, 0.45 * root_tol) if root_open else np.empty(0)
-        found = signed(np.concatenate([peak_new, root_new]))
+        peak_new = _peak_candidates(*peak, 0.45 * peak_tol) if peak_open else []
+        root_new = _root_candidates(*root, 0.45 * root_tol) if root_open else []
+        found = signed(peak_new + root_new)
         if peak_open:
-            t, c = _merge(peak, peak_new, found[: peak_new.size])
+            t, c = _merge(peak, peak_new, found[: len(peak_new)])
             # an end never becomes the best point, so the new bracket keeps a
             # neighbour on each side (at t = 0 the end and best are one sample)
-            scores = c.copy()
-            scores[[0, -1]] = -np.inf
-            j = int(np.argmax(scores))
+            j = max(range(1, len(c) - 1), key=c.__getitem__)
             peak = t[j - 1 : j + 2], c[j - 1 : j + 2]
         if root_open:
-            t, c = _merge(root, root_new, found[peak_new.size :])
-            i = int(np.flatnonzero(c > 0.0)[-1])
+            t, c = _merge(root, root_new, found[len(peak_new) :])
+            i = _last_positive(c)
             root = t[i : i + 2], c[i : i + 2]
     t_zero = math.inf if root is None else 0.5 * (root[0][0] + root[0][1])
-    return min(float(peak[1][1]), 1.0), float(peak[0][1]), float(t_zero)
+    return min(peak[1][1], 1.0), peak[0][1], t_zero
 
 
-def _merge(bracket, times: np.ndarray, values: np.ndarray):
+def _last_positive(values: list) -> int:
+    """Index of the last positive value; there is one."""
+    return next(i for i in range(len(values) - 1, -1, -1) if values[i] > 0.0)
+
+
+def _merge(bracket, times: list, values: list):
     """A bracket's samples and new ones, in time order; a tie keeps the
     bracket's sample first, so ``lo`` stays first and ``hi`` last."""
-    t = np.concatenate([bracket[0], times])
-    order = np.argsort(t, kind="stable")
-    return t[order], np.concatenate([bracket[1], values])[order]
+    t = bracket[0] + times
+    c = bracket[1] + values
+    order = sorted(range(len(t)), key=t.__getitem__)
+    return [t[i] for i in order], [c[i] for i in order]
 
 
-def _peak_candidates(times: np.ndarray, values: np.ndarray, flank: float) -> np.ndarray:
+def _even_points(a: float, b: float) -> list:
+    """:data:`_SIDE_POINTS` even points strictly inside ``(a, b)``, each
+    ``a + i * step`` as ``np.linspace(a, b, _SIDE_POINTS + 2)`` computes it."""
+    step = (b - a) / (_SIDE_POINTS + 1)
+    return [a + i * step for i in range(1, _SIDE_POINTS + 1)]
+
+
+def _peak_candidates(times: list, values: list, flank: float) -> list:
     """New samples of a peak bracket ``(lo, best, hi)``: :data:`_SIDE_POINTS`
     even points on each non-empty side of ``best``, and the vertex of the
     parabola through the three samples with its flanks."""
-    lo, best, hi = times.tolist()
-    f_lo, f_best, f_hi = values.tolist()
-    side = _SIDE_POINTS + 2
-    even = [np.linspace(a, b, side)[1:-1] for a, b in ((lo, best), (best, hi)) if b > a]
+    lo, best, hi = times
+    f_lo, f_best, f_hi = values
+    even = [t for a, b in ((lo, best), (best, hi)) if b > a for t in _even_points(a, b)]
     # the vertex is best - p / (2 q); a flat parabola, or a best point at an
     # end (a peak at t = 0), gives best itself
     p = (best - lo) ** 2 * (f_best - f_hi) - (best - hi) ** 2 * (f_best - f_lo)
     q = (best - lo) * (f_best - f_hi) - (best - hi) * (f_best - f_lo)
     vertex = best - 0.5 * p / q if q != 0.0 else best
-    return _fresh([*even, _with_flanks(vertex, lo, hi, flank)], times)
+    return _fresh(even + _with_flanks(vertex, lo, hi, flank), times)
 
 
-def _root_candidates(times: np.ndarray, values: np.ndarray, flank: float) -> np.ndarray:
+def _root_candidates(times: list, values: list, flank: float) -> list:
     """New samples of a root bracket ``(a, b)``, ``c(a) > 0 >= c(b)``:
     :data:`_SIDE_POINTS` even interior points, and the secant point with its
     flanks."""
-    a, b = times.tolist()
-    f_a, f_b = values.tolist()
-    even = np.linspace(a, b, _SIDE_POINTS + 2)[1:-1]
-    return _fresh([even, _with_flanks(a + f_a * (b - a) / (f_a - f_b), a, b, flank)], times)
+    a, b = times
+    f_a, f_b = values
+    secant = a + f_a * (b - a) / (f_a - f_b)
+    return _fresh(_even_points(a, b) + _with_flanks(secant, a, b, flank), times)
 
 
-def _with_flanks(point: float, lo: float, hi: float, flank: float) -> np.ndarray:
+def _with_flanks(point: float, lo: float, hi: float, flank: float) -> list:
     """A model point and a flank to each side; a point closer than one flank
     to an end of ``(lo, hi)`` is moved to one flank from it (Brent's
     smallest step)."""
     point = min(max(point, lo + flank), hi - flank)
-    return np.array([point - flank, point, point + flank])
+    return [point - flank, point, point + flank]
 
 
-def _fresh(candidates: list, times: np.ndarray) -> np.ndarray:
-    """The candidate arrays' times strictly inside the bracket ``times`` and
-    not yet sampled, sorted."""
-    new = np.setdiff1d(np.concatenate(candidates), times)
-    return new[(new > times[0]) & (new < times[-1])]
+def _fresh(candidates: list, times: list) -> list:
+    """The candidate times strictly inside the bracket ``times`` and not yet
+    sampled, sorted and without repeats."""
+    lo, hi = times[0], times[-1]
+    return sorted({t for t in candidates if lo < t < hi}.difference(times))
 
 
 def survival_report(

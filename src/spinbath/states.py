@@ -314,25 +314,31 @@ def _x_even_spin_flip_spectrum(alphas: np.ndarray) -> np.ndarray:
     by its trace component, and its odd components are not read.  In the
     ``sigma_x`` eigenbasis such a state is an X-state, whose spin-flip
     eigenvalues are ``(sqrt(r11 r44) +- |r14|)^2`` and ``(sqrt(r22 r33) +-
-    |r23|)^2`` (Yu & Eberly, QIC 7, 459, 2007).  The square roots are taken
-    in complex, so a product that is not positive leaves the imaginary
-    residue that an eigensolve leaves.
+    |r23|)^2`` (Yu & Eberly, QIC 7, 459, 2007).  Where every population
+    product is non-negative the spectra are real; otherwise the square roots
+    of the whole batch are taken in complex, so a negative product leaves
+    the imaginary residue that an eigensolve leaves.
     """
     a = np.asarray(alphas).reshape(-1, 16)
     a = a / a[:, :1]
     ii, ix, xi, xx = a[:, 0], a[:, 1], a[:, 4], a[:, 5]
     yy, yz, zy, zz = a[:, 10], a[:, 11], a[:, 14], a[:, 15]
-    # four times the populations and the moduli of the two coherences
-    r11 = ii + ix + xi + xx
-    r22 = ii - ix + xi - xx
-    r33 = ii + ix - xi - xx
-    r44 = ii - ix - xi + xx
-    root14 = np.sqrt((r11 * r44).astype(complex))
-    root23 = np.sqrt((r22 * r33).astype(complex))
+    # sixteen times the population products, and four times the moduli of
+    # the two coherences
+    p14 = (ii + ix + xi + xx) * (ii - ix - xi + xx)
+    p23 = (ii - ix + xi - xx) * (ii + ix - xi - xx)
+    if min(p14.min(initial=0.0), p23.min(initial=0.0)) < 0.0:
+        p14, p23 = p14.astype(complex), p23.astype(complex)
+    root14, root23 = np.sqrt(p14), np.sqrt(p23)
     c14 = np.hypot(zz - yy, zy + yz)
     c23 = np.hypot(zz + yy, yz - zy)
-    sums = np.stack([root14 + c14, root14 - c14, root23 + c23, root23 - c23], axis=1)
-    return np.square(sums / 4.0)
+    mu = np.empty((a.shape[0], 4), dtype=root14.dtype)
+    np.add(root14, c14, out=mu[:, 0])
+    np.subtract(root14, c14, out=mu[:, 1])
+    np.add(root23, c23, out=mu[:, 2])
+    np.subtract(root23, c23, out=mu[:, 3])
+    mu /= 4.0
+    return np.square(mu, out=mu)
 
 
 def _signed_from_spin_flip(mu: np.ndarray, shape: tuple):
@@ -344,20 +350,22 @@ def _signed_from_spin_flip(mu: np.ndarray, shape: tuple):
     imaginary part above ``1e-7``, raises :class:`InvalidStateError`; on a
     stack the error names the first offending sample, counted over the
     flattened stack.  Smaller dust is clamped to zero before the roots.
+    A real ``mu`` has no imaginary part to check.
     """
-    imag = np.max(np.abs(mu.imag), axis=1)
+    imag = np.max(np.abs(mu.imag), axis=1) if np.iscomplexobj(mu) else None
     mu = np.sort(mu.real, axis=1)
     lowest = mu[:, 0]
-    bad = np.flatnonzero(np.maximum(imag, -lowest) > _SPIN_FLIP_DUST_TOL)
+    worst = -lowest if imag is None else np.maximum(imag, -lowest)
+    bad = np.flatnonzero(worst > _SPIN_FLIP_DUST_TOL)
     if bad.size:
         k = bad[0]
-        if imag[k] > _SPIN_FLIP_DUST_TOL:
+        if imag is not None and imag[k] > _SPIN_FLIP_DUST_TOL:
             problem = f"imaginary residue {imag[k]:.3e}"
         else:
             problem = f"eigenvalue {lowest[k]:.3e} below -{_SPIN_FLIP_DUST_TOL:.1e}"
         where = "" if shape == () else f" at sample {k}"
         raise InvalidStateError(f"spin-flip spectrum has {problem}{where}")
-    roots = np.sqrt(np.clip(mu, 0.0, None))
+    roots = np.sqrt(np.clip(mu, 0.0, None, out=mu), out=mu)
     signed = roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0]
     return float(signed[0]) if shape == () else signed.reshape(shape)
 

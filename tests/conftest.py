@@ -1,3 +1,5 @@
+import platform
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in VERDICTS:
             terminalreporter.write_line(line)
+
+#: the stack that bit-level pins (the CLI's default-output hashes, the
+#: survival search's hashes) were recorded under; floating point results can
+#: differ in the last bit on another one
+RECORDED_STACK = {
+    "python": "3.11.7",
+    "numpy": "2.4.6",
+    "scipy": "1.17.1",
+    "machine": "x86_64",
+}
+
+
+def skip_off_recorded_stack():
+    """Skip the calling test unless it runs on :data:`RECORDED_STACK`."""
+    import scipy
+
+    stack = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+    }
+    if stack != RECORDED_STACK:
+        pytest.skip(f"hashes were recorded under {RECORDED_STACK}, this is {stack}")
+
 
 # the four initial states used throughout the trajectory checks, with their
 # spin-correlation scalars

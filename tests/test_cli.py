@@ -7,7 +7,6 @@ import io
 import json
 import math
 import os
-import platform
 import shutil
 import subprocess
 import sys
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import skip_off_recorded_stack
 import spinbath
 from spinbath import cli, errors
 from spinbath.cli import main
@@ -869,16 +869,8 @@ def test_byte_determinism(capsys, scenario, fmt, override):
     assert second == first
 
 
-#: the stack the default-output hashes below were recorded under; floating
-#: point results can differ in the last bit on another one
-_RECORDED_STACK = {
-    "python": "3.11.7",
-    "numpy": "2.4.6",
-    "scipy": "1.17.1",
-    "machine": "x86_64",
-}
-
-#: SHA-256 of stdout for each scenario at its defaults
+#: SHA-256 of stdout for each scenario at its defaults, on the stack
+#: ``conftest.RECORDED_STACK``
 _DEFAULT_STDOUT_SHA256 = {
     ("fig1-surface",): "c940c7ae1ca7903efbe48499132aa3dedf6a4687c9b59e7a1ef0778c93d0010f",
     ("fig2-trajectories",): "6f4d5308d1db3fe9f46c51d8f335215771dfd053218171a6c7b41f1507cc2d6a",
@@ -898,16 +890,7 @@ _DEFAULT_STDOUT_SHA256 = {
 @pytest.mark.parametrize("argv", list(_DEFAULT_STDOUT_SHA256), ids=" ".join)
 def test_default_output_is_pinned(capsys, argv):
     """Every scenario prints the recorded bytes at its defaults."""
-    import scipy
-
-    stack = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "machine": platform.machine(),
-    }
-    if stack != _RECORDED_STACK:
-        pytest.skip(f"hashes were recorded under {_RECORDED_STACK}, this is {stack}")
+    skip_off_recorded_stack()
     code, out, err = invoke(capsys, "--scenario", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _DEFAULT_STDOUT_SHA256[argv]

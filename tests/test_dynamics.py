@@ -1,6 +1,7 @@
 """Propagation routes, the long-time envelope, and lifetimes."""
 
 import dataclasses
+import hashlib
 import io
 import math
 import warnings
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import DELTA_FIELD, FOUR_STATES, make_generator, random_density_matrix
+from conftest import (
+    DELTA_FIELD,
+    FOUR_STATES,
+    make_generator,
+    random_density_matrix,
+    skip_off_recorded_stack,
+)
 from spinbath import dynamics
 from spinbath.bath import BathThermal, RateSet
 from spinbath.dynamics import (
@@ -903,6 +910,110 @@ def test_survival_search_is_batched(monkeypatch):
         assert [name for name, calls in stacks.items() if calls] == [route]
         assert min(stacks[route]) > 1, stacks
         assert len(stacks[route]) <= SURVIVAL_CALL_BOUND, stacks
+
+
+#: coherent terms of the pinned models, in turn: bare, Lamb-dressed, exchange
+_PIN_TERMS = ({}, {"lamb_a": -0.17, "lamb_b": -0.49}, {"exchange_xi": 0.31})
+#: Werner 2/3, x_up_down and the singlet start in the sigma_x (x) sigma_x even
+#: sector and take the closed-form concurrence; z_up_down is eigensolved
+_PIN_STATES = (lambda: werner(2.0 / 3.0), x_up_down, z_up_down, bell_singlet)
+#: SHA-256 of every SurvivalReport field's repr, and of the alphas and
+#: concurrence bytes of a 401-sample propagate, over the pinned models and
+#: states, on the stack ``conftest.RECORDED_STACK``
+_SURVIVAL_SHA256 = "0914172aaea1e9cf87a934daa436ffcb18e2f80d31a1dc1007475a3f8e9e439c"
+_TRAJECTORY_SHA256 = "e393f06e0c36d6d0a0aaefd321f155bc8688e93cb70c6422f7251407b7769b7d"
+
+
+def test_survival_search_bits_are_pinned():
+    """The survival search and the concurrence it reads give the recorded
+    bits on 40 seeded models (ratio in [0.5, 0.99], deficit in [1e-3, 0.5],
+    splitting in [1, 100]; bare, Lamb-dressed and with exchange in turn),
+    each with four states; the trajectories run to three slow lifetimes."""
+    skip_off_recorded_stack()
+    reports, trajectories = hashlib.sha256(), hashlib.sha256()
+    rng = np.random.default_rng(2402)
+    for n, u in enumerate(rng.random((40, 3))):
+        terms = _PIN_TERMS[n % len(_PIN_TERMS)]
+        gen = make_generator(1e-3 * 500.0 ** u[1], 0.5 + 0.49 * u[0], 100.0 ** u[2], **terms)
+        for factory in _PIN_STATES:
+            rep = survival_report(gen, factory())
+            for field in dataclasses.fields(rep):
+                reports.update(repr(getattr(rep, field.name)).encode())
+            traj = propagate(gen, factory(), default_time_grid(1.0, 3.0 / rep.slow_rate))
+            trajectories.update(traj.alphas.tobytes())
+            trajectories.update(traj.concurrence.tobytes())
+    assert reports.hexdigest() == _SURVIVAL_SHA256
+    assert trajectories.hexdigest() == _TRAJECTORY_SHA256
+
+
+def _linspace_interior(a, b):
+    return np.linspace(a, b, dynamics._SIDE_POINTS + 2)[1:-1]
+
+
+def _setdiff_inside(candidates, times):
+    """The candidates not in ``times`` and strictly inside its ends, by
+    ``np.setdiff1d``."""
+    new = np.setdiff1d(np.concatenate(candidates), times)
+    return new[(new > times[0]) & (new < times[-1])].tolist()
+
+
+def test_survival_float_helpers_match_numpy(rng):
+    """The survival search's bookkeeping on Python floats gives the samples
+    that np.linspace, np.setdiff1d and a stable np.argsort give, bit for bit,
+    on random brackets of every scale and on candidates that repeat each
+    other or a known sample."""
+    starts = rng.random(300) * 10.0 ** rng.integers(-4, 4, 300)
+    for a, width in zip(starts, 10.0 ** rng.uniform(-9, 2, 300)):
+        b = a + width
+        assert dynamics._even_points(a, b) == _linspace_interior(a, b).tolist()
+        times = sorted([a, b, *rng.uniform(a, b, 2).tolist()])
+        outside = rng.uniform(a - width, b + width, 5).tolist()
+        candidates = [*outside, *times, times[1], a + 0.5 * width]
+        expected = _setdiff_inside([np.array(candidates)], np.array(times))
+        assert dynamics._fresh(candidates, times) == expected
+        values = rng.random(len(times)).tolist()
+        new = [times[2], *rng.uniform(a, b, 3).tolist(), times[1]]
+        found = rng.random(len(new)).tolist()
+        order = np.argsort(times + new, kind="stable")
+        merged = dynamics._merge((times, values), new, found)
+        expected = np.array(times + new)[order], np.array(values + found)[order]
+        assert merged == tuple(x.tolist() for x in expected)
+
+
+def test_survival_candidates_at_the_edges():
+    """A peak at t = 0 gets even points on its one non-empty side; a model
+    point within one flank of an end moves to one flank from it, and a flank
+    on that end is dropped; a vertex on the best sample drops that sample;
+    a merge tie keeps the bracket's sample first."""
+    flank = 1e-3
+    # peak at t = 0: lo == best, the flat-parabola rule puts the vertex on best
+    times, values = [0.0, 0.0, 0.5], [1.0, 1.0, 0.9]
+    new = dynamics._peak_candidates(times, values, flank)
+    flanks = np.array([0.0, flank, 2 * flank])
+    assert new == _setdiff_inside([_linspace_interior(0.0, 0.5), flanks], times)
+    assert new[:2] == [flank, 2 * flank] and len(new) == dynamics._SIDE_POINTS + 2
+    # vertex of -(t - 1e-4)^2 through 0, 5, 10 lies within a flank of lo
+    times = [0.0, 5.0, 10.0]
+    new = dynamics._peak_candidates(times, [-((t - 1e-4) ** 2) for t in times], flank)
+    even = [_linspace_interior(0.0, 5.0), _linspace_interior(5.0, 10.0)]
+    assert new == _setdiff_inside([*even, flanks], times)
+    assert new[:2] == [flank, 2 * flank]
+    # secant points within a flank of either end of a root bracket
+    for values, point in (([1e-9, -1.0], 1.0 + flank), ([1.0, -1e-9], 2.0 - flank)):
+        new = dynamics._root_candidates([1.0, 2.0], values, flank)
+        flanks = np.array([point - flank, point, point + flank])
+        assert new == _setdiff_inside([_linspace_interior(1.0, 2.0), flanks], [1.0, 2.0])
+        assert len(new) == dynamics._SIDE_POINTS + 2
+    # the vertex of a symmetric parabola is the best sample, already known
+    new = dynamics._peak_candidates([0.0, 1.0, 2.0], [0.0, 1.0, 0.0], flank)
+    assert 1.0 not in new and {1.0 - flank, 1.0 + flank} <= set(new)
+    # the vertex of -(t - 4)^2 through 0, 5, 10 is the even point 4, sampled once
+    times = [0.0, 5.0, 10.0]
+    new = dynamics._peak_candidates(times, [-((t - 4.0) ** 2) for t in times], flank)
+    assert new.count(4.0) == 1 and new == sorted(set(new))
+    # a tie keeps the bracket's sample first
+    t, c = dynamics._merge(([1.0, 2.0, 3.0], [0.1, 0.2, 0.3]), [2.0, 2.5], [-2.0, -2.5])
+    assert (t, c) == ([1.0, 2.0, 2.0, 2.5, 3.0], [0.1, 0.2, -2.0, -2.5, 0.3])
 
 
 def test_exponential_tail_slope():

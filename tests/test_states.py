@@ -396,6 +396,34 @@ def test_x_even_spectrum_refuses_what_the_eigensolve_refuses():
             _signed_from_spin_flip(mu, ())
 
 
+def test_x_even_batch_with_one_negative_product_is_refused_at_that_sample():
+    """A batch of even states in which only row 2 has a negative population
+    product takes its square roots in complex and is refused at that sample
+    with the eigensolve's residue; the other rows' spectra are, bit for bit,
+    the real spectra of a batch without row 2."""
+    bad = PauliVector.from_components({(0, 0): 1.0, (0, 1): 1.2, (1, 0): 0.1, (3, 3): 0.5})
+    rows = np.stack([werner(w).alpha for w in (0.9, 0.5, 0.3, 0.1)])
+    stack = np.insert(rows, 2, bad.alpha, axis=0)
+    assert _is_x_even(stack)
+    message = r"spin-flip spectrum has imaginary residue 5\.192e-02 at sample 2$"
+    closed = _x_even_spin_flip_spectrum(stack)
+    assert closed.dtype == complex
+    with pytest.raises(InvalidStateError, match=message):
+        _signed_from_spin_flip(closed, (5,))
+    with pytest.raises(InvalidStateError, match=message):
+        _signed_concurrence(_alpha_rows_to_matrices(stack))
+    others = np.delete(closed, 2, axis=0)
+    assert others.real.tobytes() == _x_even_spin_flip_spectrum(rows).real.tobytes()
+    assert not others.imag.any()
+
+
+def test_x_even_spectrum_of_an_empty_batch():
+    """An empty batch has an empty spectrum and no signed concurrences."""
+    mu = _x_even_spin_flip_spectrum(np.empty((0, 16)))
+    assert mu.shape == (0, 4)
+    assert _signed_from_spin_flip(mu, (0,)).shape == (0,)
+
+
 def test_spin_flip_on_trajectories(reference_spectrum):
     """z_up_down, odd under sigma_x (x) sigma_x, is eigensolved: its
     concurrence is the product-flip route's bit for bit.  The singlet, the
