@@ -8,10 +8,12 @@ dt) alpha``.  Neither has a step error; they agree to round-off and serve
 as mutual cross-checks.  Every mode sum starts with
 :func:`~spinbath.liouvillian.mode_coefficients`, which refuses an
 eigenbasis too ill-conditioned to sum with
-:class:`~spinbath.errors.DefectiveSpectrumError`; :func:`propagate` sums
+:class:`~spinbath.errors.DefectiveSpectrumError`, and a record left
+unlabelled by a growing mode with its own
+:class:`~spinbath.errors.DegenerateSpectrumError`; :func:`propagate` sums
 the modes of any other record, labelled or not (the perfectly correlated
 bath has a doubled zero mode but usually a sound basis), and steps by
-matrix exponentials where that refusal comes.  Both it and
+matrix exponentials where the eigenbasis is refused.  Both it and
 :func:`survival_report` read the generator's one cached spectrum record,
 so each generator is eigensolved once.
 
@@ -248,8 +250,9 @@ def propagate_spectral(
     eigendecomposition.  Any spectrum record is summed, labelled or not;
     an unlabelled one gives a trajectory without ``slow_rate``.  A record
     too ill-conditioned to sum raises
-    :class:`~spinbath.errors.DefectiveSpectrumError`
-    (:func:`~spinbath.liouvillian.mode_coefficients`), a last time at which
+    :class:`~spinbath.errors.DefectiveSpectrumError`, and one left
+    unlabelled by a growing mode its reason
+    (:func:`~spinbath.liouvillian.mode_coefficients`); a last time at which
     some mode's exponent overflows raises ``ValueError``, and a trace
     component that is not positive :class:`InvalidStateError`.  The
     reconstruction must come out real - a larger imaginary residue than
@@ -305,7 +308,10 @@ def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
     that mode sum refuses the eigenbasis as too ill-conditioned
     (:class:`~spinbath.errors.DefectiveSpectrumError`: zero temperature,
     R = 1, with a small deficit, or a rare near-parallel basis at deficit
-    0) it steps by :func:`propagate_ode` instead.
+    0) it steps by :func:`propagate_ode` instead.  A record left unlabelled
+    by a growing mode raises its reason
+    (:class:`~spinbath.errors.DegenerateSpectrumError`) and is not
+    stepped: expm is no sounder there.
     """
     try:
         return propagate_spectral(generator.spectrum, initial, times)
@@ -747,11 +753,13 @@ def _csv_table(header, rows) -> str:
     """CSV text: the ``header`` names, then one line per row.
 
     Numbers are written with 9 significant digits (``inf`` and ``nan``
-    as such); a string entry is written as it is.
+    as such); a string entry is written as it is.  Each column holds one
+    type, so the first row sets the format of every row.
     """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([v if isinstance(v, str) else "%.9g" % v for v in row]))
+    if rows:
+        fmt = ",".join(["%s" if isinstance(v, str) else "%.9g" for v in rows[0]])
+        lines += [fmt % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

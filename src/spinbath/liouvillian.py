@@ -22,14 +22,19 @@ For a strictly positive correlation deficit the spectrum splits into
 
 Each generator is eigensolved once, on first read of
 :attr:`GeneratorMatrix.spectrum`: one cached :class:`SpectrumReport` holds
-the bi-orthonormal left/right eigensystem and the condition number of the
+the bi-orthonormal left/right eigensystem, the condition number of each
+eigenvalue and a certificate bounding the condition number of the
 eigenvector matrix, with the modes in the order above where the split is
 unique and no mode grows.  Reading it never raises.
 :func:`classify_spectrum` returns that record when it is labelled and
 raises the reason when it is not.  Whether the eigenbasis is
 sound enough to sum is decided in one place, :func:`mode_coefficients`,
 the first step of every mode sum: it sums either kind of record up to a
-condition number of 1e6 and raises :class:`DefectiveSpectrumError` above.
+condition number of 1e6 of ``eig``'s eigenvector matrix and raises
+:class:`DefectiveSpectrumError` above, and it refuses a record left
+unlabelled by a growing mode with that reason.  The certificate passes
+almost every record, so the SVD behind the condition number itself runs
+only for a refusal or when it is read.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ class GeneratorMatrix:
     def spectrum(self) -> SpectrumReport:
         """The eigensystem record, eigensolved on first read and kept (the
         entries are read-only); labelled where the spectrum allows, with its
-        condition number either way.  Never raises: a mode sum judges the
+        conditioning either way.  Never raises: a mode sum judges the
         eigenbasis (:func:`mode_coefficients`)."""
         return _spectrum_record(self)
 
@@ -274,15 +279,29 @@ class SpectrumReport:
 
     ``right[:, k]`` is the k-th right eigenvector and ``left[k]`` the
     matching left eigenvector, normalized so that
-    ``vdot(left[k], right[:, l]) = delta_kl``; ``cond`` is the condition
-    number of the matrix ``right``, which :func:`mode_coefficients` gates
-    before any mode sum.  A labelled record (``reason`` is ``None``)
-    orders its modes as ``labels`` reads, by position, and scales each
-    eigenvector as :func:`classify_spectrum` describes.  A spectrum
-    without a unique label for each mode keeps ``eig``'s order and
-    scaling with no ``fast_violations``; ``reason`` then holds the message
-    and the candidate eigenvalues, ``labels`` is ``None``, and reading a
-    labelled index raises :class:`DegenerateSpectrumError`.
+    ``vdot(left[k], right[:, l]) = delta_kl``.  A labelled record
+    (``reason`` is ``None``) orders its modes as ``labels`` reads, by
+    position, and scales each eigenvector as :func:`classify_spectrum`
+    describes.  A spectrum without a unique label for each mode keeps
+    ``eig``'s order and scaling with no ``fast_violations``; ``reason``
+    then holds the message and the candidate eigenvalues, ``labels`` is
+    ``None``, and reading a labelled index raises
+    :class:`DegenerateSpectrumError`.
+
+    Conditioning, which :func:`mode_coefficients` gates before any mode
+    sum, is kept three ways:
+
+    * ``kappa[k] = |left[k]| |right[:, k]|``, the condition number of
+      eigenvalue k; it does not depend on how the eigenvectors are scaled.
+    * ``cond_bound``, the certificate ``B = |V|_F |V^-1|_F`` of ``eig``'s
+      eigenvector matrix ``V`` (``eig_vectors``, unit columns, in ``eig``'s
+      order).  The row of ``V^-1`` for mode k has norm
+      ``kappa[k] / |V_k|``, so ``B`` needs no second inverse, and ``B >= cond`` (Golub & Van Loan,
+      *Matrix Computations*, sections 2.3 and 7.2).
+    * ``cond``, the 2-norm condition number of ``eig_vectors`` by SVD,
+      computed on first read.  The reordering and rescaling of a labelled
+      record change the condition number, so this is not that of
+      ``right``.
     """
 
     eigenvalues: np.ndarray
@@ -291,7 +310,9 @@ class SpectrumReport:
     gamma0: float
     delta: float
     fast_violations: tuple
-    cond: float
+    kappa: np.ndarray
+    cond_bound: float
+    eig_vectors: np.ndarray
     reason: Optional[tuple] = None
 
     def __post_init__(self):
@@ -299,6 +320,13 @@ class SpectrumReport:
             arr = np.asarray(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        for name in ("kappa", "eig_vectors"):
+            getattr(self, name).setflags(write=False)
+
+    @cached_property
+    def cond(self) -> float:
+        """2-norm condition number of ``eig_vectors``, by SVD on first read."""
+        return float(np.linalg.cond(self.eig_vectors))
 
     @property
     def labels(self) -> Optional[tuple]:
@@ -323,12 +351,15 @@ class SpectrumReport:
         return float(self.eigenvalues[self.slow_index].real)
 
 
-#: largest eigenvector-matrix condition number for which a mode sum runs,
-#: labelled or not.  Near the common bath the condition number stays below
-#: 5e3 for ratios up to 0.999999.  At R = 1 it is ~7 / delta for deficits
-#: from 5e-8 to 1e-5, and from 7e6 up (delta <= 1e-6) the mode sum drifts
-#: from the matrix exponential by 3e-10 to 3e-9.
+#: largest condition number (2-norm, by SVD) of ``eig``'s eigenvector
+#: matrix for which a mode sum runs, labelled or not.  Near the common bath
+#: it stays below 5e3 for ratios up to 0.999999.  At R = 1 it is
+#: ~7 / delta for deficits from 5e-8 to 1e-5, and from 7e6 up (delta <=
+#: 1e-6) the mode sum drifts from the matrix exponential by 3e-10 to 3e-9.
 _MODE_SUM_MAX_COND = 1e6
+#: a certificate ``cond_bound`` at or below this passes the gate without an
+#: SVD; the margin covers the rounding of both the bound and the SVD
+_CERTIFIED_COND = _MODE_SUM_MAX_COND * (1.0 - 1e-9)
 
 
 def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
@@ -357,12 +388,16 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
     """Eigensolve the generator once and label its spectrum where possible.
 
     A spectrum that :func:`_label_order` refuses keeps ``eig``'s order and
-    scaling, with the refusal as its ``reason``.  The condition number of
-    the eigenvector matrix is recorded, not judged.
+    scaling, with the refusal as its ``reason``.  The mode condition
+    numbers and the certificate are recorded, not judged, and so is
+    ``eig``'s eigenvector matrix, for an SVD condition number on demand.
     """
     rates = generator.rates
-    values, right = np.linalg.eig(generator.entries)
-    cond = float(np.linalg.cond(right))
+    values, vectors = np.linalg.eig(generator.entries)
+    # by the same BLAS dot products as ``np.linalg.norm`` of each column
+    real, imag = vectors.real, vectors.imag
+    vector_norms = np.sqrt(np.vecdot(real, real, axis=0) + np.vecdot(imag, imag, axis=0))
+    right = vectors
     reason = None
     violations = ()
     try:
@@ -371,31 +406,42 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
         reason = (str(exc), exc.candidates)
     else:
         values = values[order]
-        right = right[:, order].copy()  # C order; the fancy index alone gives F order
+        vector_norms = vector_norms[order]
+        right = vectors[:, order].copy()  # C order; the fancy index alone gives F order
         right[:, 0] = right[:, 0] / right[0, 0]
         slow_anchor = right[flat_index(2, 2), 1]
         if abs(slow_anchor) > 1e-6 * np.linalg.norm(right[:, 1]):
             right[:, 1] = right[:, 1] / slow_anchor
-        # Unit norm, largest component real and positive.  The norms take
-        # the same BLAS dot products as ``np.linalg.norm`` of each column.
+        # Unit norm, largest component real and positive; the columns are
+        # still eig's, so their norms are eig's.
         rest = right[:, 2:]
         leads = rest[np.argmax(np.abs(rest), axis=0), np.arange(14)]
-        norms = np.sqrt(
-            np.vecdot(rest.real, rest.real, axis=0) + np.vecdot(rest.imag, rest.imag, axis=0)
-        )
-        right[:, 2:] = rest / leads * np.abs(leads) / norms
+        right[:, 2:] = rest / leads * np.abs(leads) / vector_norms[2:]
         bound = -0.5 * rates.gamma0 / rates.ratio + 1e-9 * rates.gamma0
         vals = values.tolist()
         violations = tuple((k, vals[k]) for k in range(4, 16) if vals[k].real > bound)
 
+    left = np.linalg.inv(right).conj()
+    # A near-singular basis has a huge left, whose squares may overflow to
+    # inf; that only sends the mode-sum gate to the SVD.
+    with np.errstate(over="ignore", invalid="ignore"):
+        right_abs, left_abs = np.abs(right), np.abs(left)
+        kappa = np.sqrt(np.vecdot(right_abs, right_abs, axis=0) * np.vecdot(left_abs, left_abs))
+        # row k of eig's inverse, in the record's order, has norm kappa[k] / |V_k|
+        inverse_rows = kappa / vector_norms
+        cond_bound = math.sqrt(
+            np.vecdot(vector_norms, vector_norms) * np.vecdot(inverse_rows, inverse_rows)
+        )
     return SpectrumReport(
         eigenvalues=values,
         right=right,
-        left=np.linalg.inv(right).conj(),
+        left=left,
         gamma0=rates.gamma0,
         delta=rates.delta,
         fast_violations=violations,
-        cond=cond,
+        kappa=kappa,
+        cond_bound=cond_bound,
+        eig_vectors=vectors,
         reason=reason,
     )
 
@@ -417,6 +463,12 @@ def _deficit_note(delta: float) -> str:
     return f" at delta = {delta!r}"
 
 
+def _grows(value: complex, gamma0: float) -> bool:
+    """Whether a mode grows: a real part above 1e-9 gamma0, which no
+    Lindblad generator has, so that only eigensolver error gives one."""
+    return value.real > 1e-9 * gamma0
+
+
 def _label_order(rates: RateSet, values: np.ndarray) -> list:
     """Mode order thermal, slow, oscillatory pair, fast, as indices into
     the eigenvalues ``values`` returned by ``eig``.
@@ -430,8 +482,8 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
     pair sits at adjacent indices ``(k, k + 1)``, exactly conjugate in
     value and eigenvector, positive imaginary part first; so an odd number
     of the fifteen other modes, at least one, is real.  A growing mode
-    (real part above 1e-9 gamma0), which no Lindblad generator has, or a
-    spectrum without a unique label for each mode raises
+    (:func:`_grows`), which no Lindblad generator has, or a spectrum
+    without a unique label for each mode raises
     :class:`DegenerateSpectrumError`.
     """
     if rates.delta <= 0.0:
@@ -444,7 +496,7 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
     vals = values.tolist()
     order = sorted(range(16), key=lambda k: (-vals[k].real, -vals[k].imag))
 
-    growing = [k for k in order if vals[k].real > tol]
+    growing = [k for k in order if _grows(vals[k], gamma0)]
     if growing:
         raise DegenerateSpectrumError(
             f"growing mode {vals[growing[0]]!r} (one of {len(growing)} with a real "
@@ -489,11 +541,19 @@ def mode_coefficients(report: SpectrumReport, initial) -> np.ndarray:
     The reconstruction ``sum_l a_l right_l`` reproduces the input; the
     thermal amplitude is exactly the trace component of the input, so it
     equals one for any valid state.  A record labelled or not is expanded,
-    but only up to an eigenvector-matrix condition number of 1e6; above
-    it the eigenbasis is too ill-conditioned to sum and
+    with two exceptions.  A record left unlabelled because a mode grows
+    raises its own :class:`DegenerateSpectrumError`: no Lindblad generator
+    has such a mode, so its sum is no state.  And the eigenbasis must be
+    sound: the condition number of ``eig``'s eigenvector matrix may not
+    exceed 1e6.  A certificate ``cond_bound`` a hair below that passes the
+    record without an SVD; only otherwise is ``cond`` read, and above 1e6
     :class:`DefectiveSpectrumError` names both numbers.
     """
-    if not report.cond <= _MODE_SUM_MAX_COND:
+    # a growing-mode refusal lists the growing modes as its candidates; no
+    # other refusal's candidates grow, since labelling refuses growth first
+    if report.reason is not None and any(_grows(c, report.gamma0) for c in report.reason[1]):
+        raise DegenerateSpectrumError(*report.reason)
+    if not (report.cond_bound <= _CERTIFIED_COND or report.cond <= _MODE_SUM_MAX_COND):
         raise DefectiveSpectrumError(
             f"eigenvector matrix has condition number {report.cond:.3e} above "
             f"{_MODE_SUM_MAX_COND:.0e}; too ill-conditioned for a mode sum"

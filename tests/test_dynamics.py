@@ -304,16 +304,43 @@ def test_overflowing_horizon_is_refused(reference_generator, route):
 @pytest.mark.parametrize("route", ["propagate", "propagate_spectral"])
 def test_overflowing_mode_sums_are_numerical_failures(route, lamb_b, factory):
     """A huge coherent strength leaves modes whose real part, eigensolver
-    error included, is large and positive, so the mode sum overflows at
-    horizons the exponent rule passes.  Both routes to it refuse the
-    non-finite sum by type, on either concurrence route, and numpy warns
-    nothing on the way."""
+    error included, is large and positive, so the mode sum would overflow
+    at horizons the exponent rule passes.  Both routes to it refuse the
+    record by its growing mode before summing, and the sum itself still
+    refuses its non-finite result; numpy warns nothing on the way."""
     gen = make_generator(0.05, 0.9, lamb_b=lamb_b)
+    times = default_time_grid(1.0, 60.0, 40)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
+        with pytest.raises(DegenerateSpectrumError, match="growing mode"):
+            _ROUTES[route](gen, factory(), times)
+        coeffs = gen.spectrum.left.conj() @ factory().alpha
         with pytest.raises(NumericalFailureError, match="spectral reconstruction is not finite"):
-            _ROUTES[route](gen, factory(), default_time_grid(1.0, 60.0, 40))
+            dynamics._spectral_alphas(gen.spectrum, coeffs, times)
     assert caught == []
+
+
+@pytest.mark.parametrize("horizon", [0.01, 0.1, 1.0])
+def test_growing_mode_records_are_not_summed(monkeypatch, horizon):
+    """At lamb_b = 1e18 eigensolver error leaves a mode growing at rate
+    +192, so the record is unlabelled.  Every mode sum refuses it with its
+    own reason, as ``survival_report`` does, at any horizon, and
+    ``propagate`` does not step it by matrix exponentials instead: that
+    route is no sounder there (at horizon 0.01 its lowest state eigenvalue
+    is -1.9e-3)."""
+    gen = make_generator(0.05, 0.9, lamb_b=1e18)
+    ode_calls = []
+    monkeypatch.setattr(dynamics, "propagate_ode", lambda *args: ode_calls.append(args))
+    times = np.linspace(0.0, horizon, 5)
+    messages = []
+    for route in ("propagate", "propagate_spectral", "survival_report"):
+        with pytest.raises(DegenerateSpectrumError, match=r"growing mode \(192") as info:
+            _ROUTES[route](gen, z_up_down(), times)
+        messages.append(str(info.value))
+    assert messages == [gen.spectrum.reason[0]] * 3
+    with pytest.raises(DegenerateSpectrumError, match="growing mode"):
+        mode_coefficients(gen.spectrum, z_up_down())
+    assert ode_calls == []
 
 
 def test_survival_report_refuses_growing_modes():
@@ -1198,3 +1225,33 @@ def test_csv_round_trips_at_nine_digits(tmp_path, reference_spectrum):
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert np.allclose(data["t_gamma0"], times, rtol=1e-8)
     assert np.allclose(data["concurrence_numeric"], traj.concurrence, rtol=1e-7, atol=1e-8)
+
+
+def _per_value_csv(header, rows):
+    """CSV rendered one value at a time: a string as it is, any other value
+    at 9 significant digits."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else "%.9g" % v for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [
+            (0, "thermal", 0.0, -0.0),
+            (7, "fast", -1.2345678912345, math.inf),
+            (-3, "oscillatory", 1e-300, -math.inf),
+            (15, "slow", 123456789012.5, math.nan),
+        ],
+        [[1.0, 2.5e-7, -math.inf, math.nan, 3, True]],
+        [("only strings", "", "a,b")],
+        [],
+    ],
+    ids=["mixed", "single", "strings", "header-only"],
+)
+def test_csv_table_matches_per_value_rendering(rows):
+    """The row format is built once from the first row, and each column
+    holds one type, so every line is the per-value rendering's."""
+    header = [f"c{k}" for k in range(len(rows[0]) if rows else 3)]
+    assert dynamics._csv_table(header, rows) == _per_value_csv(header, rows)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,11 @@ import pytest
 import oracles
 from conftest import DELTA_FIELD, make_generator, random_density_matrix
 from spinbath.bath import BathThermal, RateSet
-from spinbath.errors import DegenerateSpectrumError, NumericalFailureError
+from spinbath.errors import (
+    DefectiveSpectrumError,
+    DegenerateSpectrumError,
+    NumericalFailureError,
+)
 from spinbath.liouvillian import (
     GeneratorMatrix,
     ModelParams,
@@ -523,6 +528,66 @@ def test_mode_coefficients_reconstruct_states(reference_spectrum, rng):
         assert abs(coeff[0].imag) < 1e-10
         recon = (reference_spectrum.right @ coeff).real
         assert np.max(np.abs(recon - alpha)) < 1e-8
+
+
+def _certificate_models():
+    """Seeded models, bare, Lamb-dressed and with exchange, at ratios up to
+    0.99 and deficits from 1e-4 to 0.5; then the common-bath model whose
+    eigenbasis LAPACK returns near-parallel (cond 3.0e16), and R = 1 at
+    deficits on either side of the 1e6 gate."""
+    rng = np.random.default_rng(2025)
+    for on in ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+        for _ in range(40):
+            strengths = dict(zip(_STRENGTHS, rng.normal(size=3) * on))
+            deficit = 10.0 ** rng.uniform(-4.0, math.log10(0.5))
+            field = 10.0 ** rng.uniform(0.0, 2.0)
+            yield make_generator(deficit, rng.uniform(0.05, 0.99), field, **strengths)
+    yield make_generator(0.0, 0.9587075479957321, 10.0)
+    for deficit in (1e-4, 1e-5, 7e-6, 5e-6, 1e-6):
+        yield make_generator(deficit, 1.0)
+
+
+def test_certificate_decides_the_mode_sum_gate_as_the_svd(monkeypatch):
+    """The certificate ``cond_bound`` is never below the SVD condition number
+    of ``eig``'s eigenvector matrix, so the gate passes exactly the records
+    whose SVD value is at most 1e6.  A record the certificate passes runs
+    no SVD; ``cond``, read for a refusal or on demand, is that SVD value
+    bit for bit.  A near-singular basis warns nothing on the way."""
+    svd_cond = np.linalg.cond
+    svd_calls = []
+
+    def counting(matrix, *args, **kwargs):
+        svd_calls.append(np.shape(matrix))
+        return svd_cond(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    verdicts = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for gen in _certificate_models():
+            report = gen.spectrum
+            reference = svd_cond(np.linalg.eig(gen.entries)[1])
+            assert report.cond_bound >= reference
+            assert not report.kappa.flags.writeable
+            assert np.all(report.kappa >= 1.0 - 1e-12)
+            certified = report.cond_bound <= 1e6 * (1.0 - 1e-9)
+            before = len(svd_calls)
+            try:
+                mode_coefficients(report, bell_singlet().alpha)
+            except DefectiveSpectrumError:
+                verdicts.append("refused")
+            else:
+                verdicts.append("certified" if certified else "svd")
+            assert (verdicts[-1] == "refused") == (reference > 1e6)
+            if certified:
+                assert svd_calls[before:] == [] and "cond" not in vars(report)
+            assert report.cond == reference
+        with pytest.raises(DefectiveSpectrumError, match=r"number 1\.403e\+06 above 1e\+06"):
+            mode_coefficients(make_generator(5e-6, 1.0).spectrum, bell_singlet().alpha)
+    assert caught == []
+    # R = 1: 1e-5 passes by SVD alone; 7e-6, 5e-6, 1e-6 and the common bath refuse
+    assert verdicts[-6:] == ["refused", "certified", "svd"] + ["refused"] * 3
+    assert verdicts[:-6] == ["certified"] * 120
 
 
 def test_thermal_state_has_trivial_coefficients(reference_spectrum):
