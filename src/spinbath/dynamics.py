@@ -17,13 +17,8 @@ matrix exponentials where the eigenbasis is refused.  Both it and
 :func:`survival_report` read the generator's one cached spectrum record,
 so each generator is eigensolved once.
 
-Every route reads the concurrence of all its samples at once.  A state
-that starts in the sector even under conjugation by ``sigma_x (x)
-sigma_x`` stays there under every generator
-:func:`~spinbath.liouvillian.build_generator` makes, an X-state in the
-``sigma_x`` basis.  A batch whose odd components are all within
-round-off takes its spin-flip eigenvalues in closed form; any other
-eigensolves ``rho rho_tilde`` per sample.
+Every route reads the concurrence of all its samples at once, by the
+one routine of :mod:`spinbath.states`.
 
 On top of the numerics sits the closed-form long-time description: after
 the fast modes die out the state is the thermal point plus a single slow
@@ -62,12 +57,10 @@ from .states import (
     PauliVector,
     TwoQubitDensityMatrix,
     _POSITIVITY_TOL,
-    _alpha_to_rho,
     _as_alpha,
-    _is_x_even,
-    _signed_from_spin_flip,
-    _spin_flip_spectrum,
-    _x_even_spin_flip_spectrum,
+    _assert_positive,
+    _lowest_eigenvalues,
+    _signed_concurrence,
     correlation_scalar,
 )
 
@@ -92,6 +85,9 @@ __all__ = [
 ]
 
 _RECONSTRUCTION_IMAG_TOL = 1e-8
+#: a sample whose lowest density-matrix eigenvalue is below minus this has
+#: left the physical set by more than spectral reconstruction dust
+_NEGATIVITY_TOL = 1e-8
 #: samples per round of the numeric survival check on each side of the peak
 #: bracket's best point and in the root bracket, so that each round shrinks
 #: both brackets about fivefold
@@ -115,7 +111,7 @@ class Trajectory:
     the inverse rates used to build the generator; ``gamma0`` and
     ``slow_rate`` allow rescaling to the natural dimensionless clocks.
     The positivity diagnostic ``min_eigenvalues`` is computed from
-    ``alphas`` on first read.
+    ``alphas`` on first read, or kept from the check of a stepped route.
     """
 
     times: np.ndarray
@@ -138,7 +134,7 @@ class Trajectory:
     def min_eigenvalues(self) -> np.ndarray:
         """Lowest density-matrix eigenvalue at each sample (small negative
         dust is normal for spectrally reconstructed states)."""
-        lowest = np.linalg.eigvalsh(_alpha_rows_to_matrices(self.alphas))[:, 0].real
+        lowest = _lowest_eigenvalues(self.alphas)
         lowest.setflags(write=False)
         return lowest
 
@@ -152,27 +148,12 @@ class Trajectory:
 
     def positivity_violations(self) -> tuple:
         """Indices of samples whose lowest eigenvalue is below ``-1e-8``."""
-        return tuple(int(k) for k in np.flatnonzero(self.min_eigenvalues < -1e-8))
+        return tuple(int(k) for k in _negative_samples(self.min_eigenvalues))
 
 
-def _alpha_rows_to_matrices(alphas: np.ndarray) -> np.ndarray:
-    """Batched ``alpha -> rho``, renormalizing each row by its trace entry."""
-    return _alpha_to_rho(alphas / alphas[:, :1])
-
-
-def _signed_samples(alphas: np.ndarray) -> np.ndarray:
-    """Signed concurrence of each row of ``alphas``.
-
-    A batch whose rows all lie in the ``sigma_x (x) sigma_x`` even sector,
-    odd components within round-off, takes its spin-flip spectra in closed
-    form from the even components; any other is eigensolved from its
-    renormalized density matrices.  Both go through the one dust rule.
-    """
-    if _is_x_even(alphas):
-        mu = _x_even_spin_flip_spectrum(alphas)
-    else:
-        mu = _spin_flip_spectrum(_alpha_rows_to_matrices(alphas))
-    return _signed_from_spin_flip(mu, alphas.shape[:-1])
+def _negative_samples(lowest: np.ndarray) -> np.ndarray:
+    """Indices of the samples whose lowest eigenvalue is below ``-1e-8``."""
+    return np.flatnonzero(lowest < -_NEGATIVITY_TOL)
 
 
 def _finish_trajectory(
@@ -181,7 +162,7 @@ def _finish_trajectory(
     return Trajectory(
         times=times,
         alphas=alphas,
-        concurrence=np.clip(_signed_samples(alphas), 0.0, 1.0),
+        concurrence=np.clip(_signed_concurrence(alphas), 0.0, 1.0),
         gamma0=gamma0,
         slow_rate=slow_rate,
     )
@@ -220,6 +201,18 @@ def _state_alpha(vector) -> np.ndarray:
     alpha = _as_alpha(vector)
     if not alpha[0] > 0.0:
         raise InvalidStateError(f"trace component {alpha[0]!r} must be positive")
+    return alpha
+
+
+def _positive_state(vector) -> np.ndarray:
+    """:func:`_state_alpha`, whose renormalized density matrix must also
+    pass the positivity check of
+    :func:`~spinbath.states.wootters_concurrence`: an eigenvalue below
+    ``-1e-10`` raises :class:`InvalidStateError`.  The one input rule of
+    :func:`propagate` on either route, and of :func:`propagate_ode`, which
+    must tell a bad input from its own failure."""
+    alpha = _state_alpha(vector)
+    _assert_positive(float(_lowest_eigenvalues(alpha)))
     return alpha
 
 
@@ -276,16 +269,19 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
     eigendecomposition is involved, so this route serves as the
     cross-check of the spectral route and works where the spectrum is
     degenerate or defective.  A last time at which some step's exponent
-    ``L t`` overflows raises ``ValueError``, a trace component that is not
-    positive :class:`InvalidStateError`, and a non-finite state
-    :class:`IntegrationFailureError`.
+    ``L t`` overflows raises ``ValueError``, and an initial state that is
+    not one (a trace component that is not positive, or an eigenvalue below
+    -1e-10) :class:`InvalidStateError`.  A stepped sample that is no state,
+    non-finite or with an eigenvalue below -1e-8, is the stepping's failure
+    and raises :class:`IntegrationFailureError` before any concurrence is
+    read.
     """
     from scipy import linalg
 
     times = _check_times(times)
     entries = generator.entries
     _check_horizon(float(times[-1]), float(np.max(np.abs(entries))))
-    alpha = _state_alpha(initial)
+    alpha = _positive_state(initial)
     alphas = np.empty((times.size, alpha.size))
     for k, step in enumerate(np.diff(times, prepend=0.0)):
         alpha = linalg.expm(entries * step) @ alpha
@@ -294,7 +290,19 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
         raise IntegrationFailureError(
             "matrix-exponential stepping produced a non-finite state"
         )
-    return _finish_trajectory(times, alphas, generator.rates.gamma0, None)
+    lowest = _lowest_eigenvalues(alphas)
+    bad = _negative_samples(lowest)
+    if bad.size:
+        k = bad[0]
+        raise IntegrationFailureError(
+            f"matrix-exponential stepping produced eigenvalue {lowest[k]:.3e} "
+            f"below -{_NEGATIVITY_TOL:.1e} at sample {k}"
+        )
+    trajectory = _finish_trajectory(times, alphas, generator.rates.gamma0, None)
+    # keep the checked batch where the cached property would keep it
+    lowest.setflags(write=False)
+    trajectory.__dict__["min_eigenvalues"] = lowest
+    return trajectory
 
 
 def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
@@ -311,8 +319,11 @@ def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
     0) it steps by :func:`propagate_ode` instead.  A record left unlabelled
     by a growing mode raises its reason
     (:class:`~spinbath.errors.DegenerateSpectrumError`) and is not
-    stepped: expm is no sounder there.
+    stepped: expm is no sounder there.  On either route the initial state
+    must pass :func:`propagate_ode`'s check: an eigenvalue below -1e-10
+    raises :class:`InvalidStateError`.
     """
+    _positive_state(initial)
     try:
         return propagate_spectral(generator.spectrum, initial, times)
     except DefectiveSpectrumError:
@@ -505,7 +516,7 @@ def _numeric_survival(
     coeffs = mode_coefficients(report, _state_alpha(initial))
 
     def signed(times: list) -> list:
-        return _signed_samples(_spectral_alphas(report, coeffs, np.array(times))).tolist()
+        return _signed_concurrence(_spectral_alphas(report, coeffs, np.array(times))).tolist()
 
     def stretch(start: float, stop: float) -> list:
         return np.linspace(start, stop, 49)[1:].tolist()

@@ -641,13 +641,16 @@ def generator_to_json(generator: GeneratorMatrix) -> str:
 
 
 def spectrum_to_json(report: SpectrumReport) -> str:
+    """A labelled spectrum record as JSON; an unlabelled one raises its
+    reason, a :class:`DegenerateSpectrumError`."""
+    labels = report._labelled(report.labels)
     payload = {
         "gamma0": report.gamma0,
         "delta": report.delta,
         "modes": [
             {
                 "index": k,
-                "label": report.labels[k],
+                "label": labels[k],
                 "re": report.eigenvalues[k].real,
                 "im": report.eigenvalues[k].imag,
                 "right_re": [float(v) for v in report.right[:, k].real],

@@ -8,6 +8,14 @@ with sigma_0 the identity and sigma_1..3 the Pauli matrices, so that
 ``alpha_ij = Tr[rho (sigma_i (x) sigma_j)]`` are real expectation values.
 The sixteen coefficients are kept as a flat vector in row-major order,
 ``alpha[4*i + j]``; normalization fixes ``alpha[0] == 1``.
+
+The concurrence of any number of Pauli vectors is read at once, and every
+caller takes the same two routes.  A state that starts in the sector even
+under conjugation by ``sigma_x (x) sigma_x`` stays there under every
+generator :func:`~spinbath.liouvillian.build_generator` makes, an X-state
+in the ``sigma_x`` basis.  A batch whose odd components are all within
+round-off takes its spin-flip eigenvalues in closed form; any other
+eigensolves ``rho rho_tilde`` per sample.
 """
 
 from __future__ import annotations
@@ -159,11 +167,16 @@ class TwoQubitDensityMatrix:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
     def assert_positive(self) -> None:
-        lo = self.min_eigenvalue()
-        if lo < -_POSITIVITY_TOL:
-            raise InvalidStateError(
-                f"matrix has eigenvalue {lo:.3e} below -{_POSITIVITY_TOL:.1e}"
-            )
+        _assert_positive(self.min_eigenvalue())
+
+
+def _assert_positive(lowest: float) -> None:
+    """The positivity rule for a state: a lowest eigenvalue below -1e-10
+    raises :class:`InvalidStateError`."""
+    if lowest < -_POSITIVITY_TOL:
+        raise InvalidStateError(
+            f"matrix has eigenvalue {lowest:.3e} below -{_POSITIVITY_TOL:.1e}"
+        )
 
 
 def _alpha_to_rho(alphas: np.ndarray) -> np.ndarray:
@@ -254,6 +267,11 @@ def wootters_concurrence(rho) -> float:
     eigenvalues of ``rho @ rho_tilde`` in decreasing order.  See
     https://en.wikipedia.org/wiki/Concurrence_(quantum_computing).
 
+    The spectrum is taken by the routes trajectories take: a state whose
+    Pauli components odd under conjugation by ``sigma_x (x) sigma_x`` are
+    round-off gets it in closed form (Yu & Eberly, QIC 7, 459, 2007), any
+    other by an eigensolve of ``rho rho_tilde`` of the matrix as given.
+
     The input must be a density matrix (Hermitian, unit trace, positive
     within 1e-10).  Spin-flip eigenvalues down to -1e-7, and imaginary
     parts up to 1e-7, are dust and clamped to zero before the square
@@ -261,7 +279,14 @@ def wootters_concurrence(rho) -> float:
     """
     dm = _as_density(rho)
     dm.assert_positive()
-    return float(np.clip(_signed_concurrence(dm.matrix), 0.0, 1.0))
+    return float(np.clip(_signed_concurrence(_rho_to_alpha(dm.matrix).real, dm.matrix), 0.0, 1.0))
+
+
+def _lowest_eigenvalues(alphas: np.ndarray):
+    """Lowest eigenvalue of the density matrix of one Pauli vector, or of
+    each vector of a ``(..., 16)`` stack, each divided by its trace
+    component; no check is made."""
+    return np.linalg.eigvalsh(_alpha_to_rho(alphas / alphas[..., :1]))[..., 0]
 
 
 def _spin_flip(matrix: np.ndarray) -> np.ndarray:
@@ -285,18 +310,28 @@ def _is_x_even(alphas: np.ndarray) -> bool:
     return bool(np.all(np.abs(alphas[..., _X_ODD]) <= _X_ODD_RTOL * np.abs(alphas[..., :1])))
 
 
-def _signed_concurrence(matrix: np.ndarray):
+def _signed_concurrence(alphas: np.ndarray, matrices=None):
     """Unclamped spin-flip root difference; negative for separable states.
 
     Useful for root-finding on the entanglement boundary, where the
-    clamped concurrence is identically zero on one side.  ``matrix`` is one
-    4x4 array, giving a float, or a ``(..., 4, 4)`` stack, giving an array
-    of the stack's shape; no check is made on it.  The spectrum
-    (:func:`_spin_flip_spectrum`) is judged by the one dust rule of
-    :func:`_signed_from_spin_flip`.
+    clamped concurrence is identically zero on one side.  ``alphas`` is
+    one Pauli vector, giving a float, or a ``(..., 16)`` stack, giving an
+    array of the stack's shape; each is divided by its trace component, and
+    no other check is made on it.  A stack whose vectors all lie in the
+    ``sigma_x (x) sigma_x`` even sector (:func:`_is_x_even`) takes its
+    spin-flip spectra in closed form (:func:`_x_even_spin_flip_spectrum`),
+    any other by an eigensolve (:func:`_spin_flip_spectrum`) of its
+    ``matrices``, the density matrices the vectors came from, or where none
+    are given of the matrices rebuilt from the vectors.  Both routes are
+    judged by the one dust rule of :func:`_signed_from_spin_flip`.
     """
-    matrix = np.asarray(matrix)
-    return _signed_from_spin_flip(_spin_flip_spectrum(matrix), matrix.shape[:-2])
+    alphas = np.asarray(alphas)
+    unit = alphas / alphas[..., :1]
+    if _is_x_even(alphas):
+        mu = _x_even_spin_flip_spectrum(unit)
+    else:
+        mu = _spin_flip_spectrum(_alpha_to_rho(unit) if matrices is None else matrices)
+    return _signed_from_spin_flip(mu, alphas.shape[:-1])
 
 
 def _spin_flip_spectrum(matrix: np.ndarray) -> np.ndarray:
@@ -310,8 +345,8 @@ def _x_even_spin_flip_spectrum(alphas: np.ndarray) -> np.ndarray:
     """:func:`_spin_flip_spectrum` of states in the ``sigma_x (x) sigma_x``
     even sector, from their eight even Pauli components, with no eigensolve.
 
-    ``alphas`` is one Pauli vector or a ``(..., 16)`` stack; each is divided
-    by its trace component, and its odd components are not read.  In the
+    ``alphas`` is one Pauli vector or a ``(..., 16)`` stack, each with unit
+    trace component; its odd components are not read.  In the
     ``sigma_x`` eigenbasis such a state is an X-state, whose spin-flip
     eigenvalues are ``(sqrt(r11 r44) +- |r14|)^2`` and ``(sqrt(r22 r33) +-
     |r23|)^2`` (Yu & Eberly, QIC 7, 459, 2007).  Where every population
@@ -320,7 +355,6 @@ def _x_even_spin_flip_spectrum(alphas: np.ndarray) -> np.ndarray:
     the imaginary residue that an eigensolve leaves.
     """
     a = np.asarray(alphas).reshape(-1, 16)
-    a = a / a[:, :1]
     ii, ix, xi, xx = a[:, 0], a[:, 1], a[:, 4], a[:, 5]
     yy, yz, zy, zz = a[:, 10], a[:, 11], a[:, 14], a[:, 15]
     # sixteen times the population products, and four times the moduli of

@@ -149,6 +149,8 @@ class TestSpectralDensity:
             SpectralDensity.from_table([1.0, 2.0], [0.0, math.inf])
         with pytest.raises(ValueError):
             SpectralDensity.from_table([1.0, 2.0], [math.nan, 1.0])
+        with pytest.raises(ValueError, match="unknown spectral form 'lorentzian'"):
+            SpectralDensity(form="lorentzian")
 
 
 class TestBathThermal:
@@ -292,6 +294,8 @@ class TestCorrelationDelta:
             BathGeometry(dimension=0)
         with pytest.raises(ValueError):
             BathGeometry(velocity=0.0)
+        with pytest.raises(ValueError, match="frequency must be positive, got 0.0"):
+            correlation_delta(BathGeometry(), 0.0)
 
 
 class TestRateSet:

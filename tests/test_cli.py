@@ -75,6 +75,35 @@ def test_bad_value_is_usage_error(capsys):
     assert "bad value" in err
 
 
+@pytest.mark.parametrize(
+    "scenario, overrides, message",
+    [
+        ("iontrap", ["exact_delta=maybe"], "bad value for 'exact_delta': expected a boolean, got 'maybe'"),
+        ("sweep", ["delta_values=,"], "bad value for 'delta_values': expected a comma-separated list of numbers"),
+        ("sweep", ["lambda_values=2"], "lambda_values must lie in [-3, 1]"),
+        ("fig1-surface", ["r_points=0"], "r_points must be >= 1 and lt_points >= 2"),
+        ("fig1-surface", ["lt_points=1"], "r_points must be >= 1 and lt_points >= 2"),
+        ("fig1-surface", ["r_min=0.9", "r_max=0.5"], "need 0 < r_min <= r_max < 1"),
+    ],
+    ids=["bool", "empty-list", "lambda", "r_points", "lt_points", "r-order"],
+)
+def test_invalid_values_are_usage_errors(capsys, scenario, overrides, message):
+    argv = ["--scenario", scenario]
+    for override in overrides:
+        argv += ["--set", override]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "spectrum.csv"
+    code, out, err = invoke(capsys, "--scenario", "spectrum", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
 def test_out_of_range_ratio_is_usage_error(capsys):
     code, _, err = invoke(capsys, "--scenario", "spectrum", "--set", "r=1.5")
     assert code == 2

@@ -17,7 +17,7 @@ from conftest import (
     random_density_matrix,
     skip_off_recorded_stack,
 )
-from spinbath import dynamics
+from spinbath import dynamics, states
 from spinbath.bath import BathThermal, RateSet
 from spinbath.dynamics import (
     Trajectory,
@@ -58,7 +58,10 @@ from spinbath.liouvillian import (
 from spinbath.states import (
     PAULI,
     PauliVector,
-    _signed_concurrence,
+    _alpha_to_rho,
+    _rho_to_alpha,
+    _signed_from_spin_flip,
+    _spin_flip_spectrum,
     bell_singlet,
     bell_triplet,
     bloch_to_density,
@@ -113,7 +116,7 @@ class TestTrajectory:
             traj.min_eigenvalues = np.zeros(traj.times.size)
         with pytest.raises(ValueError):
             lowest[0] = 0.0
-        eager = np.linalg.eigvalsh(dynamics._alpha_rows_to_matrices(traj.alphas))[:, 0].real
+        eager = np.linalg.eigvalsh(_alpha_to_rho(traj.alphas / traj.alphas[:, :1]))[:, 0].real
         assert lowest.tobytes() == eager.tobytes()
 
     def test_time_grid_validation(self, reference_spectrum):
@@ -259,6 +262,20 @@ def test_ode_non_finite_generator_raises(reference_generator):
         propagate_ode(gen, z_up_down(), np.linspace(0.0, 1.0, 3))
 
 
+@pytest.mark.parametrize("horizon", [0.01, 0.1])
+def test_ode_refuses_the_states_it_makes(horizon):
+    """At lamb_b = 1e18 the matrix-exponential steps leave the physical set
+    at the first step.  Stepping refuses its own samples by name, before any
+    concurrence is read: at horizon 0.1 the spin flip would otherwise blame
+    the input (an imaginary residue 6.0), and at 0.01 a trajectory with
+    lowest eigenvalue -1.9e-3 would be returned."""
+    gen = make_generator(0.05, 0.9, lamb_b=1e18)
+    message = r"^matrix-exponential stepping produced eigenvalue -\S+ below -1\.0e-08 at sample 1$"
+    with pytest.raises(IntegrationFailureError, match=message) as info:
+        propagate_ode(gen, z_up_down(), np.linspace(0.0, horizon, 5))
+    assert not isinstance(info.value, InvalidStateError)
+
+
 #: each route from a generator, an initial vector and a time grid
 _ROUTES = {
     "propagate": propagate,
@@ -268,6 +285,45 @@ _ROUTES = {
     "propagate_ode": propagate_ode,
     "survival_report": lambda gen, initial, times: survival_report(gen, initial),
 }
+
+
+def _diagonal_state(lowest):
+    """The Pauli vector of diag(0.6 - lowest, 0.4, lowest, 0)."""
+    return _rho_to_alpha(np.diag([0.6 - lowest, 0.4, lowest, 0.0])).real
+
+
+@pytest.mark.parametrize("lowest, valid", [(-0.1, False), (-5e-9, False), (-2e-10, False), (-5e-11, True)])
+@pytest.mark.parametrize("route", ["propagate", "propagate_ode"])
+def test_propagation_checks_the_initial_state(reference_generator, route, lowest, valid):
+    """``propagate`` and the stepping route check the initial state as
+    ``wootters_concurrence`` checks it, to -1e-10, before any step or mode
+    sum.  -5e-9 is dust that ``positivity_violations`` forgives in a
+    sample, not in an input."""
+    initial = _diagonal_state(lowest)
+    if not valid:
+        with pytest.raises(InvalidStateError, match=rf"^matrix has eigenvalue {lowest:.3e} below -1\.0e-10$"):
+            _ROUTES[route](reference_generator, initial, [0.0, 1.0])
+        return
+    result = _ROUTES[route](reference_generator, initial, [0.0, 1.0])
+    if isinstance(result, Trajectory):
+        np.testing.assert_allclose(result.alphas[0], initial, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lowest", [-5e-9, -5e-11])
+def test_propagate_takes_one_input_rule_on_either_route(lowest):
+    """A state is refused, or accepted, alike whether the generator's modes
+    are summed or ``propagate`` falls back to stepping."""
+    outcomes = []
+    for deficit, ratio in ((0.05, 0.9), (1e-6, 1.0)):
+        gen = make_generator(deficit, ratio)
+        try:
+            propagate(gen, _diagonal_state(lowest), np.linspace(0.0, 1.0, 3))
+            outcomes.append("accepted")
+        except InvalidStateError as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1] == (
+        "accepted" if lowest > -1e-10 else f"matrix has eigenvalue {lowest:.3e} below -1.0e-10"
+    )
 
 
 @pytest.mark.parametrize(
@@ -326,8 +382,8 @@ def test_growing_mode_records_are_not_summed(monkeypatch, horizon):
     +192, so the record is unlabelled.  Every mode sum refuses it with its
     own reason, as ``survival_report`` does, at any horizon, and
     ``propagate`` does not step it by matrix exponentials instead: that
-    route is no sounder there (at horizon 0.01 its lowest state eigenvalue
-    is -1.9e-3)."""
+    route is no sounder there, and refuses its own samples
+    (:func:`test_ode_refuses_the_states_it_makes`)."""
     gen = make_generator(0.05, 0.9, lamb_b=1e18)
     ode_calls = []
     monkeypatch.setattr(dynamics, "propagate_ode", lambda *args: ode_calls.append(args))
@@ -471,17 +527,23 @@ def eigvalsh_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "deficit, ratio",
-    [(0.05, 0.9), (0.0, 0.9), (1e-6, 1.0)],
+    "deficit, ratio, stepped",
+    [(0.05, 0.9, False), (0.0, 0.9, False), (1e-6, 1.0, True)],
     ids=["labelled", "unlabelled", "stepped"],
 )
-def test_propagate_defers_positivity_to_first_read(deficit, ratio, eigvalsh_calls):
+def test_propagate_defers_positivity_to_first_read(deficit, ratio, stepped, eigvalsh_calls):
+    """``propagate`` checks the initial state, one 4x4 matrix, and the
+    stepping route checks it again.  The samples' eigenvalues are computed once: a mode sum defers them to the
+    first read of ``min_eigenvalues``, and stepping keeps the batch it has
+    checked its samples with."""
     times = np.linspace(0.0, 20.0, 41)
     traj = propagate(make_generator(deficit, ratio), z_up_down(), times)
-    assert eigvalsh_calls == []
+    initial = [(4, 4)] * (2 if stepped else 1)
+    samples = [(times.size, 4, 4)]
+    assert eigvalsh_calls == initial + (samples if stepped else [])
     traj.min_eigenvalues
     traj.min_eigenvalues
-    assert eigvalsh_calls == [(times.size, 4, 4)]
+    assert eigvalsh_calls == initial + samples
 
 
 @pytest.fixture
@@ -563,8 +625,9 @@ def _refuse_closed_form(alphas):
 def _eigvals_concurrence(traj):
     """The spin-flip eigensolve of every sample, clamped: the route every
     trajectory took before the closed form."""
-    matrices = dynamics._alpha_rows_to_matrices(traj.alphas)
-    return np.clip(_signed_concurrence(matrices), 0.0, 1.0)
+    matrices = _alpha_to_rho(traj.alphas / traj.alphas[:, :1])
+    signed = _signed_from_spin_flip(_spin_flip_spectrum(matrices), (traj.times.size,))
+    return np.clip(signed, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("route", sorted(_ROUTES))
@@ -573,7 +636,7 @@ def test_sector_coupling_generator_takes_the_eigensolve(monkeypatch, route):
     leaves the even sector, so every route eigensolves its spin flips and
     a trajectory's concurrence is that eigensolve's bit for bit."""
     gen = _sector_coupling_generator()
-    monkeypatch.setattr(dynamics, "_x_even_spin_flip_spectrum", _refuse_closed_form)
+    monkeypatch.setattr(states, "_x_even_spin_flip_spectrum", _refuse_closed_form)
     result = _ROUTES[route](gen, werner(2.0 / 3.0), default_time_grid(1.0, 30.0))
     if isinstance(result, Trajectory):
         assert np.any(result.alphas[:, 2] != 0.0)  # the IY component is reached
@@ -922,13 +985,13 @@ def test_survival_search_is_batched(monkeypatch):
     closed form only."""
     stacks = {"_spin_flip_spectrum": [], "_x_even_spin_flip_spectrum": []}
     for name, calls in stacks.items():
-        original = getattr(dynamics, name)
+        original = getattr(states, name)
 
         def counting(rows, original=original, calls=calls):
             calls.append(len(rows))
             return original(rows)
 
-        monkeypatch.setattr(dynamics, name, counting)
+        monkeypatch.setattr(states, name, counting)
     for factory, route in ((z_up_down, "_spin_flip_spectrum"), (x_up_down, "_x_even_spin_flip_spectrum")):
         for calls in stacks.values():
             calls.clear()

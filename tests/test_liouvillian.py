@@ -501,9 +501,14 @@ def test_fast_modes_obey_rate_bound():
 
 
 def test_degenerate_deficit_refused():
+    """At deficit 0 the record is unlabelled: classifying it, or writing it
+    as JSON, raises the record's own reason."""
     gen = make_generator(0.0, 0.9)
     with pytest.raises(DegenerateSpectrumError):
         classify_spectrum(gen)
+    with pytest.raises(DegenerateSpectrumError) as info:
+        spectrum_to_json(gen.spectrum)
+    assert (str(info.value), info.value.candidates) == gen.spectrum.reason
 
 
 def test_uncorrelated_baths_are_degenerate_too():

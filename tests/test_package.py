@@ -59,3 +59,40 @@ def test_scipy_is_imported_only_at_its_call_sites():
     assert len(sources) == len(_MODULES) + 2  # the modules, __init__ and cli
     sites = [site for path in sources for site in _scipy_import_sites(path)]
     assert sorted(sites) == sorted(SCIPY_SITES)
+
+
+#: the spin-flip primitives behind ``states._signed_concurrence``
+SPIN_FLIP_PRIMITIVES = {
+    "_spin_flip",
+    "_spin_flip_spectrum",
+    "_x_even_spin_flip_spectrum",
+    "_is_x_even",
+    "_signed_from_spin_flip",
+}
+
+
+def _referenced_names(path: Path) -> set:
+    """Every name a source file imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_concurrence_is_owned_by_states():
+    """Only ``states`` takes a spin-flip spectrum: every other module reads
+    the concurrence through ``_signed_concurrence`` or
+    ``wootters_concurrence``, so it takes the same two routes everywhere."""
+    sources = sorted(Path(spinbath.__file__).parent.glob("*.py"))
+    assert all(callable(getattr(states, name)) for name in SPIN_FLIP_PRIMITIVES)
+    outside = {
+        path.stem: sorted(SPIN_FLIP_PRIMITIVES & _referenced_names(path))
+        for path in sources
+        if path.stem != "states"
+    }
+    assert outside == {path.stem: [] for path in sources if path.stem != "states"}

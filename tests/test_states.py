@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import FOUR_STATES, random_density_matrix
-from spinbath.dynamics import _alpha_rows_to_matrices, default_time_grid, propagate_spectral
+from conftest import FOUR_STATES, make_generator, random_density_matrix
+from spinbath.dynamics import default_time_grid, propagate_spectral
 from spinbath.errors import InvalidStateError
 from spinbath.states import (
     PAULI,
     PAULI_PRODUCTS,
     PauliVector,
     TwoQubitDensityMatrix,
+    _alpha_to_rho,
     _is_x_even,
     _rho_to_alpha,
     _signed_concurrence,
     _signed_from_spin_flip,
     _spin_flip,
+    _spin_flip_spectrum,
     _x_even_spin_flip_spectrum,
     bell_singlet,
     bell_triplet,
@@ -87,6 +89,10 @@ class TestDensityMatrixValidation:
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidStateError, match="trace"):
             TwoQubitDensityMatrix(np.eye(4) / 2.0)
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(InvalidStateError, match=r"expected a 4x4 matrix, got shape \(3, 3\)"):
+            TwoQubitDensityMatrix(np.eye(3))
 
     def test_min_eigenvalue_and_assert_positive(self):
         dm = TwoQubitDensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]))
@@ -244,24 +250,57 @@ def _random_stack(rng, n):
     )
 
 
+def _eigensolved(matrices):
+    """Signed concurrence of a 4x4 matrix, or of each of a stack, by the
+    spin-flip eigensolve and the one dust rule, with no renormalization."""
+    matrices = np.asarray(matrices)
+    return _signed_from_spin_flip(_spin_flip_spectrum(matrices), matrices.shape[:-2])
+
+
+def _unit_rho(alphas):
+    """The density matrix of each row of ``alphas``, renormalized as the
+    concurrence routine renormalizes it."""
+    return _alpha_to_rho(alphas / alphas[:, :1])
+
+
+def _even_stack(n):
+    """``n`` density matrices of sigma_x (x) sigma_x even trajectory
+    samples, transient to tail."""
+    spectrum = make_generator(0.05, 0.9).spectrum
+    traj = propagate_spectral(spectrum, x_up_down(), default_time_grid(1.0, 30.0, n - 1))
+    return _unit_rho(traj.alphas)
+
+
 def test_batched_concurrence_equals_single_calls(rng):
-    """One pass over a stack gives the per-matrix values bit for bit, and
-    clamped, the public concurrence of each matrix."""
-    stack = _random_stack(rng, 300)
-    signed = _signed_concurrence(stack)
-    assert np.array_equal(signed, [_signed_concurrence(m) for m in stack])
-    assert np.array_equal(np.clip(signed, 0.0, 1.0), [wootters_concurrence(m) for m in stack])
+    """One pass of the routine over a stack of Pauli vectors, with the
+    matrices they came from, gives the per-matrix values bit for bit, and
+    clamped, the public concurrence of each matrix: random states take the
+    eigensolve, even trajectory samples the closed form."""
+    for stack, even in ((_random_stack(rng, 300), False), (_even_stack(300), True)):
+        alphas = _rho_to_alpha(stack).real
+        assert _is_x_even(alphas) == even
+        signed = _signed_concurrence(alphas, stack)
+        assert np.array_equal(signed, [_signed_concurrence(a, m) for a, m in zip(alphas, stack)])
+        assert np.array_equal(np.clip(signed, 0.0, 1.0), [wootters_concurrence(m) for m in stack])
 
 
 def test_batched_concurrence_shapes(rng):
     stack = _random_stack(rng, 6)
-    single = _signed_concurrence(stack[0])
+    alphas = _rho_to_alpha(stack).real
+    single = _signed_concurrence(alphas[0], stack[0])
     assert isinstance(single, float)
+    assert isinstance(_signed_concurrence(alphas[0]), float)
     assert isinstance(wootters_concurrence(stack[0]), float)
-    assert _signed_concurrence(stack).shape == (6,)
-    assert _signed_concurrence(stack[:1]).shape == (1,)
-    assert _signed_concurrence(stack.reshape(2, 3, 4, 4)).shape == (2, 3)
-    assert _signed_concurrence(stack)[0] == single
+    assert _signed_concurrence(alphas).shape == (6,)
+    assert _signed_concurrence(alphas[:1]).shape == (1,)
+    assert _signed_concurrence(alphas.reshape(2, 3, 16)).shape == (2, 3)
+    assert _signed_concurrence(alphas.reshape(2, 3, 16), stack.reshape(2, 3, 4, 4)).shape == (2, 3)
+    assert _signed_concurrence(alphas, stack)[0] == single
+    even = np.stack([werner(w).alpha for w in (0.9, 0.5, 0.3, 0.1, -0.2, 0.0)])
+    assert _signed_concurrence(even.reshape(2, 3, 16)).shape == (2, 3)
+    assert _eigensolved(stack).shape == (6,)
+    assert _eigensolved(stack.reshape(2, 3, 4, 4)).shape == (2, 3)
+    assert _eigensolved(stack)[0] == _eigensolved(stack[0])
 
 
 @pytest.mark.parametrize("path", ["batched", "public"])
@@ -278,9 +317,9 @@ def test_batched_concurrence_names_the_bad_sample(rng, reference_spectrum, path)
         stack = _random_stack(rng, 6)
         stack[3] = bad
         with pytest.raises(InvalidStateError, match=message + " at sample 3$"):
-            _signed_concurrence(stack)
+            _signed_concurrence(_rho_to_alpha(stack).real)
         with pytest.raises(InvalidStateError, match=message + "$"):
-            _signed_concurrence(bad)
+            _signed_concurrence(_rho_to_alpha(bad).real)
     else:
         with pytest.raises(InvalidStateError, match=message + " at sample 0$"):
             propagate_spectral(reference_spectrum, _rho_to_alpha(bad).real, [0.0])
@@ -314,7 +353,7 @@ def _assert_flip_matches_products(stack, physical=True):
     assert np.array_equal(flipped, _product_flip(stack))
     assert (stack @ flipped).tobytes() == (stack @ _product_flip(stack)).tobytes()
     if physical:
-        signed = _signed_concurrence(stack)
+        signed = _eigensolved(stack)
         assert signed.tobytes() == _product_flip_signed_concurrence(stack).tobytes()
 
 
@@ -411,7 +450,9 @@ def test_x_even_batch_with_one_negative_product_is_refused_at_that_sample():
     with pytest.raises(InvalidStateError, match=message):
         _signed_from_spin_flip(closed, (5,))
     with pytest.raises(InvalidStateError, match=message):
-        _signed_concurrence(_alpha_rows_to_matrices(stack))
+        _eigensolved(_unit_rho(stack))
+    with pytest.raises(InvalidStateError, match=message):
+        _signed_concurrence(stack)
     others = np.delete(closed, 2, axis=0)
     assert others.real.tobytes() == _x_even_spin_flip_spectrum(rows).real.tobytes()
     assert not others.imag.any()
@@ -436,13 +477,13 @@ def test_spin_flip_on_trajectories(reference_spectrum):
     even = []
     for name, factory, _ in FOUR_STATES:
         traj = propagate_spectral(reference_spectrum, factory(), times)
-        matrices = _alpha_rows_to_matrices(traj.alphas)
+        matrices = _unit_rho(traj.alphas)
         _assert_flip_matches_products(matrices)
         if name == "z_up_down":
             clamped = np.clip(_product_flip_signed_concurrence(matrices), 0.0, 1.0)
             assert traj.concurrence.tobytes() == clamped.tobytes()
             continue
-        closed = _x_even_spin_flip_spectrum(traj.alphas)
+        closed = _x_even_spin_flip_spectrum(traj.alphas / traj.alphas[:, :1])
         product = np.linalg.eigvals(matrices @ _product_flip(matrices))
         assert np.max(np.abs(_sorted_spectra(closed) - _sorted_spectra(product))) <= 1e-13
         clamped = np.clip(_signed_from_spin_flip(closed, (times.size,)), 0.0, 1.0)
@@ -456,3 +497,33 @@ def test_spin_flip_on_trajectories(reference_spectrum):
             roots = [mpmath.sqrt(max(r.real, 0)) for r in reference]
             exact = max(float(roots[3] - roots[2] - roots[1] - roots[0]), 0.0)
             assert traj.concurrence[k] == pytest.approx(exact, abs=1e-14)
+
+
+#: the bare reference model and a colder, Lamb-dressed one closer to the
+#: common bath, as (deficit, ratio, coherent strengths)
+_MP_MODELS = ((0.05, 0.9, {}), (0.01, 0.99, {"lamb_a": -0.17, "lamb_b": -0.49}))
+
+
+def test_public_concurrence_matches_40_digits():
+    """``wootters_concurrence`` of trajectory samples, from t = 0 to the
+    late tail, is the 40-digit spin-flip concurrence of the same matrix
+    within 1e-13.  sigma_x (x) sigma_x even samples take the closed form,
+    which an eigensolve of rho rho~ misses by up to 5e-10 there; the odd
+    ``z_up_down`` samples are eigensolved as given, so the pure product
+    state at t = 0 reads its exact 0 to round-off."""
+    mpmath = pytest.importorskip("mpmath")
+    times = default_time_grid(1.0, 30.0)
+    worst = 0.0
+    factories = (x_up_down, lambda: werner(2.0 / 3.0), lambda: state_for_correlation(0.5), z_up_down)
+    for deficit, ratio, strengths in _MP_MODELS:
+        spectrum = make_generator(deficit, ratio, **strengths).spectrum
+        for factory in factories:
+            traj = propagate_spectral(spectrum, factory(), times)
+            assert _is_x_even(traj.alphas) == (factory is not z_up_down)
+            matrices = _unit_rho(traj.alphas)
+            for k in (0, 8, 20, 60, 250, 400):
+                reference = oracles.spin_flip_spectrum_mp(matrices[k])
+                roots = [mpmath.sqrt(max(r.real, 0)) for r in reference]
+                exact = max(float(roots[3] - roots[2] - roots[1] - roots[0]), 0.0)
+                worst = max(worst, abs(wootters_concurrence(matrices[k]) - exact))
+    assert worst <= 1e-13
