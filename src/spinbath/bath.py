@@ -361,7 +361,7 @@ class RateSet:
     def from_parameters(
         cls, gamma0: float, thermal: BathThermal, delta: float
     ) -> "RateSet":
-        if gamma0 <= 0:
+        if not gamma0 > 0:
             raise InvalidRatesError(f"gamma0 must be positive, got {gamma0}")
         if not 0.0 <= delta <= 2.0:
             raise InvalidRatesError(

@@ -42,7 +42,6 @@ from .errors import (
     DefectiveSpectrumError,
     IntegrationFailureError,
     InvalidCoefficientsError,
-    InvalidStateError,
     NumericalFailureError,
 )
 from .liouvillian import (
@@ -57,8 +56,7 @@ from .states import (
     PauliVector,
     TwoQubitDensityMatrix,
     _POSITIVITY_TOL,
-    _as_alpha,
-    _assert_positive,
+    _checked_state,
     _lowest_eigenvalues,
     _signed_concurrence,
     correlation_scalar,
@@ -88,6 +86,9 @@ _RECONSTRUCTION_IMAG_TOL = 1e-8
 #: a sample whose lowest density-matrix eigenvalue is below minus this has
 #: left the physical set by more than spectral reconstruction dust
 _NEGATIVITY_TOL = 1e-8
+#: the largest ``||L dt||_1`` of one ``expm`` call in :func:`propagate_ode`;
+#: scipy's ``expm`` stays finite to ~1e36 and fails by ~1e39
+_EXPM_MAX_NORM = 1e30
 #: samples per round of the numeric survival check on each side of the peak
 #: bracket's best point and in the root bracket, so that each round shrinks
 #: both brackets about fivefold
@@ -194,28 +195,6 @@ def _check_horizon(horizon: float, rate: float) -> None:
         )
 
 
-def _state_alpha(vector) -> np.ndarray:
-    """The Pauli vector of a state to propagate or renormalize; a trace
-    component that is not positive (no state, and no trace to renormalize
-    by) raises."""
-    alpha = _as_alpha(vector)
-    if not alpha[0] > 0.0:
-        raise InvalidStateError(f"trace component {alpha[0]!r} must be positive")
-    return alpha
-
-
-def _positive_state(vector) -> np.ndarray:
-    """:func:`_state_alpha`, whose renormalized density matrix must also
-    pass the positivity check of
-    :func:`~spinbath.states.wootters_concurrence`: an eigenvalue below
-    ``-1e-10`` raises :class:`InvalidStateError`.  The one input rule of
-    :func:`propagate` on either route, and of :func:`propagate_ode`, which
-    must tell a bad input from its own failure."""
-    alpha = _state_alpha(vector)
-    _assert_positive(float(_lowest_eigenvalues(alpha)))
-    return alpha
-
-
 def _spectral_alphas(report: SpectrumReport, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Real mode sum ``sum_l a_l exp(lambda_l t) r_l`` of a spectrum record
     at each time; a non-finite sum (an eigenvalue whose real part, error
@@ -246,15 +225,19 @@ def propagate_spectral(
     :class:`~spinbath.errors.DefectiveSpectrumError`, and one left
     unlabelled by a growing mode its reason
     (:func:`~spinbath.liouvillian.mode_coefficients`); a last time at which
-    some mode's exponent overflows raises ``ValueError``, and a trace
-    component that is not positive :class:`InvalidStateError`.  The
-    reconstruction must come out real - a larger imaginary residue than
-    1e-8 indicates a broken mode pairing and raises
-    :class:`NumericalFailureError`.
+    some mode's exponent overflows raises ``ValueError``.  The initial
+    state is checked first, by the one input rule of :mod:`spinbath.states`
+    (a trace component of 1 within 1e-12, and no eigenvalue below -1e-10),
+    and one that is not a state raises
+    :class:`~spinbath.errors.InvalidStateError`.  The reconstruction must
+    come out real - a larger imaginary residue than 1e-8 indicates a broken
+    mode pairing and raises :class:`NumericalFailureError`, as does
+    spin-flip dust beyond the concurrence's rule.
     """
+    alpha = _checked_state(initial)
     times = _check_times(times)
     _check_horizon(float(times[-1]), float(np.max(np.abs(report.eigenvalues))))
-    coeffs = mode_coefficients(report, _state_alpha(initial))
+    coeffs = mode_coefficients(report, alpha)
     alphas = _spectral_alphas(report, coeffs, times)
     slow_rate = None if report.labels is None else -report.slow_eigenvalue
     return _finish_trajectory(times, alphas, report.gamma0, slow_rate)
@@ -268,23 +251,32 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
     scaling-and-squaring ``expm``, Al-Mohy & Higham 2009).  No
     eigendecomposition is involved, so this route serves as the
     cross-check of the spectral route and works where the spectrum is
-    degenerate or defective.  A last time at which some step's exponent
-    ``L t`` overflows raises ``ValueError``, and an initial state that is
-    not one (a trace component that is not positive, or an eigenvalue below
-    -1e-10) :class:`InvalidStateError`.  A stepped sample that is no state,
-    non-finite or with an eigenvalue below -1e-8, is the stepping's failure
-    and raises :class:`IntegrationFailureError` before any concurrence is
-    read.
+    degenerate or defective.  A step whose ``||L dt||_1`` exceeds 1e30,
+    well below the ~1e39 at which ``expm`` itself overflows, is taken as
+    ``expm(L dt / 2**m)`` squared ``m`` times; shorter steps are one
+    ``expm`` call.  A last time at which some step's exponent ``L t``
+    overflows raises ``ValueError``.  The initial state is checked first,
+    by the one input rule of :mod:`spinbath.states` (a trace component of 1
+    within 1e-12, and no eigenvalue below -1e-10), and one that is not a
+    state raises :class:`~spinbath.errors.InvalidStateError`.  A stepped
+    sample that is no state, non-finite or with an eigenvalue below -1e-8,
+    is the stepping's failure and raises :class:`IntegrationFailureError`
+    before any concurrence is read.
     """
     from scipy import linalg
 
+    alpha = _checked_state(initial)
     times = _check_times(times)
     entries = generator.entries
     _check_horizon(float(times[-1]), float(np.max(np.abs(entries))))
-    alpha = _positive_state(initial)
+    norm = float(np.linalg.norm(entries, 1))
     alphas = np.empty((times.size, alpha.size))
-    for k, step in enumerate(np.diff(times, prepend=0.0)):
-        alpha = linalg.expm(entries * step) @ alpha
+    for k, step in enumerate(np.diff(times, prepend=0.0).tolist()):
+        squarings = 0
+        if math.isfinite(norm) and norm * step > _EXPM_MAX_NORM:
+            squarings = math.ceil(math.log2(norm) + math.log2(step) - math.log2(_EXPM_MAX_NORM))
+        propagator = linalg.expm(entries * math.ldexp(step, -squarings))
+        alpha = np.linalg.matrix_power(propagator, 2**squarings) @ alpha
         alphas[k] = alpha
     if not np.all(np.isfinite(alphas)):
         raise IntegrationFailureError(
@@ -319,11 +311,12 @@ def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
     0) it steps by :func:`propagate_ode` instead.  A record left unlabelled
     by a growing mode raises its reason
     (:class:`~spinbath.errors.DegenerateSpectrumError`) and is not
-    stepped: expm is no sounder there.  On either route the initial state
-    must pass :func:`propagate_ode`'s check: an eigenvalue below -1e-10
-    raises :class:`InvalidStateError`.
+    stepped: expm is no sounder there.  Each route checks the initial state
+    by the one input rule of :mod:`spinbath.states`, so a vector that is
+    not a state raises :class:`~spinbath.errors.InvalidStateError` with
+    one message on either route; the fallback checks it again only when it
+    runs.
     """
-    _positive_state(initial)
     try:
         return propagate_spectral(generator.spectrum, initial, times)
     except DefectiveSpectrumError:
@@ -334,11 +327,14 @@ def default_time_grid(gamma0: float, horizon: float, points: int = 400) -> np.nd
     """Logarithmic grid from ``1e-3 / gamma0`` to ``horizon``, with t = 0.
 
     Log spacing resolves the fast transient and the slow tail in one grid
-    of ``points`` samples after t = 0; ``points`` must be at least 2, so
-    that the grid reaches the horizon.
+    of ``points`` samples after t = 0; ``points`` must be an integer (a
+    Python or numpy one) of at least 2, so that the grid reaches the
+    horizon.
     """
     if not (0 < gamma0 < math.inf and 0 < horizon < math.inf):
         raise ValueError("gamma0 and horizon must be positive and finite")
+    if not isinstance(points, (int, np.integer)):
+        raise ValueError(f"points must be an integer, got {points!r}")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
     start = 1e-3 / gamma0
@@ -468,9 +464,10 @@ class SurvivalReport:
 
 
 def _numeric_survival(
-    report: SpectrumReport, initial, t_guess: float
+    report: SpectrumReport, alpha: np.ndarray, t_guess: float
 ) -> tuple[float, float, float]:
-    """Peak and final zero of the propagated concurrence.
+    """Peak and final zero of the propagated concurrence of a checked
+    state's Pauli vector ``alpha``.
 
     Only the signed concurrence of the spectral mode sum is evaluated, each
     call on a batch of times, in three steps:
@@ -513,7 +510,7 @@ def _numeric_survival(
     ``np.setdiff1d`` and a stable ``np.argsort`` would give.
     """
     gamma0 = report.gamma0
-    coeffs = mode_coefficients(report, _state_alpha(initial))
+    coeffs = mode_coefficients(report, alpha)
 
     def signed(times: list) -> list:
         return _signed_concurrence(_spectral_alphas(report, coeffs, np.array(times))).tolist()
@@ -638,15 +635,17 @@ def survival_report(
 
     The envelope prediction uses the numerically extracted slow rate, so
     any residual discrepancy against ``t_c_numeric`` reflects eigenvector
-    (not eigenvalue) corrections.  The cross-check is a mode sum, so it
-    raises :class:`~spinbath.errors.DefectiveSpectrumError` where the
-    eigenbasis is too ill-conditioned to sum, and
-    :class:`InvalidStateError` where the initial trace component is not
-    positive.
+    (not eigenvalue) corrections.  The initial state is checked first, with
+    or without the cross-check, by the one input rule of
+    :mod:`spinbath.states`, and one that is not a state raises
+    :class:`~spinbath.errors.InvalidStateError`.  The cross-check is a mode
+    sum, so it raises :class:`~spinbath.errors.DefectiveSpectrumError`
+    where the eigenbasis is too ill-conditioned to sum.
     """
+    alpha = _checked_state(initial)
     spectrum = classify_spectrum(generator)
     ratio = generator.rates.ratio
-    lam = correlation_scalar(initial)
+    lam = correlation_scalar(alpha)
     slow_rate = -spectrum.slow_eigenvalue
     generated = generation_condition(ratio, lam)
     t_c = survival_time(ratio, lam, slow_rate)
@@ -654,7 +653,7 @@ def survival_report(
     peak_t = 0.0
     t_c_numeric = None
     if numeric:
-        peak_c, peak_t, t_c_numeric = _numeric_survival(spectrum, initial, t_c)
+        peak_c, peak_t, t_c_numeric = _numeric_survival(spectrum, alpha, t_c)
     return SurvivalReport(
         ratio=ratio,
         lambda_corr=lam,

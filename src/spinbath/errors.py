@@ -19,7 +19,9 @@ __all__ = [
 
 class InvalidStateError(ValueError):
     """Invalid-input family: a density matrix or Bloch vector violates its
-    defining constraints."""
+    defining constraints.  Raised only by the input checks of
+    :mod:`spinbath.states`; spin-flip dust beyond the concurrence's rule, on
+    a state that has passed them, is a :class:`NumericalFailureError`."""
 
 
 class InvalidRatesError(ValueError):

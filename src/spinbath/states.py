@@ -9,6 +9,11 @@ with sigma_0 the identity and sigma_1..3 the Pauli matrices, so that
 The sixteen coefficients are kept as a flat vector in row-major order,
 ``alpha[4*i + j]``; normalization fixes ``alpha[0] == 1``.
 
+A state is a Pauli vector whose trace component is 1 within 1e-12 and
+whose density matrix has no eigenvalue below -1e-10.  That one input rule
+checks the initial state of every propagation and lifetime, so a refusal
+by the spin-flip dust rule after it is a numerical failure.
+
 The concurrence of any number of Pauli vectors is read at once, and every
 caller takes the same two routes.  A state that starts in the sector even
 under conjugation by ``sigma_x (x) sigma_x`` stays there under every
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, NumericalFailureError
 
 __all__ = [
     "PAULI",
@@ -179,6 +184,28 @@ def _assert_positive(lowest: float) -> None:
         )
 
 
+def _unit_trace_alpha(vector) -> np.ndarray:
+    """:func:`_as_alpha` of a vector whose trace component is 1 within
+    1e-12, as a unit-trace state's is; any other raises
+    :class:`InvalidStateError`."""
+    alpha = _as_alpha(vector)
+    if abs(alpha[0] - 1.0) > _TRACE_TOL:
+        raise InvalidStateError(
+            f"alpha[0] must be 1 for a unit-trace state, got {float(alpha[0])!r}"
+        )
+    return alpha
+
+
+def _checked_state(vector) -> np.ndarray:
+    """The one input rule for a state given by its Pauli vector: the
+    components of :func:`_unit_trace_alpha`, whose density matrix passes
+    the positivity rule of :func:`wootters_concurrence`, a lowest eigenvalue
+    of at least -1e-10; any other vector raises :class:`InvalidStateError`."""
+    alpha = _unit_trace_alpha(vector)
+    _assert_positive(float(_lowest_eigenvalues(alpha)))
+    return alpha
+
+
 def _alpha_to_rho(alphas: np.ndarray) -> np.ndarray:
     """``rho = (1/4) sum_k alpha_k P_k`` of one Pauli vector, or of each
     vector of a ``(..., 16)`` stack; no check is made."""
@@ -238,12 +265,7 @@ def bloch_to_density(vector) -> TwoQubitDensityMatrix:
     expansions (analytic long-time states, single spectral modes) are
     allowed to leave the physical set.
     """
-    alpha = _as_alpha(vector)
-    if abs(alpha[0] - 1.0) > _TRACE_TOL:
-        raise InvalidStateError(
-            f"alpha[0] must be 1 for a unit-trace state, got {alpha[0]!r}"
-        )
-    return TwoQubitDensityMatrix(_alpha_to_rho(alpha))
+    return TwoQubitDensityMatrix(_alpha_to_rho(_unit_trace_alpha(vector)))
 
 
 def correlation_scalar(vector) -> float:
@@ -273,9 +295,11 @@ def wootters_concurrence(rho) -> float:
     other by an eigensolve of ``rho rho_tilde`` of the matrix as given.
 
     The input must be a density matrix (Hermitian, unit trace, positive
-    within 1e-10).  Spin-flip eigenvalues down to -1e-7, and imaginary
-    parts up to 1e-7, are dust and clamped to zero before the square
-    roots; anything worse raises :class:`InvalidStateError`.
+    within 1e-10), or it raises :class:`InvalidStateError`.  Spin-flip
+    eigenvalues down to -1e-7, and imaginary parts up to 1e-7, are dust and
+    clamped to zero before the square roots; anything worse, on a matrix
+    that has passed that check, is a numerical failure and raises
+    :class:`~spinbath.errors.NumericalFailureError`.
     """
     dm = _as_density(rho)
     dm.assert_positive()
@@ -317,13 +341,16 @@ def _signed_concurrence(alphas: np.ndarray, matrices=None):
     clamped concurrence is identically zero on one side.  ``alphas`` is
     one Pauli vector, giving a float, or a ``(..., 16)`` stack, giving an
     array of the stack's shape; each is divided by its trace component, and
-    no other check is made on it.  A stack whose vectors all lie in the
-    ``sigma_x (x) sigma_x`` even sector (:func:`_is_x_even`) takes its
-    spin-flip spectra in closed form (:func:`_x_even_spin_flip_spectrum`),
-    any other by an eigensolve (:func:`_spin_flip_spectrum`) of its
-    ``matrices``, the density matrices the vectors came from, or where none
-    are given of the matrices rebuilt from the vectors.  Both routes are
-    judged by the one dust rule of :func:`_signed_from_spin_flip`.
+    no other check is made on it: the callers pass states that have passed
+    an input check, or samples propagated from one.  A stack whose vectors
+    all lie in the ``sigma_x (x) sigma_x`` even sector (:func:`_is_x_even`)
+    takes its spin-flip spectra in closed form
+    (:func:`_x_even_spin_flip_spectrum`), any other by an eigensolve
+    (:func:`_spin_flip_spectrum`) of its ``matrices``, the density matrices
+    the vectors came from, or where none are given of the matrices rebuilt
+    from the vectors.  Both routes are
+    judged by the one dust rule of :func:`_signed_from_spin_flip`, whose
+    refusal is a :class:`~spinbath.errors.NumericalFailureError`.
     """
     alphas = np.asarray(alphas)
     unit = alphas / alphas[..., :1]
@@ -381,9 +408,11 @@ def _signed_from_spin_flip(mu: np.ndarray, shape: tuple):
     sample, giving a float).
 
     The one dust rule: a spin-flip eigenvalue below ``-1e-7``, or an
-    imaginary part above ``1e-7``, raises :class:`InvalidStateError`; on a
-    stack the error names the first offending sample, counted over the
-    flattened stack.  Smaller dust is clamped to zero before the roots.
+    imaginary part above ``1e-7``, raises
+    :class:`~spinbath.errors.NumericalFailureError`, since every path here
+    starts from a state that has passed its input check; on a stack the
+    error names the first offending sample, counted over the flattened
+    stack.  Smaller dust is clamped to zero before the roots.
     A real ``mu`` has no imaginary part to check.
     """
     imag = np.max(np.abs(mu.imag), axis=1) if np.iscomplexobj(mu) else None
@@ -398,7 +427,7 @@ def _signed_from_spin_flip(mu: np.ndarray, shape: tuple):
         else:
             problem = f"eigenvalue {lowest[k]:.3e} below -{_SPIN_FLIP_DUST_TOL:.1e}"
         where = "" if shape == () else f" at sample {k}"
-        raise InvalidStateError(f"spin-flip spectrum has {problem}{where}")
+        raise NumericalFailureError(f"spin-flip spectrum has {problem}{where}")
     roots = np.sqrt(np.clip(mu, 0.0, None, out=mu), out=mu)
     signed = roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0]
     return float(signed[0]) if shape == () else signed.reshape(shape)

@@ -24,6 +24,7 @@ from spinbath.bath import (
     thermal_occupation,
 )
 from spinbath.errors import InvalidRatesError, NumericalFailureError
+from spinbath.liouvillian import ModelParams, build_generator
 
 
 def _assert_float_matches_array(fn, x):
@@ -319,6 +320,17 @@ class TestRateSet:
             RateSet.from_parameters(1.0, th, -0.01)
         with pytest.raises(InvalidRatesError):
             RateSet.from_parameters(1.0, th, 2.01)
+
+    def test_nan_gamma0_is_refused_and_inf_reaches_the_generator(self):
+        """A NaN gamma0 is no rate, an invalid input; an infinite one, which
+        finite bath parameters can produce, is the generator's overflow, a
+        numerical failure."""
+        th = BathThermal(0.25)
+        with pytest.raises(InvalidRatesError, match="^gamma0 must be positive, got nan$"):
+            RateSet.from_parameters(math.nan, th, 0.1)
+        rates = RateSet.from_parameters(math.inf, th, 0.1)
+        with pytest.raises(NumericalFailureError, match="overflows double precision"):
+            build_generator(ModelParams(1.0), rates)
 
     def test_anticorrelated_bath_allowed(self):
         # deficit up to 2 (f = -1) keeps the rate matrix positive

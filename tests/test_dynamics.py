@@ -172,6 +172,15 @@ def test_default_time_grid():
             default_time_grid(1.0, 10.0, points)
 
 
+def test_default_time_grid_takes_integer_points():
+    """A point count that is not an integer is a ``ValueError``, not a
+    numpy or comparison ``TypeError``; a numpy integer is one."""
+    for points in (2.5, 3.0, "4"):
+        with pytest.raises(ValueError, match=rf"^points must be an integer, got {points!r}$"):
+            default_time_grid(1.0, 10.0, points)
+    assert np.array_equal(default_time_grid(1.0, 10.0, np.int64(3)), default_time_grid(1.0, 10.0, 3))
+
+
 # ---------------------------------------------------------------------------
 # Propagation
 # ---------------------------------------------------------------------------
@@ -326,6 +335,87 @@ def test_propagate_takes_one_input_rule_on_either_route(lowest):
     )
 
 
+def _isotropic(p):
+    """II - p (XX + YY + ZZ): the Werner state of weight p for p <= 1, and
+    indefinite beyond it, with lowest eigenvalue (1 - p) / 4."""
+    return PauliVector.from_components({(0, 0): 1.0, (1, 1): -p, (2, 2): -p, (3, 3): -p})
+
+
+#: every entry that takes an initial state: the four routes, and the
+#: closed-form lifetime without its numeric cross-check
+_ENTRIES = {
+    **_ROUTES,
+    "survival_report(numeric=False)": lambda gen, initial, times: survival_report(
+        gen, initial, numeric=False
+    ),
+}
+
+
+def _entry_outcomes(gen, initial):
+    """What each entry makes of ``initial`` on the default grid: the message
+    of an input refusal, ``defective`` for a mode sum that refuses the
+    eigenbasis after taking the state, or ``accepted``; numpy warns nothing
+    on the way."""
+    outcomes = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for name, entry in _ENTRIES.items():
+            try:
+                entry(gen, initial, default_time_grid(1.0, 30.0))
+                outcomes[name] = "accepted"
+            except InvalidStateError as error:
+                outcomes[name] = str(error)
+            except DefectiveSpectrumError:
+                outcomes[name] = "defective"
+    assert caught == []
+    return outcomes
+
+
+@pytest.mark.parametrize("deficit, ratio", [(0.05, 0.9), (5e-6, 1.0)], ids=["labelled", "fallback"])
+def test_every_entry_takes_one_state_rule(deficit, ratio):
+    """Every entry checks its initial state by the one rule of ``states``
+    before anything else, so a vector that is no state is refused with one
+    message by all of them, whether the generator's modes are summed or
+    ``propagate`` steps.  A state just outside the physical set no longer
+    reads a concurrence of 1.0, a badly indefinite one is no longer blamed
+    on a sample of the route, and a scaled one is no longer renormalized by
+    one route and read raw by the closed form.  Dust within the rule and a
+    propagated sample are states to every entry."""
+    gen = make_generator(deficit, ratio)
+    stepped = ratio == 1.0
+    probes = {
+        "matrix has eigenvalue -1.250e-04 below -1.0e-10": _isotropic(1.0005),
+        "matrix has eigenvalue -1.250e-01 below -1.0e-10": _isotropic(1.5),
+        "alpha[0] must be 1 for a unit-trace state, got 2.0": 2.0 * werner(2.0 / 3.0).alpha,
+    }
+    for message, probe in probes.items():
+        assert _entry_outcomes(gen, probe) == dict.fromkeys(_ENTRIES, message)
+    sample = propagate(gen, z_up_down(), default_time_grid(1.0, 30.0)).state(200)
+    mode_sums = ("propagate_spectral", "survival_report")
+    for state in (_diagonal_state(-5e-11), sample):
+        assert _entry_outcomes(gen, state) == {
+            name: "defective" if stepped and name in mode_sums else "accepted" for name in _ENTRIES
+        }
+
+
+@pytest.mark.parametrize("horizon", [1e38, 1e50, 1e100])
+def test_ode_steps_past_the_reach_of_one_expm(reference_generator, horizon):
+    """A step whose ||L dt||_1 is beyond what one ``expm`` keeps finite is
+    taken as a shorter step squared, and reaches the stationary state the
+    mode sum gives; a shorter step is still one ``expm`` call, bit for bit."""
+    from scipy import linalg
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stepped = propagate_ode(reference_generator, z_up_down(), [0.0, horizon])
+        summed = propagate(reference_generator, z_up_down(), [0.0, horizon])
+    assert caught == []
+    np.testing.assert_allclose(stepped.alphas, summed.alphas, rtol=0.0, atol=1e-13)
+    short = propagate_ode(reference_generator, z_up_down(), [0.0, 30.0])
+    direct = linalg.expm(reference_generator.entries * 30.0) @ z_up_down().alpha
+    assert short.alphas[1].tobytes() == direct.tobytes()
+
+
 @pytest.mark.parametrize(
     "initial",
     [np.full(16, np.nan), np.r_[z_up_down().alpha[:15], np.inf], np.zeros(16)],
@@ -333,7 +423,7 @@ def test_propagate_takes_one_input_rule_on_either_route(lowest):
 )
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 def test_invalid_initial_vectors_are_refused(reference_generator, route, initial):
-    """A non-finite component, or a trace component that is not positive,
+    """A non-finite component, or a trace component that is not 1,
     is no state to propagate: every route refuses it by type, and numpy
     warns nothing on the way."""
     with warnings.catch_warnings(record=True) as caught:

@@ -1,5 +1,6 @@
 """The package namespace: each public name is listed once, in its module,
-and scipy is imported only where it is called."""
+scipy is imported only where it is called, and only the input checks of
+``states`` raise ``InvalidStateError``."""
 
 import ast
 from pathlib import Path
@@ -28,9 +29,9 @@ def test_package_exports_each_module_list_once():
 SCIPY_SITES = {"bath._j0_profile", "bath._principal_value", "dynamics.propagate_ode"}
 
 
-def _scipy_import_sites(path: Path) -> list:
-    """``module.function`` of each scipy import in a source file; an import
-    at module scope gives ``module`` alone."""
+def _sites(path: Path, matches) -> list:
+    """``module.function`` of each statement of a source file that
+    ``matches``; one at module scope gives ``module`` alone."""
     sites = []
 
     def visit(node, scope):
@@ -38,13 +39,7 @@ def _scipy_import_sites(path: Path) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                modules = [child.module or ""]
-            else:
-                modules = []
-            if any(module.partition(".")[0] == "scipy" for module in modules):
+            if matches(child):
                 sites.append(".".join(scope))
             visit(child, scope)
 
@@ -52,12 +47,22 @@ def _scipy_import_sites(path: Path) -> list:
     return sites
 
 
+def _imports_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        modules = [node.module or ""]
+    else:
+        modules = []
+    return any(module.partition(".")[0] == "scipy" for module in modules)
+
+
 def test_scipy_is_imported_only_at_its_call_sites():
     """No module imports scipy at module scope, and only the quadrature, the
     2D correlation profile and expm stepping import it at all."""
     sources = sorted(Path(spinbath.__file__).parent.glob("*.py"))
     assert len(sources) == len(_MODULES) + 2  # the modules, __init__ and cli
-    sites = [site for path in sources for site in _scipy_import_sites(path)]
+    sites = [site for path in sources for site in _sites(path, _imports_scipy)]
     assert sorted(sites) == sorted(SCIPY_SITES)
 
 
@@ -96,3 +101,24 @@ def test_concurrence_is_owned_by_states():
         if path.stem != "states"
     }
     assert outside == {path.stem: [] for path in sources if path.stem != "states"}
+
+
+def _raises_invalid_state(node) -> bool:
+    if not (isinstance(node, ast.Raise) and node.exc is not None):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+    return name == "InvalidStateError"
+
+
+def test_only_input_checks_raise_invalid_state():
+    """``InvalidStateError`` is an input check's verdict, so only ``states``
+    raises it, and not from the concurrence routine or its spin-flip
+    primitives: every path to them starts from a checked state, so dust
+    there is a numerical failure."""
+    sources = sorted(Path(spinbath.__file__).parent.glob("*.py"))
+    raisers = {path.stem: _sites(path, _raises_invalid_state) for path in sources}
+    assert {stem for stem, sites in raisers.items() if sites} == {"states"}
+    checks = {site.rpartition(".")[2] for site in raisers["states"]}
+    assert {"_as_alpha", "_unit_trace_alpha", "_assert_positive"} <= checks
+    assert not checks & (SPIN_FLIP_PRIMITIVES | {"_signed_concurrence"})

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from conftest import FOUR_STATES, make_generator, random_density_matrix
 from spinbath.dynamics import default_time_grid, propagate_spectral
-from spinbath.errors import InvalidStateError
+from spinbath.errors import InvalidStateError, NumericalFailureError
 from spinbath.states import (
     PAULI,
     PAULI_PRODUCTS,
@@ -307,22 +307,26 @@ def test_batched_concurrence_shapes(rng):
 def test_batched_concurrence_names_the_bad_sample(rng, reference_spectrum, path):
     """diag(0.6, 0.5, -0.1, 0) has spin-flip eigenvalues (0, -0.05, -0.05, 0).
 
-    The batched routine meets it as sample 3 of a stack.  The public
-    concurrence refuses it as indefinite before any spin flip, so the public
-    path that reaches the spin-flip gate is a propagation, which takes an
-    initial state without a positivity check; the state is its sample 0."""
+    The batched routine meets it as sample 3 of a stack, and refuses it as
+    a numerical failure: every caller passes it states that have passed an
+    input check.  No public path reaches the spin-flip gate with it: the
+    public concurrence and a propagation alike refuse it as indefinite, by
+    the one input rule, before any spin flip."""
     bad = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
     message = r"spin-flip spectrum has eigenvalue -5\.000e-02 below -1\.0e-07"
     if path == "batched":
         stack = _random_stack(rng, 6)
         stack[3] = bad
-        with pytest.raises(InvalidStateError, match=message + " at sample 3$"):
+        with pytest.raises(NumericalFailureError, match=message + " at sample 3$"):
             _signed_concurrence(_rho_to_alpha(stack).real)
-        with pytest.raises(InvalidStateError, match=message + "$"):
+        with pytest.raises(NumericalFailureError, match=message + "$"):
             _signed_concurrence(_rho_to_alpha(bad).real)
     else:
-        with pytest.raises(InvalidStateError, match=message + " at sample 0$"):
+        refusal = r"^matrix has eigenvalue -1\.000e-01 below -1\.0e-10$"
+        with pytest.raises(InvalidStateError, match=refusal):
             propagate_spectral(reference_spectrum, _rho_to_alpha(bad).real, [0.0])
+        with pytest.raises(InvalidStateError, match=refusal):
+            wootters_concurrence(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +435,7 @@ def test_x_even_spectrum_refuses_what_the_eigensolve_refuses():
     assert all(np.min(np.abs(product - mu)) <= 1e-13 for mu in closed[0])
     message = r"spin-flip spectrum has imaginary residue 5\.192e-02"
     for mu in (closed, product[None, :]):
-        with pytest.raises(InvalidStateError, match=message + "$"):
+        with pytest.raises(NumericalFailureError, match=message + "$"):
             _signed_from_spin_flip(mu, ())
 
 
@@ -447,11 +451,11 @@ def test_x_even_batch_with_one_negative_product_is_refused_at_that_sample():
     message = r"spin-flip spectrum has imaginary residue 5\.192e-02 at sample 2$"
     closed = _x_even_spin_flip_spectrum(stack)
     assert closed.dtype == complex
-    with pytest.raises(InvalidStateError, match=message):
+    with pytest.raises(NumericalFailureError, match=message):
         _signed_from_spin_flip(closed, (5,))
-    with pytest.raises(InvalidStateError, match=message):
+    with pytest.raises(NumericalFailureError, match=message):
         _eigensolved(_unit_rho(stack))
-    with pytest.raises(InvalidStateError, match=message):
+    with pytest.raises(NumericalFailureError, match=message):
         _signed_concurrence(stack)
     others = np.delete(closed, 2, axis=0)
     assert others.real.tobytes() == _x_even_spin_flip_spectrum(rows).real.tobytes()
