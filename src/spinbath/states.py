@@ -146,7 +146,7 @@ class PauliVector:
 
 @dataclass(frozen=True)
 class TwoQubitDensityMatrix:
-    """Validated 4x4 density matrix (Hermitian, unit trace).
+    """Validated 4x4 density matrix (finite, Hermitian, unit trace).
 
     Positivity is not enforced at construction: truncated mode expansions
     legitimately produce slightly indefinite matrices.  Use
@@ -159,6 +159,8 @@ class TwoQubitDensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidStateError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidStateError("matrix entries must be finite")
         herm_defect = np.max(np.abs(m - m.conj().T))
         if herm_defect > _HERMITICITY_TOL:
             raise InvalidStateError(f"matrix is not Hermitian (defect {herm_defect:.3e})")

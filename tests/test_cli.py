@@ -901,9 +901,9 @@ def test_byte_determinism(capsys, scenario, fmt, override):
 #: SHA-256 of stdout for each scenario at its defaults, on the stack
 #: ``conftest.RECORDED_STACK``
 _DEFAULT_STDOUT_SHA256 = {
-    ("fig1-surface",): "c940c7ae1ca7903efbe48499132aa3dedf6a4687c9b59e7a1ef0778c93d0010f",
+    ("fig1-surface",): "ea62d098243a38b715a81aa3244a4819561008bbc90377290fcea7b625b11ad6",
     ("fig2-trajectories",): "6f4d5308d1db3fe9f46c51d8f335215771dfd053218171a6c7b41f1507cc2d6a",
-    ("fig2-inset",): "bed15391d99d9e6ac3ee79b5957ca466027889f51ce55ee4de743de929b4dbd9",
+    ("fig2-inset",): "8dfbb847d92a570ecc4562a146cc51329e155bf8e4ecaf95dacf76245e6b2f0b",
     ("spectrum",): "78ae4fdcf6f54e8cfbd3f65b53829f7a3e6ff63d6a65720061cd0c8bcda7ddfe",
     ("spectrum", "--format", "json"): (
         "52e9882ecd6aa484c59f9a192c064133d41a82736a863789e360fa01fd41b719"

@@ -461,8 +461,9 @@ def test_overflowing_mode_sums_are_numerical_failures(route, lamb_b, factory):
         with pytest.raises(DegenerateSpectrumError, match="growing mode"):
             _ROUTES[route](gen, factory(), times)
         coeffs = gen.spectrum.left.conj() @ factory().alpha
+        modes = gen.spectrum.eigenvalues, coeffs, gen.spectrum.right
         with pytest.raises(NumericalFailureError, match="spectral reconstruction is not finite"):
-            dynamics._spectral_alphas(gen.spectrum, coeffs, times)
+            dynamics._spectral_alphas(modes, times)
     assert caught == []
 
 
@@ -1100,8 +1101,8 @@ _PIN_STATES = (lambda: werner(2.0 / 3.0), x_up_down, z_up_down, bell_singlet)
 #: SHA-256 of every SurvivalReport field's repr, and of the alphas and
 #: concurrence bytes of a 401-sample propagate, over the pinned models and
 #: states, on the stack ``conftest.RECORDED_STACK``
-_SURVIVAL_SHA256 = "0914172aaea1e9cf87a934daa436ffcb18e2f80d31a1dc1007475a3f8e9e439c"
-_TRAJECTORY_SHA256 = "e393f06e0c36d6d0a0aaefd321f155bc8688e93cb70c6422f7251407b7769b7d"
+_SURVIVAL_SHA256 = "8d6fd73b454f4ad5989c96c5d10affb9352d2d641407d844e08564853c9863f9"
+_TRAJECTORY_SHA256 = "5a0a6aeadbdbc104ad971d28791be7b76a2b9a386cd0180e21ad96644813d386"
 
 
 def test_survival_search_bits_are_pinned():
@@ -1124,6 +1125,88 @@ def test_survival_search_bits_are_pinned():
             trajectories.update(traj.concurrence.tobytes())
     assert reports.hexdigest() == _SURVIVAL_SHA256
     assert trajectories.hexdigest() == _TRAJECTORY_SHA256
+
+
+#: the deficits of the excited-mode bound: the common-bath limit and two
+#: near it, then log-uniform draws from 1e-4 to 0.5
+_BOUND_DEFICITS = (0.0, 1e-12, 1e-8)
+
+
+def _bound_states(rng) -> list:
+    """The pinned states, two ``state_for_correlation`` draws and random
+    states of rank 1 to 4."""
+    pinned = [factory() for factory in _PIN_STATES]
+    drawn = [state_for_correlation(lam) for lam in rng.uniform(-3.0, 1.0, 2)]
+    mixed = [density_to_bloch(random_density_matrix(rng, rank)) for rank in range(1, 5)]
+    return pinned + drawn + mixed
+
+
+def _bound_models(rng) -> list:
+    """Deficit, ratio and coherent terms of the seeded models, bare,
+    Lamb-dressed and with exchange in turn, then a deficit-0 model whose
+    eigenbasis has condition number ~1e4 and terms up to ~1e3."""
+    seeded = [
+        (
+            _BOUND_DEFICITS[n // 3] if n < 9 else 1e-4 * 5000.0 ** u[1],
+            0.5 + 0.5 * u[0],
+            _PIN_TERMS[n % 3],
+        )
+        for n, u in enumerate(rng.random((18, 2)))
+    ]
+    return seeded + [(0.0, 0.7546357782471933, {})]
+
+
+def test_excited_mode_sums_stay_within_the_round_off_bound():
+    """Summing only the excited modes moves no sample further from the sum
+    of all 16 than 16 eps times the largest term ``|a_l| max|r_l|``, and
+    leaves every sample as close to the matrix exponential as the full sum
+    is, on seeded models (ratio in [0.5, 1); deficit 0, 1e-12, 1e-8 and 1e-4
+    to 0.5)."""
+    rng = np.random.default_rng(2929)
+    eps = np.finfo(float).eps
+    for deficit, ratio, terms in _bound_models(rng):
+        gen = make_generator(deficit, ratio, **terms)
+        spectrum = gen.spectrum
+        times = default_time_grid(1.0, min(3.0 / deficit, 1e4) if deficit else 30.0, 60)
+        states = _bound_states(rng)
+        reference = oracles.evolve_expm(gen.entries, np.stack([s.alpha for s in states], 1), times)
+        for k, state in enumerate(states):
+            coeffs = mode_coefficients(spectrum, state)
+            full = dynamics._spectral_alphas((spectrum.eigenvalues, coeffs, spectrum.right), times)
+            excited = propagate_spectral(spectrum, state, times).alphas
+            bound = 16.0 * eps * np.max(np.abs(coeffs) * np.max(np.abs(spectrum.right), axis=0))
+            assert np.max(np.abs(excited - full)) <= bound, (deficit, ratio, k)
+            error_full = np.max(np.abs(full - reference[:, :, k]), axis=1)
+            error_excited = np.max(np.abs(excited - reference[:, :, k]), axis=1)
+            assert np.all(error_excited <= error_full + bound), (deficit, ratio, k)
+
+
+def test_an_even_state_sums_only_the_modes_it_excites(reference_spectrum):
+    """Werner 2/3 is invariant under the joint x-rotation and the qubit swap,
+    so it excites 6 of the 16 modes at R = 0.9, deficit 0.05, and only those
+    are summed."""
+    alpha = werner(2.0 / 3.0).alpha
+    eigenvalues, coeffs, right = dynamics._excited_modes(reference_spectrum, alpha)
+    assert eigenvalues.size == coeffs.size == right.shape[1] <= 6
+
+
+@pytest.mark.parametrize("amplitude", [math.inf, math.nan], ids=["infinite", "nan"])
+def test_non_finite_amplitudes_keep_every_mode(monkeypatch, reference_spectrum, amplitude):
+    """An amplitude that is not finite, on a mode Werner 2/3 does not
+    excite, keeps all 16 modes: the sum then refuses its non-finite result,
+    where dropping modes against an infinite or NaN limit would return a
+    finite one.  numpy warns nothing on the way."""
+    alpha = werner(2.0 / 3.0).alpha
+    coeffs = mode_coefficients(reference_spectrum, alpha)
+    coeffs[np.argmin(np.abs(coeffs))] = amplitude
+    monkeypatch.setattr(dynamics, "mode_coefficients", lambda report, initial: coeffs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        modes = dynamics._excited_modes(reference_spectrum, alpha)
+        assert modes[0].size == 16
+        with pytest.raises(NumericalFailureError, match="spectral reconstruction is not finite"):
+            dynamics._spectral_alphas(modes, np.array([0.0, 1.0]))
+    assert caught == []
 
 
 def _linspace_interior(a, b):

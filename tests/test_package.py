@@ -1,6 +1,6 @@
 """The package namespace: each public name is listed once, in its module,
-scipy is imported only where it is called, and only the input checks of
-``states`` raise ``InvalidStateError``."""
+scipy is imported only where it is called, only the input checks of
+``states`` raise ``InvalidStateError``, and ``dynamics`` has one mode sum."""
 
 import ast
 from pathlib import Path
@@ -122,3 +122,26 @@ def test_only_input_checks_raise_invalid_state():
     checks = {site.rpartition(".")[2] for site in raisers["states"]}
     assert {"_as_alpha", "_unit_trace_alpha", "_assert_positive"} <= checks
     assert not checks & (SPIN_FLIP_PRIMITIVES | {"_signed_concurrence"})
+
+
+def _reads_right(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "right"
+
+
+def _exponentiates_eigenvalues(node) -> bool:
+    """A call of ``exp`` that names ``eigenvalues``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    names = {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node)}
+    return callee == "exp" and "eigenvalues" in names
+
+
+def test_one_mode_sum_behind_the_excited_mode_cut():
+    """In ``dynamics`` only the excited-mode selection reads a spectrum
+    record's right eigenvectors, and only the mode sum exponentiates
+    eigenvalues, so no second mode-sum path can bypass the cut."""
+    source = Path(dynamics.__file__)
+    assert _sites(source, _reads_right) == ["dynamics._excited_modes"]
+    assert _sites(source, _exponentiates_eigenvalues) == ["dynamics._spectral_alphas"]

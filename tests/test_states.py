@@ -1,5 +1,7 @@
 """Pauli-component state representation and concurrence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,20 @@ def test_correlation_scalar_range_on_random_states(rng):
 def test_concurrence_rejects_badly_indefinite_input():
     with pytest.raises(InvalidStateError):
         wootters_concurrence(np.diag([0.6, 0.5, -0.1, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "matrix", [np.full((4, 4), np.nan), np.diag([np.inf, 0.0, 0.0, 0.0])], ids=["nan", "inf"]
+)
+@pytest.mark.parametrize("convert", [wootters_concurrence, density_to_bloch])
+def test_non_finite_matrices_are_invalid_states(convert, matrix):
+    """A matrix with a non-finite entry is refused as no state before any
+    arithmetic on it, so numpy neither warns nor raises its own error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidStateError, match="entries must be finite"):
+            convert(matrix)
+    assert caught == []
 
 
 def _random_stack(rng, n):
