@@ -87,9 +87,9 @@ class SpectralDensity:
         if self.form not in (OHMIC, TABULATED):
             raise ValueError(f"unknown spectral form {self.form!r}")
         if self.form == OHMIC:
-            if self.coupling < 0:
+            if not self.coupling >= 0:
                 raise ValueError("ohmic coupling must be non-negative")
-            if self.cutoff_frequency <= 0:
+            if not self.cutoff_frequency > 0:
                 raise ValueError("a positive cutoff frequency is required")
             if self.cutoff_form not in (EXPONENTIAL_CUTOFF, HARD_CUTOFF):
                 raise ValueError(f"unknown cutoff form {self.cutoff_form!r}")
@@ -180,7 +180,7 @@ class BathGeometry:
             raise ValueError("separation must be finite and non-negative")
         if self.dimension not in (1, 2, 3):
             raise ValueError(f"bath dimension must be 1, 2 or 3, got {self.dimension}")
-        if self.dispersion is None and self.velocity <= 0:
+        if self.dispersion is None and not self.velocity > 0:
             raise ValueError("velocity must be positive for the linear dispersion")
 
     def kappa(self, omega):
@@ -261,9 +261,9 @@ def thermal_occupation(delta_freq: float, temperature: float) -> float:
     occupation, and so does a ``Delta / T`` beyond ``expm1``'s range, where
     the occupation underflows.
     """
-    if delta_freq <= 0:
+    if not delta_freq > 0:
         raise ValueError(f"frequency must be positive, got {delta_freq}")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError(f"temperature must be non-negative, got {temperature}")
     if temperature == 0.0:
         return 0.0
@@ -326,7 +326,7 @@ def correlation_delta(
     ``(kappa d)^2 / (2 D)`` is used instead of the exact profile; the two
     agree to second order in ``kappa d``.
     """
-    if delta_freq <= 0:
+    if not delta_freq > 0:
         raise ValueError(f"frequency must be positive, got {delta_freq}")
     x = float(geometry.kappa(delta_freq)) * geometry.separation
     if approx:
@@ -520,7 +520,7 @@ def lamb_shift_coefficients(
     ill-defined; non-convergence, or an error estimate above that
     tolerance, raises :class:`NumericalFailureError`.
     """
-    if delta_freq <= 0:
+    if not delta_freq > 0:
         raise ValueError(f"frequency must be positive, got {delta_freq}")
     upper = spectral.support_limit()
     floor = 1e-12 * delta_freq

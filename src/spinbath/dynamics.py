@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -236,9 +236,9 @@ def _spectral_alphas(modes: tuple, times: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(np.outer(times, eigenvalues))
         alpha_c = (phases * coeffs) @ right.T
-    if not np.all(np.isfinite(alpha_c)):
+    if not np.isfinite(alpha_c).all():
         raise NumericalFailureError("spectral reconstruction is not finite")
-    residue = float(np.max(np.abs(alpha_c.imag)))
+    residue = float(np.abs(alpha_c.imag).max())
     if residue > _RECONSTRUCTION_IMAG_TOL:
         raise NumericalFailureError(
             f"spectral reconstruction has imaginary residue {residue:.3e}"
@@ -464,7 +464,7 @@ def survival_time(ratio: float, lambda_corr: float, slow_rate: float) -> float:
 
         t_c = (1/|lambda_1|) ln[ (R^2-Lambda)(R^2-3) / ((R^2+3)(R^2-1)) ].
     """
-    if slow_rate < 0:
+    if not slow_rate >= 0:
         raise ValueError(f"slow_rate must be non-negative, got {slow_rate}")
     if not generation_condition(ratio, lambda_corr):
         return 0.0
@@ -538,10 +538,11 @@ def _numeric_survival(
     bracket about fivefold a round, so no search takes more rounds than it
     would with even points only.  A round samples both brackets in one call.
 
-    Only the scan grid and the concurrence batches are numpy arrays.  The
-    brackets and their candidates are lists of Python floats, whose
-    arithmetic is the same IEEE double arithmetic numpy does element by
-    element, so every sample time is the one ``np.linspace``,
+    Only the scan grid, whose log-spaced part is made once per clock and
+    window (:func:`_scan_grid`), and the concurrence batches are numpy
+    arrays.  The brackets and their candidates are lists of Python floats,
+    whose arithmetic is the same IEEE double arithmetic numpy does element
+    by element, so every sample time is the one ``np.linspace``,
     ``np.setdiff1d`` and a stable ``np.argsort`` would give.
     """
     gamma0 = report.gamma0
@@ -557,7 +558,7 @@ def _numeric_survival(
     horizon = max(horizon, 5.0 / gamma0)
     # the fast modes decay at rates of order gamma0 or faster
     window = min(8.0 / gamma0, horizon)
-    times = [0.0, *np.geomspace(1e-3 / gamma0, window, 64).tolist()]
+    times = [0.0, *_scan_grid(gamma0, window)]
     if horizon > window:
         times += stretch(window, horizon)
     values = signed(times)
@@ -600,6 +601,14 @@ def _numeric_survival(
             root = t[i : i + 2], c[i : i + 2]
     t_zero = math.inf if root is None else 0.5 * (root[0][0] + root[0][1])
     return min(peak[1][1], 1.0), peak[0][1], t_zero
+
+
+@lru_cache(maxsize=8)
+def _scan_grid(gamma0: float, window: float) -> tuple:
+    """The 64 log-spaced scan samples ``np.geomspace(1e-3 / gamma0, window,
+    64)`` as a tuple of floats, kept for later reports on the same clock and
+    window (most reports share ``window = 8 / gamma0``)."""
+    return tuple(np.geomspace(1e-3 / gamma0, window, 64).tolist())
 
 
 def _last_positive(values: list) -> int:
@@ -688,11 +697,11 @@ def survival_report(
     slow_rate = -spectrum.slow_eigenvalue
     generated = generation_condition(ratio, lam)
     t_c = survival_time(ratio, lam, slow_rate)
-    peak_c = float(analytic_concurrence(ratio, lam, slow_rate, 0.0))
-    peak_t = 0.0
-    t_c_numeric = None
     if numeric:
         peak_c, peak_t, t_c_numeric = _numeric_survival(spectrum, alpha, t_c)
+    else:
+        peak_c = float(analytic_concurrence(ratio, lam, slow_rate, 0.0))
+        peak_t, t_c_numeric = 0.0, None
     return SurvivalReport(
         ratio=ratio,
         lambda_corr=lam,
@@ -719,7 +728,7 @@ def thermal_bath_condition(theta_bath: float, theta_qubits: float) -> bool:
     them toward its own ratio ``tanh theta_bath``.  Exact at all
     temperatures.
     """
-    if theta_bath <= 0 or theta_qubits < 0:
+    if not (theta_bath > 0 and theta_qubits >= 0):
         raise ValueError("inverse temperatures must be positive (bath) and non-negative (qubits)")
     ratio_bath = math.tanh(theta_bath)
     lam = math.tanh(theta_qubits) ** 2
@@ -733,7 +742,7 @@ def thermal_bath_condition_asymptotic(theta_bath: float, theta_qubits: float) ->
     inverse temperature: ``theta_bath - theta_qubits > ln(3) / 2``, i.e.
     the bath must be colder by a factor that does not keep growing.
     """
-    if theta_bath <= 0 or theta_qubits < 0:
+    if not (theta_bath > 0 and theta_qubits >= 0):
         raise ValueError("inverse temperatures must be positive (bath) and non-negative (qubits)")
     return theta_bath - theta_qubits > 0.5 * math.log(3.0)
 

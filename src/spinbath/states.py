@@ -19,8 +19,10 @@ caller takes the same two routes.  A state that starts in the sector even
 under conjugation by ``sigma_x (x) sigma_x`` stays there under every
 generator :func:`~spinbath.liouvillian.build_generator` makes, an X-state
 in the ``sigma_x`` basis.  A batch whose odd components are all within
-round-off takes its spin-flip eigenvalues in closed form; any other
-eigensolves ``rho rho_tilde`` per sample.
+round-off takes the square roots of its spin-flip eigenvalues in closed
+form, with no spectrum squared on the way; any other eigensolves ``rho
+rho_tilde`` per sample and takes the roots of that spectrum by the one dust
+rule.  Both routes' roots meet in one combination.
 """
 
 from __future__ import annotations
@@ -92,7 +94,10 @@ _SPIN_FLIP_DUST_TOL = 1e-7
 
 
 def flat_index(i: int, j: int) -> int:
-    """Row-major position of the ``sigma_i (x) sigma_j`` coefficient."""
+    """Row-major position of the ``sigma_i (x) sigma_j`` coefficient; an
+    index outside 0..3 raises ``ValueError``."""
+    if not (0 <= i <= 3 and 0 <= j <= 3):
+        raise ValueError(f"Pauli indices must lie in 0..3, got ({i}, {j})")
     return 4 * i + j
 
 
@@ -291,10 +296,11 @@ def wootters_concurrence(rho) -> float:
     eigenvalues of ``rho @ rho_tilde`` in decreasing order.  See
     https://en.wikipedia.org/wiki/Concurrence_(quantum_computing).
 
-    The spectrum is taken by the routes trajectories take: a state whose
+    The roots are taken by the routes trajectories take: a state whose
     Pauli components odd under conjugation by ``sigma_x (x) sigma_x`` are
-    round-off gets it in closed form (Yu & Eberly, QIC 7, 459, 2007), any
-    other by an eigensolve of ``rho rho_tilde`` of the matrix as given.
+    round-off gets them in closed form (Yu & Eberly, QIC 7, 459, 2007),
+    with no spectrum on the way; any other by an eigensolve of ``rho
+    rho_tilde`` of the matrix as given, then the square roots.
 
     The input must be a density matrix (Hermitian, unit trace, positive
     within 1e-10), or it raises :class:`InvalidStateError`.  Spin-flip
@@ -333,7 +339,7 @@ def _is_x_even(alphas: np.ndarray) -> bool:
     eight odd components is within round-off, 1e-12 of its trace
     component."""
     alphas = np.asarray(alphas)
-    return bool(np.all(np.abs(alphas[..., _X_ODD]) <= _X_ODD_RTOL * np.abs(alphas[..., :1])))
+    return bool((np.abs(alphas[..., _X_ODD]) <= _X_ODD_RTOL * np.abs(alphas[..., :1])).all())
 
 
 def _signed_concurrence(alphas: np.ndarray, matrices=None):
@@ -346,21 +352,26 @@ def _signed_concurrence(alphas: np.ndarray, matrices=None):
     no other check is made on it: the callers pass states that have passed
     an input check, or samples propagated from one.  A stack whose vectors
     all lie in the ``sigma_x (x) sigma_x`` even sector (:func:`_is_x_even`)
-    takes its spin-flip spectra in closed form
-    (:func:`_x_even_spin_flip_spectrum`), any other by an eigensolve
-    (:func:`_spin_flip_spectrum`) of its ``matrices``, the density matrices
-    the vectors came from, or where none are given of the matrices rebuilt
-    from the vectors.  Both routes are
-    judged by the one dust rule of :func:`_signed_from_spin_flip`, whose
-    refusal is a :class:`~spinbath.errors.NumericalFailureError`.
+    takes the square roots of its spin-flip spectra in closed form
+    (:func:`_x_even_spin_flip_roots`), with no spectrum on the way; any
+    other eigensolves its spectra (:func:`_spin_flip_spectrum`) from its
+    ``matrices``, the density matrices the vectors came from, or where none
+    are given from the matrices rebuilt from the vectors.  Every spin-flip
+    spectrum, that eigensolve's and the closed form's where a population
+    product is negative, is judged by the one dust rule of
+    :func:`_spin_flip_roots`, whose refusal is a
+    :class:`~spinbath.errors.NumericalFailureError`; both routes' roots
+    then meet in the one combination, :func:`_signed_from_roots`.
     """
     alphas = np.asarray(alphas)
+    shape = alphas.shape[:-1]
     unit = alphas / alphas[..., :1]
     if _is_x_even(alphas):
-        mu = _x_even_spin_flip_spectrum(unit)
+        roots = _x_even_spin_flip_roots(unit, shape)
     else:
         mu = _spin_flip_spectrum(_alpha_to_rho(unit) if matrices is None else matrices)
-    return _signed_from_spin_flip(mu, alphas.shape[:-1])
+        roots = _spin_flip_roots(mu, shape)
+    return _signed_from_roots(roots, shape)
 
 
 def _spin_flip_spectrum(matrix: np.ndarray) -> np.ndarray:
@@ -370,18 +381,25 @@ def _spin_flip_spectrum(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(matrix @ _spin_flip(matrix)).reshape(-1, 4)
 
 
-def _x_even_spin_flip_spectrum(alphas: np.ndarray) -> np.ndarray:
-    """:func:`_spin_flip_spectrum` of states in the ``sigma_x (x) sigma_x``
-    even sector, from their eight even Pauli components, with no eigensolve.
+def _x_even_spin_flip_roots(alphas: np.ndarray, shape: tuple) -> np.ndarray:
+    """Square roots of the :func:`_spin_flip_spectrum` of states in the
+    ``sigma_x (x) sigma_x`` even sector, from their eight even Pauli
+    components, with no eigensolve; one row of four per sample of batch
+    shape ``shape``, unsorted.
 
     ``alphas`` is one Pauli vector or a ``(..., 16)`` stack, each with unit
     trace component; its odd components are not read.  In the
     ``sigma_x`` eigenbasis such a state is an X-state, whose spin-flip
-    eigenvalues are ``(sqrt(r11 r44) +- |r14|)^2`` and ``(sqrt(r22 r33) +-
-    |r23|)^2`` (Yu & Eberly, QIC 7, 459, 2007).  Where every population
-    product is non-negative the spectra are real; otherwise the square roots
-    of the whole batch are taken in complex, so a negative product leaves
-    the imaginary residue that an eigensolve leaves.
+    roots are ``|sqrt(r11 r44) +- |r14||`` and ``|sqrt(r22 r33) +- |r23||``
+    (Yu & Eberly, QIC 7, 459, 2007; Wootters, PRL 80, 2245, 1998).  Where
+    every population product is non-negative these are the roots, and a
+    square taken on the way would be non-negative and real, so the dust rule
+    has nothing to judge; the roots are the rule's ``sqrt(x^2) = |x|`` bit
+    for bit unless ``x^2`` underflows, below about ``2^-511``, where they
+    keep the root the square loses.  Otherwise the square roots of the
+    whole batch are taken in complex, and the squares, which carry the
+    imaginary residue an eigensolve leaves, go through the one dust rule of
+    :func:`_spin_flip_roots`.
     """
     a = np.asarray(alphas).reshape(-1, 16)
     ii, ix, xi, xx = a[:, 0], a[:, 1], a[:, 4], a[:, 5]
@@ -390,24 +408,27 @@ def _x_even_spin_flip_spectrum(alphas: np.ndarray) -> np.ndarray:
     # the two coherences
     p14 = (ii + ix + xi + xx) * (ii - ix - xi + xx)
     p23 = (ii - ix + xi - xx) * (ii + ix - xi - xx)
-    if min(p14.min(initial=0.0), p23.min(initial=0.0)) < 0.0:
+    negative = min(p14.min(initial=0.0), p23.min(initial=0.0)) < 0.0
+    if negative:
         p14, p23 = p14.astype(complex), p23.astype(complex)
     root14, root23 = np.sqrt(p14), np.sqrt(p23)
     c14 = np.hypot(zz - yy, zy + yz)
     c23 = np.hypot(zz + yy, yz - zy)
-    mu = np.empty((a.shape[0], 4), dtype=root14.dtype)
-    np.add(root14, c14, out=mu[:, 0])
-    np.subtract(root14, c14, out=mu[:, 1])
-    np.add(root23, c23, out=mu[:, 2])
-    np.subtract(root23, c23, out=mu[:, 3])
-    mu /= 4.0
-    return np.square(mu, out=mu)
+    roots = np.empty((a.shape[0], 4), dtype=root14.dtype)
+    np.add(root14, c14, out=roots[:, 0])
+    np.subtract(root14, c14, out=roots[:, 1])
+    np.add(root23, c23, out=roots[:, 2])
+    np.subtract(root23, c23, out=roots[:, 3])
+    roots /= 4.0
+    if negative:
+        return _spin_flip_roots(np.square(roots, out=roots), shape)
+    return np.abs(roots, out=roots)
 
 
-def _signed_from_spin_flip(mu: np.ndarray, shape: tuple):
-    """Signed concurrence from spin-flip spectra ``mu``, one row of four
-    per sample, for samples of batch shape ``shape`` (``()`` for one
-    sample, giving a float).
+def _spin_flip_roots(mu: np.ndarray, shape: tuple) -> np.ndarray:
+    """Square roots of spin-flip spectra ``mu``, one row of four per
+    sample of batch shape ``shape`` (``()`` for one sample), in the order
+    given.
 
     The one dust rule: a spin-flip eigenvalue below ``-1e-7``, or an
     imaginary part above ``1e-7``, raises
@@ -417,9 +438,9 @@ def _signed_from_spin_flip(mu: np.ndarray, shape: tuple):
     stack.  Smaller dust is clamped to zero before the roots.
     A real ``mu`` has no imaginary part to check.
     """
-    imag = np.max(np.abs(mu.imag), axis=1) if np.iscomplexobj(mu) else None
-    mu = np.sort(mu.real, axis=1)
-    lowest = mu[:, 0]
+    imag = np.abs(mu.imag).max(axis=1) if np.iscomplexobj(mu) else None
+    real = mu.real
+    lowest = real.min(axis=1)
     worst = -lowest if imag is None else np.maximum(imag, -lowest)
     bad = np.flatnonzero(worst > _SPIN_FLIP_DUST_TOL)
     if bad.size:
@@ -430,7 +451,16 @@ def _signed_from_spin_flip(mu: np.ndarray, shape: tuple):
             problem = f"eigenvalue {lowest[k]:.3e} below -{_SPIN_FLIP_DUST_TOL:.1e}"
         where = "" if shape == () else f" at sample {k}"
         raise NumericalFailureError(f"spin-flip spectrum has {problem}{where}")
-    roots = np.sqrt(np.clip(mu, 0.0, None, out=mu), out=mu)
+    roots = np.clip(real, 0.0, None)
+    return np.sqrt(roots, out=roots)
+
+
+def _signed_from_roots(roots: np.ndarray, shape: tuple):
+    """The signed concurrence ``r_4 - r_3 - r_2 - r_1`` of spin-flip roots
+    sorted ascending, one row of four per sample of batch shape ``shape``
+    (``()`` for one sample, giving a float); the one combination of both
+    routes' roots."""
+    roots = np.sort(roots, axis=1)
     signed = roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0]
     return float(signed[0]) if shape == () else signed.reshape(shape)
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, special
 
 import oracles
-from spinbath import iontrap
+from spinbath import dynamics, iontrap
 from spinbath.bath import (
     EXPONENTIAL_CUTOFF,
     HARD_CUTOFF,
@@ -652,3 +652,50 @@ class TestLambShiftCoefficients:
             density, BathThermal(0.0), BathGeometry(), 1.0
         )
         assert coeff_a == pytest.approx(fold_a, rel=1e-9)
+
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: thermal_occupation(_NAN, 1.0), "frequency must be positive"),
+        (lambda: thermal_occupation(1.0, _NAN), "temperature must be non-negative"),
+        (lambda: correlation_delta(BathGeometry(), _NAN), "frequency must be positive"),
+        (lambda: SpectralDensity.ohmic(_NAN, 10.0), "ohmic coupling must be non-negative"),
+        (lambda: SpectralDensity.ohmic(0.1, _NAN), "a positive cutoff frequency is required"),
+        (lambda: BathGeometry(velocity=_NAN), "velocity must be positive"),
+        (
+            lambda: lamb_shift_coefficients(
+                SpectralDensity.ohmic(0.1, 10.0), BathThermal(0.3), BathGeometry(), _NAN
+            ),
+            "frequency must be positive",
+        ),
+        (lambda: dynamics.survival_time(0.9, -1.0, _NAN), "slow_rate must be non-negative"),
+        (lambda: dynamics.thermal_bath_condition(_NAN, 1.0), "inverse temperatures"),
+        (lambda: dynamics.thermal_bath_condition(1.0, _NAN), "inverse temperatures"),
+        (lambda: dynamics.thermal_bath_condition_asymptotic(_NAN, 1.0), "inverse temperatures"),
+    ],
+    ids=[
+        "occupation-frequency",
+        "occupation-temperature",
+        "correlation-delta",
+        "ohmic-coupling",
+        "ohmic-cutoff",
+        "geometry-velocity",
+        "lamb-shift",
+        "survival-time",
+        "bath-condition-bath",
+        "bath-condition-qubits",
+        "bath-condition-asymptotic",
+    ],
+)
+def test_nan_is_refused_by_the_range_guards(call, message):
+    """A NaN argument fails every range comparison, so each guard refuses
+    what is not in range, and NaN gets the guard's own ``ValueError``
+    instead of a NaN result, a verdict of ``False`` or a quadrature
+    failure."""
+    with pytest.raises(ValueError, match=message):
+        call()

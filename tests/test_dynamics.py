@@ -60,7 +60,8 @@ from spinbath.states import (
     PauliVector,
     _alpha_to_rho,
     _rho_to_alpha,
-    _signed_from_spin_flip,
+    _signed_from_roots,
+    _spin_flip_roots,
     _spin_flip_spectrum,
     bell_singlet,
     bell_triplet,
@@ -709,15 +710,16 @@ def _sector_coupling_generator(field=0.3):
     return GeneratorMatrix(entries, reference.params, reference.rates)
 
 
-def _refuse_closed_form(alphas):
-    raise AssertionError("closed-form spin-flip spectrum taken")
+def _refuse_closed_form(alphas, shape):
+    raise AssertionError("closed-form spin-flip roots taken")
 
 
 def _eigvals_concurrence(traj):
     """The spin-flip eigensolve of every sample, clamped: the route every
     trajectory took before the closed form."""
     matrices = _alpha_to_rho(traj.alphas / traj.alphas[:, :1])
-    signed = _signed_from_spin_flip(_spin_flip_spectrum(matrices), (traj.times.size,))
+    shape = (traj.times.size,)
+    signed = _signed_from_roots(_spin_flip_roots(_spin_flip_spectrum(matrices), shape), shape)
     return np.clip(signed, 0.0, 1.0)
 
 
@@ -727,7 +729,7 @@ def test_sector_coupling_generator_takes_the_eigensolve(monkeypatch, route):
     leaves the even sector, so every route eigensolves its spin flips and
     a trajectory's concurrence is that eigensolve's bit for bit."""
     gen = _sector_coupling_generator()
-    monkeypatch.setattr(states, "_x_even_spin_flip_spectrum", _refuse_closed_form)
+    monkeypatch.setattr(states, "_x_even_spin_flip_roots", _refuse_closed_form)
     result = _ROUTES[route](gen, werner(2.0 / 3.0), default_time_grid(1.0, 30.0))
     if isinstance(result, Trajectory):
         assert np.any(result.alphas[:, 2] != 0.0)  # the IY component is reached
@@ -1070,20 +1072,20 @@ SURVIVAL_CALL_BOUND = 5
 
 
 def test_survival_search_is_batched(monkeypatch):
-    """Every spin-flip spectrum of the numeric survival check takes a batch
-    of samples, and one report makes few calls.  z_up_down is eigensolved;
-    x_up_down lies in the sigma_x (x) sigma_x even sector and takes the
-    closed form only."""
-    stacks = {"_spin_flip_spectrum": [], "_x_even_spin_flip_spectrum": []}
+    """Every spin-flip spectrum or closed-form root set of the numeric
+    survival check takes a batch of samples, and one report makes few
+    calls.  z_up_down is eigensolved; x_up_down lies in the sigma_x (x)
+    sigma_x even sector and takes the closed-form roots only."""
+    stacks = {"_spin_flip_spectrum": [], "_x_even_spin_flip_roots": []}
     for name, calls in stacks.items():
         original = getattr(states, name)
 
-        def counting(rows, original=original, calls=calls):
+        def counting(rows, *rest, original=original, calls=calls):
             calls.append(len(rows))
-            return original(rows)
+            return original(rows, *rest)
 
         monkeypatch.setattr(states, name, counting)
-    for factory, route in ((z_up_down, "_spin_flip_spectrum"), (x_up_down, "_x_even_spin_flip_spectrum")):
+    for factory, route in ((z_up_down, "_spin_flip_spectrum"), (x_up_down, "_x_even_spin_flip_roots")):
         for calls in stacks.values():
             calls.clear()
         rep = survival_report(make_generator(0.05, 0.9), factory())

@@ -70,9 +70,10 @@ def test_scipy_is_imported_only_at_its_call_sites():
 SPIN_FLIP_PRIMITIVES = {
     "_spin_flip",
     "_spin_flip_spectrum",
-    "_x_even_spin_flip_spectrum",
+    "_x_even_spin_flip_roots",
     "_is_x_even",
-    "_signed_from_spin_flip",
+    "_spin_flip_roots",
+    "_signed_from_roots",
 }
 
 
@@ -103,12 +104,16 @@ def test_concurrence_is_owned_by_states():
     assert outside == {path.stem: [] for path in sources if path.stem != "states"}
 
 
-def _raises_invalid_state(node) -> bool:
+def _raised_name(node):
+    """The exception class a ``raise`` statement names, else ``None``."""
     if not (isinstance(node, ast.Raise) and node.exc is not None):
-        return False
+        return None
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
-    return name == "InvalidStateError"
+    return exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+
+
+def _raises_invalid_state(node) -> bool:
+    return _raised_name(node) == "InvalidStateError"
 
 
 def test_only_input_checks_raise_invalid_state():
@@ -122,6 +127,31 @@ def test_only_input_checks_raise_invalid_state():
     checks = {site.rpartition(".")[2] for site in raisers["states"]}
     assert {"_as_alpha", "_unit_trace_alpha", "_assert_positive"} <= checks
     assert not checks & (SPIN_FLIP_PRIMITIVES | {"_signed_concurrence"})
+
+
+def _raises_numerical_failure(node) -> bool:
+    return _raised_name(node) == "NumericalFailureError"
+
+
+def _raises_spin_flip_refusal(node) -> bool:
+    """A ``raise`` whose exception is worded, plain or formatted, with
+    "spin-flip spectrum", as the dust rule's refusal is."""
+    return isinstance(node, ast.Raise) and any(
+        isinstance(sub, ast.Constant) and "spin-flip spectrum" in str(sub.value)
+        for sub in ast.walk(node)
+    )
+
+
+def test_one_dust_rule_refuses_spin_flip_spectra():
+    """Only the dust rule, ``states._spin_flip_roots``, raises the
+    "spin-flip spectrum has ..." numerical failure: the even route's
+    complex spectra and the eigensolve's reach that one rule, no other code
+    of ``states`` raises a numerical failure, and no module words that
+    refusal anywhere else."""
+    sources = sorted(Path(spinbath.__file__).parent.glob("*.py"))
+    assert _sites(Path(states.__file__), _raises_numerical_failure) == ["states._spin_flip_roots"]
+    worded = [site for path in sources for site in _sites(path, _raises_spin_flip_refusal)]
+    assert worded == ["states._spin_flip_roots"]
 
 
 def _reads_right(node) -> bool:

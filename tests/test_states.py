@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from conftest import FOUR_STATES, make_generator, random_density_matrix
+from spinbath import states
 from spinbath.dynamics import default_time_grid, propagate_spectral
 from spinbath.errors import InvalidStateError, NumericalFailureError
 from spinbath.states import (
@@ -18,10 +19,11 @@ from spinbath.states import (
     _is_x_even,
     _rho_to_alpha,
     _signed_concurrence,
-    _signed_from_spin_flip,
+    _signed_from_roots,
     _spin_flip,
+    _spin_flip_roots,
     _spin_flip_spectrum,
-    _x_even_spin_flip_spectrum,
+    _x_even_spin_flip_roots,
     bell_singlet,
     bell_triplet,
     bloch_to_density,
@@ -54,6 +56,19 @@ def test_pauli_matrices_are_the_standard_ones():
 def test_flat_index_is_row_major(i, j):
     assert flat_index(i, j) == 4 * i + j
     assert np.array_equal(PAULI_PRODUCTS[flat_index(i, j)], np.kron(PAULI[i], PAULI[j]))
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+def test_flat_index_refuses_indices_outside_0_to_3(i, j):
+    """A Pauli index outside 0..3 is refused, not wrapped to another
+    component (``-1`` would read ``sigma_z``) or left to a bare
+    ``IndexError``."""
+    with pytest.raises(ValueError, match=r"Pauli indices must lie in 0\.\.3"):
+        flat_index(i, j)
+    with pytest.raises(ValueError, match=r"Pauli indices must lie in 0\.\.3"):
+        werner(0.5).component(i, j)
+    with pytest.raises(ValueError, match=r"Pauli indices must lie in 0\.\.3"):
+        PauliVector.from_components({(i, j): 0.5})
 
 
 class TestPauliVector:
@@ -270,7 +285,8 @@ def _eigensolved(matrices):
     """Signed concurrence of a 4x4 matrix, or of each of a stack, by the
     spin-flip eigensolve and the one dust rule, with no renormalization."""
     matrices = np.asarray(matrices)
-    return _signed_from_spin_flip(_spin_flip_spectrum(matrices), matrices.shape[:-2])
+    shape = matrices.shape[:-2]
+    return _signed_from_roots(_spin_flip_roots(_spin_flip_spectrum(matrices), shape), shape)
 
 
 def _unit_rho(alphas):
@@ -417,11 +433,11 @@ def _sorted_spectra(mu):
 
 
 def test_x_even_spectrum_matches_eigvals_on_twirled_states(rng):
-    """The closed-form spin-flip spectrum of even states, read from their
+    """The squared closed-form spin-flip roots of even states, read from their
     Pauli components, matches the product-flip eigensolve on random
     twirled states of every rank."""
     stack = _x_twirl(_random_stack(rng, 2000))
-    closed = _x_even_spin_flip_spectrum(_rho_to_alpha(stack).real)
+    closed = np.square(_x_even_spin_flip_roots(_rho_to_alpha(stack).real, (2000,)))
     product = np.linalg.eigvals(stack @ _product_flip(stack))
     assert closed.shape == (2000, 4)
     assert np.max(np.abs(_sorted_spectra(closed) - _sorted_spectra(product))) <= 1e-13
@@ -440,49 +456,136 @@ def test_x_even_within_round_off():
     assert not _is_x_even(z_up_down().alpha)
 
 
-def test_x_even_spectrum_refuses_what_the_eigensolve_refuses():
+def _judged_spectra(monkeypatch) -> list:
+    """Every spectrum the closed form hands the one dust rule from now on,
+    as a copy, recorded as the rule sees it."""
+    judged = []
+    rule = states._spin_flip_roots
+
+    def recording(mu, shape):
+        judged.append(mu.copy())
+        return rule(mu, shape)
+
+    monkeypatch.setattr(states, "_spin_flip_roots", recording)
+    return judged
+
+
+def test_x_even_spectrum_refuses_what_the_eigensolve_refuses(monkeypatch):
     """An even 'state' whose populations r11 = 0.575 and r44 = -0.075 have
     a negative product leaves the same complex spectrum on both routes,
-    (0.125 +- 0.2077i)^2 among it, and so the same refusal."""
+    (0.125 +- 0.2077i)^2 among it, and so the same refusal by the dust
+    rule."""
     bad = PauliVector.from_components({(0, 0): 1.0, (0, 1): 1.2, (1, 0): 0.1, (3, 3): 0.5})
     matrix = bloch_to_density(bad).matrix
-    closed = _x_even_spin_flip_spectrum(bad.alpha)
+    judged = _judged_spectra(monkeypatch)
     product = np.linalg.eigvals(matrix @ _product_flip(matrix))
+    message = r"spin-flip spectrum has imaginary residue 5\.192e-02$"
+    with pytest.raises(NumericalFailureError, match=message):
+        _x_even_spin_flip_roots(bad.alpha, ())
+    with pytest.raises(NumericalFailureError, match=message):
+        _spin_flip_roots(product[None, :], ())
+    [closed] = judged
     assert all(np.min(np.abs(product - mu)) <= 1e-13 for mu in closed[0])
-    message = r"spin-flip spectrum has imaginary residue 5\.192e-02"
-    for mu in (closed, product[None, :]):
-        with pytest.raises(NumericalFailureError, match=message + "$"):
-            _signed_from_spin_flip(mu, ())
 
 
-def test_x_even_batch_with_one_negative_product_is_refused_at_that_sample():
+def test_x_even_batch_with_one_negative_product_is_refused_at_that_sample(monkeypatch):
     """A batch of even states in which only row 2 has a negative population
     product takes its square roots in complex and is refused at that sample
-    with the eigensolve's residue; the other rows' spectra are, bit for bit,
-    the real spectra of a batch without row 2."""
+    by the dust rule with the eigensolve's residue; the other rows' spectra
+    are, bit for bit, the squares of the real roots of a batch without row
+    2."""
     bad = PauliVector.from_components({(0, 0): 1.0, (0, 1): 1.2, (1, 0): 0.1, (3, 3): 0.5})
     rows = np.stack([werner(w).alpha for w in (0.9, 0.5, 0.3, 0.1)])
     stack = np.insert(rows, 2, bad.alpha, axis=0)
     assert _is_x_even(stack)
     message = r"spin-flip spectrum has imaginary residue 5\.192e-02 at sample 2$"
-    closed = _x_even_spin_flip_spectrum(stack)
-    assert closed.dtype == complex
+    judged = _judged_spectra(monkeypatch)
     with pytest.raises(NumericalFailureError, match=message):
-        _signed_from_spin_flip(closed, (5,))
+        _x_even_spin_flip_roots(stack, (5,))
+    closed = judged[0]
+    assert closed.dtype == complex
     with pytest.raises(NumericalFailureError, match=message):
         _eigensolved(_unit_rho(stack))
     with pytest.raises(NumericalFailureError, match=message):
         _signed_concurrence(stack)
     others = np.delete(closed, 2, axis=0)
-    assert others.real.tobytes() == _x_even_spin_flip_spectrum(rows).real.tobytes()
+    assert others.real.tobytes() == np.square(_x_even_spin_flip_roots(rows, (4,))).tobytes()
     assert not others.imag.any()
 
 
 def test_x_even_spectrum_of_an_empty_batch():
-    """An empty batch has an empty spectrum and no signed concurrences."""
-    mu = _x_even_spin_flip_spectrum(np.empty((0, 16)))
-    assert mu.shape == (0, 4)
-    assert _signed_from_spin_flip(mu, (0,)).shape == (0,)
+    """An empty batch has no roots and no signed concurrences."""
+    roots = _x_even_spin_flip_roots(np.empty((0, 16)), (0,))
+    assert roots.shape == (0, 4)
+    assert _signed_from_roots(roots, (0,)).shape == (0,)
+
+
+#: the smallest root whose square neither underflows nor loses bits as a
+#: subnormal, so that ``sqrt(fl(x^2)) == |x|`` in binary64
+_SMALLEST_SQUARED_ROOT = 2.0**-511
+
+
+def _even_batches(rng):
+    """Seeded sigma_x (x) sigma_x even batches, one Pauli vector a row with
+    unit trace component: state_for_correlation draws, Werner states,
+    x_up_down, random even X-states, and trajectories at random points of
+    the lifetime benchmark's box (ratio 0.5..0.99, deficit 1e-3..0.5,
+    splitting 1..100, horizon three first-order slow lifetimes)."""
+    yield np.stack([state_for_correlation(lam).alpha for lam in rng.uniform(-3.0, 1.0, 200)])
+    yield np.stack([werner(p).alpha for p in np.linspace(-1.0 / 3.0, 1.0, 61)])
+    yield x_up_down().alpha[None, :]
+    twirled = _rho_to_alpha(_x_twirl(_random_stack(rng, 500))).real
+    yield twirled / twirled[:, :1]
+    for _ in range(4):
+        ratio = rng.uniform(0.5, 0.99)
+        deficit = np.exp(rng.uniform(np.log(1e-3), np.log(0.5)))
+        field = np.exp(rng.uniform(0.0, np.log(100.0)))
+        horizon = 3.0 / ((1.0 + 1.5 * (1.0 / ratio - 1.0)) * deficit)
+        initial = state_for_correlation(rng.uniform(-3.0, 1.0))
+        spectrum = make_generator(deficit, ratio, delta_field=field).spectrum
+        traj = propagate_spectral(spectrum, initial, default_time_grid(1.0, horizon))
+        yield traj.alphas / traj.alphas[:, :1]
+
+
+def test_x_even_roots_are_the_rooted_squares_bit_for_bit(rng):
+    """The closed-form roots of even states are, bit for bit, what the
+    route through a spectrum gave: each root squared, then the dust rule's
+    clamp and square root (``x^2 == |x|^2``, so squaring the roots squares
+    the closed form's ``x``), wherever every root is zero or at least
+    2^-511; and so are their signed concurrences."""
+    rows = 0
+    for batch in _even_batches(rng):
+        assert _is_x_even(batch)
+        shape = (batch.shape[0],)
+        roots = _x_even_spin_flip_roots(batch, shape)
+        rooted = _spin_flip_roots(np.square(roots), shape)
+        sound = ((roots == 0.0) | (roots >= _SMALLEST_SQUARED_ROOT)).all(axis=1)
+        assert sound.all()
+        assert roots.tobytes() == rooted.tobytes()
+        signed = _signed_from_roots(roots, shape)
+        assert signed.tobytes() == _signed_from_roots(rooted, shape).tobytes()
+        assert signed.tobytes() == _signed_concurrence(batch).tobytes()
+        rows += batch.shape[0]
+    assert rows > 2000
+
+
+def test_x_even_roots_keep_a_root_whose_square_underflows():
+    """An even row with r11 = 0 and a coherence |r14| of 2^-540 has two
+    spin-flip roots of exactly 2^-540, below 2^-511: their squares underflow
+    to zero, so a route through the spectrum loses them, and the closed
+    form keeps them.  A Werner row beside it is unchanged."""
+    tiny = 2.0**-540
+    row = PauliVector.from_components(
+        {(0, 0): 1.0, (0, 1): -0.5, (1, 0): -0.5, (3, 3): 4.0 * tiny}
+    ).alpha
+    batch = np.stack([row, werner(0.9).alpha])
+    assert _is_x_even(batch)
+    roots = np.sort(_x_even_spin_flip_roots(batch, (2,)), axis=1)
+    assert roots[0].tolist() == [tiny, tiny, 0.25, 0.25]
+    assert np.sort(_spin_flip_roots(np.square(roots), (2,)), axis=1)[0].tolist() == [0.0, 0.0, 0.25, 0.25]
+    signed = _signed_concurrence(batch)
+    assert signed[0] == -2.0 * tiny
+    assert signed[1] == _signed_concurrence(werner(0.9).alpha)
 
 
 def test_spin_flip_on_trajectories(reference_spectrum):
@@ -503,10 +606,11 @@ def test_spin_flip_on_trajectories(reference_spectrum):
             clamped = np.clip(_product_flip_signed_concurrence(matrices), 0.0, 1.0)
             assert traj.concurrence.tobytes() == clamped.tobytes()
             continue
-        closed = _x_even_spin_flip_spectrum(traj.alphas / traj.alphas[:, :1])
+        roots = _x_even_spin_flip_roots(traj.alphas / traj.alphas[:, :1], (times.size,))
+        closed = np.square(roots)
         product = np.linalg.eigvals(matrices @ _product_flip(matrices))
         assert np.max(np.abs(_sorted_spectra(closed) - _sorted_spectra(product))) <= 1e-13
-        clamped = np.clip(_signed_from_spin_flip(closed, (times.size,)), 0.0, 1.0)
+        clamped = np.clip(_signed_from_roots(roots, (times.size,)), 0.0, 1.0)
         assert traj.concurrence.tobytes() == clamped.tobytes()
         even.append((traj, matrices, closed))
     mpmath = pytest.importorskip("mpmath")
