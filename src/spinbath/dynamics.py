@@ -180,9 +180,9 @@ def _check_times(times) -> np.ndarray:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
-    if not np.all(np.isfinite(times)):
+    if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    if times[0] < 0 or (times.size > 1 and np.any(np.diff(times) <= 0)):
+    if times[0] < 0 or (times.size > 1 and (np.diff(times) <= 0).any()):
         raise ValueError("times must be non-negative and strictly increasing")
     return times
 
@@ -313,7 +313,7 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
         propagator = linalg.expm(entries * math.ldexp(step, -squarings))
         alpha = np.linalg.matrix_power(propagator, 2**squarings) @ alpha
         alphas[k] = alpha
-    if not np.all(np.isfinite(alphas)):
+    if not np.isfinite(alphas).all():
         raise IntegrationFailureError(
             "matrix-exponential stepping produced a non-finite state"
         )

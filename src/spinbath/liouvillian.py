@@ -5,12 +5,14 @@ the ``(sigma_z -+ i sigma_y)/2`` eigenoperators of the transverse field)
 is linear, so in the Pauli-product basis it reads ``d alpha/dt = L alpha``
 with a real 16x16 generator ``L``.  Column k of ``L`` is the image of the
 k-th basis operator ``sigma_i (x) sigma_j / 4`` under the superoperator,
-projected back.  The images of the sixteen basis operators under each of
-the eight dissipator terms depend on no input, so they are computed once
-at import; :func:`build_generator` weights them by the rates, adds the
-commutator with the Hamiltonian and projects all sixteen columns in one
-pass, summing in the same order as the superoperator applied to a single
-operator, so both routes give the same bits.
+projected back.  ``L`` is linear in eight numbers: the splitting, the two
+Lamb strengths, the exchange and the four golden-rule rates.  So the
+column projection runs once at import, for each of those terms at unit
+strength, and :func:`build_generator` takes the product of the eight
+strengths with these unit-term matrices.  Every unit-term entry is a
+multiple of 1/2 of magnitude at most 2, and no entry of ``L`` sums more
+than two non-zero terms, so each lies within one ulp of the exact sum and
+the sectors even and odd under ``sigma_x (x) sigma_x`` decouple exactly.
 
 For a strictly positive correlation deficit the spectrum splits into
 
@@ -41,8 +43,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -87,6 +90,18 @@ _SX, _SY, _SZ = PAULI[1], PAULI[2], PAULI[3]
 _X_TOTAL = np.kron(_SX, _I2) + np.kron(_I2, _SX)
 _ZZ_PLUS_YY = np.kron(_SZ, _SZ) + np.kron(_SY, _SY)
 _HEISENBERG = np.kron(_SX, _SX) + _ZZ_PLUS_YY
+
+#: the coherent strengths, each with the Hamiltonian it scales, and the
+#: rates, in the order of the rows of ``_TERM_MATRICES``; a cross rate
+#: weights both of its cross-qubit images, which only together preserve
+#: Hermiticity
+_COHERENT_TERMS = (
+    ("delta_field", -0.5 * _X_TOTAL),
+    ("lamb_a", _X_TOTAL),
+    ("lamb_b", _ZZ_PLUS_YY),
+    ("exchange_xi", _HEISENBERG),
+)
+_RATE_TERMS = ("gamma11_plus", "gamma12_plus", "gamma11_minus", "gamma12_minus")
 
 # Eigenoperators of the field term for each qubit: lowering at +Delta,
 # raising at -Delta (in the x eigenbasis of the local field).
@@ -155,11 +170,11 @@ class GeneratorMatrix:
 def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
     """4x4 Hamiltonian for the coherent part of the evolution; a term with
     zero strength is left out."""
-    ham = -(params.delta_field / 2.0) * _X_TOTAL
-    if params.lamb_a or params.lamb_b:
-        ham = ham + params.lamb_a * _X_TOTAL + params.lamb_b * _ZZ_PLUS_YY
-    if params.exchange_xi:
-        ham = ham + params.exchange_xi * _HEISENBERG
+    ham = np.zeros((4, 4), dtype=complex)
+    for name, term in _COHERENT_TERMS:
+        strength = getattr(params, name)
+        if strength:
+            ham = ham + strength * term
     return ham
 
 
@@ -214,8 +229,15 @@ _BASIS_IMAGES = _dissipator_images(_BASIS_OPERATORS)
 _BASIS_IMAGES.setflags(write=False)
 
 
+_NON_FINITE_GENERATOR = (
+    "generator has non-finite entries: a coherent strength or rate "
+    "overflows double precision"
+)
+
+
 def _generator_columns(ham: np.ndarray, rates: RateSet) -> np.ndarray:
-    """Real 16x16 Pauli-basis matrix of the master equation.
+    """Real 16x16 Pauli-basis matrix of the master equation for a 4x4
+    Hamiltonian and a rate set; it builds each unit-term matrix at import.
 
     Column ``k`` is the Pauli projection of the image of the k-th basis
     operator.  Two consistency gates, both at 1e-10 of the largest
@@ -228,11 +250,8 @@ def _generator_columns(ham: np.ndarray, rates: RateSet) -> np.ndarray:
     """
     images = _apply_master_equation(_BASIS_OPERATORS, ham, rates, _BASIS_IMAGES)
     projected = _rho_to_alpha(images).T
-    if not np.all(np.isfinite(projected)):
-        raise NumericalFailureError(
-            "generator has non-finite entries: a coherent strength or rate "
-            "overflows double precision"
-        )
+    if not np.isfinite(projected).all():
+        raise NumericalFailureError(_NON_FINITE_GENERATOR)
     tol = 1e-10 * max(float(np.max(np.abs(ham))), *map(abs, _term_rates(rates)))
     residues = np.max(np.abs(projected.imag), axis=0)
     bad = np.flatnonzero(residues > tol)
@@ -249,16 +268,44 @@ def _generator_columns(ham: np.ndarray, rates: RateSet) -> np.ndarray:
     return entries
 
 
+_coherent_strengths = operator.attrgetter(*(name for name, _ in _COHERENT_TERMS))
+_rate_strengths = operator.attrgetter(*_RATE_TERMS)
+
+
+def _term_matrices() -> np.ndarray:
+    """The generator of each term at unit strength, flattened row-major into
+    the rows of an ``(8, 256)`` array, through :func:`_generator_columns`
+    and so through both of its gates.  Every entry is a multiple of 1/2 of
+    magnitude at most 2, exact in binary."""
+    no_rates = RateSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    units = [(ham, no_rates) for _, ham in _COHERENT_TERMS] + [
+        (np.zeros((4, 4), dtype=complex), replace(no_rates, **{name: 1.0}))
+        for name in _RATE_TERMS
+    ]
+    terms = np.stack([_generator_columns(ham, rates).reshape(256) for ham, rates in units])
+    terms.setflags(write=False)
+    return terms
+
+
+_TERM_MATRICES = _term_matrices()
+
+
 def build_generator(params: ModelParams, rates: RateSet) -> GeneratorMatrix:
     """Assemble the Pauli-vector generator ``L``.
 
-    All entries are real by Hermiticity preservation and the first row is
-    zero by trace preservation; :func:`_generator_columns` checks both.  A
-    failed check, or an entry that overflows to inf or NaN, raises
-    :class:`NumericalFailureError`; overflow warns nothing on the way.
+    The master equation is linear in the four coherent strengths and the
+    four rates, so ``L`` is their product with the eight unit-term matrices
+    built at import, whose Hermiticity and trace-preservation gates have
+    run there.  Each entry of ``L`` sums at most two non-zero terms, so it
+    lies within one ulp of the exact sum.  An entry that overflows to inf or
+    NaN raises :class:`NumericalFailureError`, and overflow warns nothing on
+    the way.
     """
+    strengths = np.array(_coherent_strengths(params) + _rate_strengths(rates))
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = _generator_columns(hamiltonian_matrix(params), rates)
+        entries = (strengths @ _TERM_MATRICES).reshape(16, 16)
+    if not np.isfinite(entries).all():
+        raise NumericalFailureError(_NON_FINITE_GENERATOR)
     return GeneratorMatrix(entries, params, rates)
 
 

@@ -27,6 +27,7 @@ rule.  Both routes' roots meet in one combination.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,12 @@ _SPIN_FLIP_DUST_TOL = 1e-7
 
 def flat_index(i: int, j: int) -> int:
     """Row-major position of the ``sigma_i (x) sigma_j`` coefficient; an
-    index outside 0..3 raises ``ValueError``."""
+    index that is not an integer (Python's or numpy's), or lies outside
+    0..3, raises ``ValueError``."""
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError:
+        raise ValueError(f"Pauli indices must be integers, got ({i!r}, {j!r})") from None
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise ValueError(f"Pauli indices must lie in 0..3, got ({i}, {j})")
     return 4 * i + j
@@ -112,7 +118,7 @@ def _as_alpha(vector) -> np.ndarray:
         alpha = alpha.reshape(16)
     if alpha.shape != (16,):
         raise InvalidStateError(f"expected 16 Pauli components, got shape {alpha.shape}")
-    if not np.all(np.isfinite(alpha)):
+    if not np.isfinite(alpha).all():
         raise InvalidStateError("Pauli components must be finite")
     return alpha
 

@@ -1,6 +1,7 @@
 """The package namespace: each public name is listed once, in its module,
 scipy is imported only where it is called, only the input checks of
-``states`` raise ``InvalidStateError``, and ``dynamics`` has one mode sum."""
+``states`` raise ``InvalidStateError``, ``dynamics`` has one mode sum and
+``liouvillian`` one generator assembly."""
 
 import ast
 from pathlib import Path
@@ -175,3 +176,30 @@ def test_one_mode_sum_behind_the_excited_mode_cut():
     source = Path(dynamics.__file__)
     assert _sites(source, _reads_right) == ["dynamics._excited_modes"]
     assert _sites(source, _exponentiates_eigenvalues) == ["dynamics._spectral_alphas"]
+
+
+#: the per-operator route of the master equation, which builds the unit-term
+#: matrices at import
+COLUMN_ROUTE = {"_generator_columns", "_apply_master_equation", "hamiltonian_matrix", "_rho_to_alpha"}
+
+
+def _calls(names):
+    """A match for a call of a function, plain or as an attribute, named in
+    ``names``."""
+
+    def matches(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in names
+
+    return matches
+
+
+def test_one_generator_assembly():
+    """``build_generator`` weights the unit-term matrices and calls nothing
+    of the per-operator route, and in ``liouvillian`` only the import-time
+    term build calls ``_generator_columns``."""
+    source = Path(liouvillian.__file__)
+    assert "liouvillian.build_generator" not in _sites(source, _calls(COLUMN_ROUTE))
+    assert _sites(source, _calls({"_generator_columns"})) == ["liouvillian._term_matrices"]

@@ -71,6 +71,21 @@ def test_flat_index_refuses_indices_outside_0_to_3(i, j):
         PauliVector.from_components({(i, j): 0.5})
 
 
+@pytest.mark.parametrize("i, j", [(1.5, 0), (0, 2.0), (np.float64(1.0), 1), ("1", 0)])
+def test_flat_index_refuses_indices_that_are_not_integers(i, j):
+    """A float index is refused even when integral, rather than giving a
+    float position or a bare ``IndexError`` on read."""
+    with pytest.raises(ValueError, match="Pauli indices must be integers"):
+        flat_index(i, j)
+    with pytest.raises(ValueError, match="Pauli indices must be integers"):
+        werner(0.5).component(i, j)
+
+
+def test_flat_index_accepts_numpy_integers():
+    assert flat_index(np.int64(2), np.uint8(3)) == 11
+    assert type(flat_index(np.int64(2), 3)) is int
+
+
 class TestPauliVector:
     def test_from_components_places_entries(self):
         vec = PauliVector.from_components({(2, 3): -0.25, (0, 0): 1.0})
