@@ -25,7 +25,10 @@ x-rotation and the qubit swap, as Werner and triplet mixtures are, excites
 about 6 of the 16 modes.
 
 Every route reads the concurrence of all its samples at once, by the
-one routine of :mod:`spinbath.states`.
+one routine of :mod:`spinbath.states`.  A mode sum bounds, once a mode
+selection, the Pauli components odd under conjugation by ``sigma_x (x)
+sigma_x`` that its samples can reach; where the bound keeps them within
+round-off, its batches take the even sector's closed form untested.
 
 On top of the numerics sits the closed-form long-time description: after
 the fast modes die out the state is the thermal point plus a single slow
@@ -63,6 +66,8 @@ from .states import (
     PauliVector,
     TwoQubitDensityMatrix,
     _POSITIVITY_TOL,
+    _X_ODD,
+    _X_ODD_RTOL,
     _checked_state,
     _lowest_eigenvalues,
     _signed_concurrence,
@@ -165,12 +170,19 @@ def _negative_samples(lowest: np.ndarray) -> np.ndarray:
 
 
 def _finish_trajectory(
-    times: np.ndarray, alphas: np.ndarray, gamma0: float, slow_rate: Optional[float]
+    times: np.ndarray,
+    alphas: np.ndarray,
+    gamma0: float,
+    slow_rate: Optional[float],
+    even: bool = False,
 ) -> Trajectory:
+    """The trajectory of the samples ``alphas``, with their concurrence;
+    ``even`` says the route has bounded every sample into the ``sigma_x
+    (x) sigma_x`` even sector, so the batch is not tested again."""
     return Trajectory(
         times=times,
         alphas=alphas,
-        concurrence=np.clip(_signed_concurrence(alphas), 0.0, 1.0),
+        concurrence=np.clip(_signed_concurrence(alphas, even=even), 0.0, 1.0),
         gamma0=gamma0,
         slow_rate=slow_rate,
     )
@@ -226,6 +238,34 @@ def _excited_modes(report: SpectrumReport, alpha: np.ndarray) -> tuple:
     return report.eigenvalues[keep], coeffs[keep], right[:, keep]
 
 
+def _sector_bound(modes: tuple) -> tuple:
+    """What a mode sum of ``modes``, the eigenvalues, amplitudes and right
+    eigenvectors :func:`_excited_modes` keeps, can reach of the Pauli
+    components odd under conjugation by ``sigma_x (x) sigma_x``: the largest
+    over those components of ``sum_l |a_l| |r_l[k]|``, and the fastest
+    growth rate of a kept mode, at least 0.  At time t no odd component of
+    the sum exceeds the first times ``exp(rate t)``.  Computed once a mode
+    selection, as Python floats, for :func:`_stays_even`.
+    """
+    eigenvalues, coeffs, right = modes
+    reach = np.abs(right[_X_ODD]) @ np.abs(coeffs)
+    return float(reach.max(initial=0.0)), float(eigenvalues.real.max(initial=0.0))
+
+
+def _stays_even(bound: tuple, horizon: float, alphas: np.ndarray) -> bool:
+    """Whether a mode selection's :func:`_sector_bound` shows that each of
+    its samples ``alphas``, taken up to time ``horizon``, passes the test of
+    :func:`~spinbath.states._is_x_even`, every odd component within 1e-12 of
+    the trace component, with a factor 2 to spare for the round-off of the
+    sum; a selection whose modes could grow more than e-fold by then, or
+    whose bound is not finite, is not shown even."""
+    odd, rate = bound
+    exponent = rate * horizon
+    if not exponent <= 1.0:
+        return False
+    return 2.0 * odd * math.exp(exponent) <= _X_ODD_RTOL * float(alphas[:, 0].min())
+
+
 def _spectral_alphas(modes: tuple, times: np.ndarray) -> np.ndarray:
     """Real mode sum ``sum_l a_l exp(lambda_l t) r_l`` of ``modes``, the
     eigenvalues, amplitudes and right eigenvectors :func:`_excited_modes`
@@ -234,7 +274,7 @@ def _spectral_alphas(modes: tuple, times: np.ndarray) -> np.ndarray:
     :class:`NumericalFailureError`, and numpy warns nothing on the way."""
     eigenvalues, coeffs, right = modes
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(np.outer(times, eigenvalues))
+        phases = np.exp(times[:, None] * eigenvalues)
         alpha_c = (phases * coeffs) @ right.T
     if not np.isfinite(alpha_c).all():
         raise NumericalFailureError("spectral reconstruction is not finite")
@@ -272,10 +312,13 @@ def propagate_spectral(
     """
     alpha = _checked_state(initial)
     times = _check_times(times)
-    _check_horizon(float(times[-1]), float(np.max(np.abs(report.eigenvalues))))
-    alphas = _spectral_alphas(_excited_modes(report, alpha), times)
+    horizon = float(times[-1])
+    _check_horizon(horizon, float(np.max(np.abs(report.eigenvalues))))
+    modes = _excited_modes(report, alpha)
+    alphas = _spectral_alphas(modes, times)
     slow_rate = None if report.labels is None else -report.slow_eigenvalue
-    return _finish_trajectory(times, alphas, report.gamma0, slow_rate)
+    even = _stays_even(_sector_bound(modes), horizon, alphas)
+    return _finish_trajectory(times, alphas, report.gamma0, slow_rate, even)
 
 
 def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
@@ -547,9 +590,11 @@ def _numeric_survival(
     """
     gamma0 = report.gamma0
     modes = _excited_modes(report, alpha)
+    sector = _sector_bound(modes)
 
     def signed(times: list) -> list:
-        return _signed_concurrence(_spectral_alphas(modes, np.array(times))).tolist()
+        alphas = _spectral_alphas(modes, np.array(times))
+        return _signed_concurrence(alphas, even=_stays_even(sector, max(times), alphas)).tolist()
 
     def stretch(start: float, stop: float) -> list:
         return np.linspace(start, stop, 49)[1:].tolist()
@@ -688,7 +733,8 @@ def survival_report(
     selected once a report, as :func:`propagate_spectral` selects them: only
     the excited ones are summed, each whose term ``|a_l| max|r_l|`` exceeds
     machine epsilon times the largest, so every sample is within 16 eps of
-    the largest term of the full sum.
+    the largest term of the full sum.  Their reach into the ``sigma_x (x)
+    sigma_x`` odd sector is bounded once a report too.
     """
     alpha = _checked_state(initial)
     spectrum = classify_spectrum(generator)

@@ -454,16 +454,18 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
     else:
         values = values[order]
         vector_norms = vector_norms[order]
-        right = vectors[:, order].copy()  # C order; the fancy index alone gives F order
-        right[:, 0] = right[:, 0] / right[0, 0]
+        right = vectors.take(order, axis=1)  # a C-order copy
+        right[:, 0] /= right[0, 0]
+        # the columns are still eig's, so their norms are eig's
         slow_anchor = right[flat_index(2, 2), 1]
-        if abs(slow_anchor) > 1e-6 * np.linalg.norm(right[:, 1]):
-            right[:, 1] = right[:, 1] / slow_anchor
-        # Unit norm, largest component real and positive; the columns are
-        # still eig's, so their norms are eig's.
+        if abs(slow_anchor) > 1e-6 * vector_norms[1]:
+            right[:, 1] /= slow_anchor
+        # Unit norm, largest component real and positive.
         rest = right[:, 2:]
         leads = rest[np.argmax(np.abs(rest), axis=0), np.arange(14)]
-        right[:, 2:] = rest / leads * np.abs(leads) / vector_norms[2:]
+        rest /= leads
+        rest *= np.abs(leads)
+        rest /= vector_norms[2:]
         bound = -0.5 * rates.gamma0 / rates.ratio + 1e-9 * rates.gamma0
         vals = values.tolist()
         violations = tuple((k, vals[k]) for k in range(4, 16) if vals[k].real > bound)

@@ -19,10 +19,12 @@ caller takes the same two routes.  A state that starts in the sector even
 under conjugation by ``sigma_x (x) sigma_x`` stays there under every
 generator :func:`~spinbath.liouvillian.build_generator` makes, an X-state
 in the ``sigma_x`` basis.  A batch whose odd components are all within
-round-off takes the square roots of its spin-flip eigenvalues in closed
-form, with no spectrum squared on the way; any other eigensolves ``rho
-rho_tilde`` per sample and takes the roots of that spectrum by the one dust
-rule.  Both routes' roots meet in one combination.
+round-off, by a test of the batch or by its caller's bound, reads each
+sample's concurrence from eight even components in Yu and Eberly's closed
+form, with no root set and no spectrum; any other batch eigensolves ``rho
+rho_tilde`` per sample.  The eigensolve's spectra, and the closed form's
+complex squares of a sample with a negative population product, meet the
+one dust rule and then the one combination of sorted roots.
 """
 
 from __future__ import annotations
@@ -302,11 +304,12 @@ def wootters_concurrence(rho) -> float:
     eigenvalues of ``rho @ rho_tilde`` in decreasing order.  See
     https://en.wikipedia.org/wiki/Concurrence_(quantum_computing).
 
-    The roots are taken by the routes trajectories take: a state whose
+    The value is taken by the routes trajectories take: a state whose
     Pauli components odd under conjugation by ``sigma_x (x) sigma_x`` are
-    round-off gets them in closed form (Yu & Eberly, QIC 7, 459, 2007),
-    with no spectrum on the way; any other by an eigensolve of ``rho
-    rho_tilde`` of the matrix as given, then the square roots.
+    round-off is an X-state in the ``sigma_x`` basis, read in closed form
+    from its even components (Yu & Eberly, QIC 7, 459, 2007), with no
+    spectrum on the way; any other by an eigensolve of ``rho rho_tilde`` of
+    the matrix as given, then the square roots.
 
     The input must be a density matrix (Hermitian, unit trace, positive
     within 1e-10), or it raises :class:`InvalidStateError`.  Spin-flip
@@ -348,36 +351,32 @@ def _is_x_even(alphas: np.ndarray) -> bool:
     return bool((np.abs(alphas[..., _X_ODD]) <= _X_ODD_RTOL * np.abs(alphas[..., :1])).all())
 
 
-def _signed_concurrence(alphas: np.ndarray, matrices=None):
+def _signed_concurrence(alphas: np.ndarray, matrices=None, even: bool = False):
     """Unclamped spin-flip root difference; negative for separable states.
 
     Useful for root-finding on the entanglement boundary, where the
     clamped concurrence is identically zero on one side.  ``alphas`` is
     one Pauli vector, giving a float, or a ``(..., 16)`` stack, giving an
-    array of the stack's shape; each is divided by its trace component, and
-    no other check is made on it: the callers pass states that have passed
-    an input check, or samples propagated from one.  A stack whose vectors
-    all lie in the ``sigma_x (x) sigma_x`` even sector (:func:`_is_x_even`)
-    takes the square roots of its spin-flip spectra in closed form
-    (:func:`_x_even_spin_flip_roots`), with no spectrum on the way; any
-    other eigensolves its spectra (:func:`_spin_flip_spectrum`) from its
-    ``matrices``, the density matrices the vectors came from, or where none
-    are given from the matrices rebuilt from the vectors.  Every spin-flip
-    spectrum, that eigensolve's and the closed form's where a population
-    product is negative, is judged by the one dust rule of
-    :func:`_spin_flip_roots`, whose refusal is a
-    :class:`~spinbath.errors.NumericalFailureError`; both routes' roots
-    then meet in the one combination, :func:`_signed_from_roots`.
+    array of the stack's shape; each value is scaled by its vector's trace
+    component, and no other check is made on it: the callers pass states
+    that have passed an input check, or samples propagated from one.  A
+    stack whose vectors all lie in the ``sigma_x (x) sigma_x`` even sector,
+    by :func:`_is_x_even` or, where ``even`` is true, by its caller's
+    bound, takes the closed form of :func:`_x_even_signed_concurrence`;
+    any other eigensolves its spectra (:func:`_spin_flip_spectrum`) from
+    its ``matrices``, the density matrices the vectors came from, or where
+    none are given from the matrices rebuilt from the vectors, and takes
+    their roots by the one dust rule of :func:`_spin_flip_roots`, whose
+    refusal is a :class:`~spinbath.errors.NumericalFailureError`, and the
+    one combination, :func:`_signed_from_roots`.
     """
     alphas = np.asarray(alphas)
     shape = alphas.shape[:-1]
+    if even or _is_x_even(alphas):
+        return _x_even_signed_concurrence(alphas, shape)
     unit = alphas / alphas[..., :1]
-    if _is_x_even(alphas):
-        roots = _x_even_spin_flip_roots(unit, shape)
-    else:
-        mu = _spin_flip_spectrum(_alpha_to_rho(unit) if matrices is None else matrices)
-        roots = _spin_flip_roots(mu, shape)
-    return _signed_from_roots(roots, shape)
+    mu = _spin_flip_spectrum(_alpha_to_rho(unit) if matrices is None else matrices)
+    return _signed_from_roots(_spin_flip_roots(mu, shape), shape)
 
 
 def _spin_flip_spectrum(matrix: np.ndarray) -> np.ndarray:
@@ -387,54 +386,79 @@ def _spin_flip_spectrum(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(matrix @ _spin_flip(matrix)).reshape(-1, 4)
 
 
-def _x_even_spin_flip_roots(alphas: np.ndarray, shape: tuple) -> np.ndarray:
-    """Square roots of the :func:`_spin_flip_spectrum` of states in the
-    ``sigma_x (x) sigma_x`` even sector, from their eight even Pauli
-    components, with no eigensolve; one row of four per sample of batch
-    shape ``shape``, unsorted.
-
-    ``alphas`` is one Pauli vector or a ``(..., 16)`` stack, each with unit
-    trace component; its odd components are not read.  In the
-    ``sigma_x`` eigenbasis such a state is an X-state, whose spin-flip
-    roots are ``|sqrt(r11 r44) +- |r14||`` and ``|sqrt(r22 r33) +- |r23||``
-    (Yu & Eberly, QIC 7, 459, 2007; Wootters, PRL 80, 2245, 1998).  Where
-    every population product is non-negative these are the roots, and a
-    square taken on the way would be non-negative and real, so the dust rule
-    has nothing to judge; the roots are the rule's ``sqrt(x^2) = |x|`` bit
-    for bit unless ``x^2`` underflows, below about ``2^-511``, where they
-    keep the root the square loses.  Otherwise the square roots of the
-    whole batch are taken in complex, and the squares, which carry the
-    imaginary residue an eigensolve leaves, go through the one dust rule of
-    :func:`_spin_flip_roots`.
-    """
-    a = np.asarray(alphas).reshape(-1, 16)
+def _x_even_parts(a: np.ndarray) -> tuple:
+    """Sixteen times the population products ``r11 r44`` and ``r22 r33``,
+    and four times the coherence moduli ``|r14|`` and ``|r23|``, of each
+    row of an ``(n, 16)`` stack of even Pauli vectors, in the ``sigma_x``
+    eigenbasis, where each is an X-state; a row whose trace component is
+    ``alpha_0`` gives them times ``alpha_0**2`` and ``|alpha_0|``.  Its
+    odd components are not read."""
     ii, ix, xi, xx = a[:, 0], a[:, 1], a[:, 4], a[:, 5]
     yy, yz, zy, zz = a[:, 10], a[:, 11], a[:, 14], a[:, 15]
-    # sixteen times the population products, and four times the moduli of
-    # the two coherences
-    p14 = (ii + ix + xi + xx) * (ii - ix - xi + xx)
-    p23 = (ii - ix + xi - xx) * (ii + ix - xi - xx)
-    negative = min(p14.min(initial=0.0), p23.min(initial=0.0)) < 0.0
-    if negative:
-        p14, p23 = p14.astype(complex), p23.astype(complex)
+    plus, minus = ii + ix, ii - ix
+    p14 = (plus + xi + xx) * (minus - xi + xx)
+    p23 = (minus + xi - xx) * (plus - xi - xx)
+    return p14, p23, np.hypot(zz - yy, zy + yz), np.hypot(zz + yy, yz - zy)
+
+
+def _x_even_signed_concurrence(alphas: np.ndarray, shape: tuple):
+    """The signed concurrence of states in the ``sigma_x (x) sigma_x`` even
+    sector, from their eight even Pauli components, as
+    :func:`_signed_concurrence` returns it for batch shape ``shape``.
+
+    With the :func:`_x_even_parts` ``p14, p23, c14, c23`` of a sample and
+    ``A = sqrt(p14)``, ``B = sqrt(p23)``, its spin-flip roots are ``|A +-
+    c14| / 4`` and ``|B +- c23| / 4`` (Wootters, PRL 80, 2245, 1998), so the
+    largest minus the other three is ``max(min(A, c14) - max(B, c23),
+    min(B, c23) - max(A, c14)) / 2``, divided here by the trace component.
+    For a state that is Yu and Eberly's ``2 max(|r14| - sqrt(r22 r33),
+    |r23| - sqrt(r11 r44))`` (QIC 7, 459, 2007), with no root set, sort or
+    spectrum.  Only a dusty sample, one with a negative population product,
+    takes its roots in complex (:func:`_x_even_spin_flip_roots`), whose
+    squares, which carry the imaginary residue an eigensolve leaves, go
+    through the one dust rule of :func:`_spin_flip_roots` and then
+    :func:`_signed_from_roots`.  The switch is made sample by sample, so a
+    batch gives its samples' single values bit for bit, and a refusal names
+    the sample in the flattened batch.
+    """
+    a = alphas.reshape(-1, 16)
+    p14, p23, c14, c23 = _x_even_parts(a)
+    dusty = None
+    if min(p14.min(initial=0.0), p23.min(initial=0.0)) < 0.0:
+        dusty = np.flatnonzero((p14 < 0.0) | (p23 < 0.0))
+        p14[dusty] = p23[dusty] = 0.0
     root14, root23 = np.sqrt(p14), np.sqrt(p23)
-    c14 = np.hypot(zz - yy, zy + yz)
-    c23 = np.hypot(zz + yy, yz - zy)
-    roots = np.empty((a.shape[0], 4), dtype=root14.dtype)
-    np.add(root14, c14, out=roots[:, 0])
-    np.subtract(root14, c14, out=roots[:, 1])
-    np.add(root23, c23, out=roots[:, 2])
-    np.subtract(root23, c23, out=roots[:, 3])
+    signed = np.maximum(
+        np.minimum(root14, c14) - np.maximum(root23, c23),
+        np.minimum(root23, c23) - np.maximum(root14, c14),
+    )
+    signed /= 2.0 * a[:, 0]
+    if dusty is not None:
+        rows = a[dusty]
+        mu = np.square(_x_even_spin_flip_roots(rows / rows[:, :1]))
+        signed[dusty] = _signed_from_roots(_spin_flip_roots(mu, shape, dusty), dusty.shape)
+    return float(signed[0]) if shape == () else signed.reshape(shape)
+
+
+def _x_even_spin_flip_roots(alphas: np.ndarray) -> np.ndarray:
+    """Complex square roots of the :func:`_spin_flip_spectrum` of states in
+    the ``sigma_x (x) sigma_x`` even sector, ``(sqrt(p14) +- c14) / 4`` and
+    ``(sqrt(p23) +- c23) / 4`` from their :func:`_x_even_parts`, with no
+    eigensolve; one row of four per row of the ``(n, 16)`` stack
+    ``alphas``, each with unit trace component, unsorted.  Squared, they are
+    the spectrum; a negative population product makes them complex."""
+    p14, p23, c14, c23 = _x_even_parts(alphas)
+    root14, root23 = np.sqrt(p14.astype(complex)), np.sqrt(p23.astype(complex))
+    roots = np.stack([root14 + c14, root14 - c14, root23 + c23, root23 - c23], axis=1)
     roots /= 4.0
-    if negative:
-        return _spin_flip_roots(np.square(roots, out=roots), shape)
-    return np.abs(roots, out=roots)
+    return roots
 
 
-def _spin_flip_roots(mu: np.ndarray, shape: tuple) -> np.ndarray:
+def _spin_flip_roots(mu: np.ndarray, shape: tuple, samples=None) -> np.ndarray:
     """Square roots of spin-flip spectra ``mu``, one row of four per
     sample of batch shape ``shape`` (``()`` for one sample), in the order
-    given.
+    given; where ``mu`` holds only some samples of the batch, ``samples``
+    gives their positions in the flattened batch.
 
     The one dust rule: a spin-flip eigenvalue below ``-1e-7``, or an
     imaginary part above ``1e-7``, raises
@@ -455,7 +479,7 @@ def _spin_flip_roots(mu: np.ndarray, shape: tuple) -> np.ndarray:
             problem = f"imaginary residue {imag[k]:.3e}"
         else:
             problem = f"eigenvalue {lowest[k]:.3e} below -{_SPIN_FLIP_DUST_TOL:.1e}"
-        where = "" if shape == () else f" at sample {k}"
+        where = "" if shape == () else f" at sample {k if samples is None else samples[k]}"
         raise NumericalFailureError(f"spin-flip spectrum has {problem}{where}")
     roots = np.clip(real, 0.0, None)
     return np.sqrt(roots, out=roots)
@@ -464,8 +488,8 @@ def _spin_flip_roots(mu: np.ndarray, shape: tuple) -> np.ndarray:
 def _signed_from_roots(roots: np.ndarray, shape: tuple):
     """The signed concurrence ``r_4 - r_3 - r_2 - r_1`` of spin-flip roots
     sorted ascending, one row of four per sample of batch shape ``shape``
-    (``()`` for one sample, giving a float); the one combination of both
-    routes' roots."""
+    (``()`` for one sample, giving a float); the one combination of every
+    root set, the eigensolve's and the dusty even samples'."""
     roots = np.sort(roots, axis=1)
     signed = roots[:, 3] - roots[:, 2] - roots[:, 1] - roots[:, 0]
     return float(signed[0]) if shape == () else signed.reshape(shape)

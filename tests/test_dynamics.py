@@ -712,7 +712,7 @@ def _sector_coupling_generator(field=0.3):
 
 
 def _refuse_closed_form(alphas, shape):
-    raise AssertionError("closed-form spin-flip roots taken")
+    raise AssertionError("closed-form concurrence taken")
 
 
 def _eigvals_concurrence(traj):
@@ -730,11 +730,54 @@ def test_sector_coupling_generator_takes_the_eigensolve(monkeypatch, route):
     leaves the even sector, so every route eigensolves its spin flips and
     a trajectory's concurrence is that eigensolve's bit for bit."""
     gen = _sector_coupling_generator()
-    monkeypatch.setattr(states, "_x_even_spin_flip_roots", _refuse_closed_form)
+    monkeypatch.setattr(states, "_x_even_signed_concurrence", _refuse_closed_form)
     result = _ROUTES[route](gen, werner(2.0 / 3.0), default_time_grid(1.0, 30.0))
     if isinstance(result, Trajectory):
         assert np.any(result.alphas[:, 2] != 0.0)  # the IY component is reached
         assert result.concurrence.tobytes() == _eigvals_concurrence(result).tobytes()
+
+
+def _benchmark_models(rng, count):
+    """Seeded draws from the boxes of the lifetime benchmark (ratio 0.5 to
+    0.99, deficit 1e-3 to 0.5 and splitting 1 to 100, log-uniform, three
+    first-order slow lifetimes) and of the common-bath one (deficit 0 or
+    1e-12 to 1e-8, splitting 10, horizon 3 to 30), each with a
+    ``state_for_correlation`` draw, as (generator, state, horizon, whether
+    the input takes a survival report too)."""
+    for n, u in enumerate(rng.random((count, 4))):
+        state = state_for_correlation(-3.0 + 4.0 * u[3])
+        ratio = 0.5 + 0.49 * u[0]
+        if n % 2 == 0:
+            deficit = 1e-3 * 500.0 ** u[1]
+            horizon = 3.0 / ((1.0 + 1.5 * (1.0 / ratio - 1.0)) * deficit)
+            yield make_generator(deficit, ratio, 100.0 ** u[2]), state, horizon, True
+        else:
+            deficit = 0.0 if u[1] < 0.5 else 1e-12 * 1e4 ** (2.0 * u[1] - 1.0)
+            yield make_generator(deficit, ratio), state, 3.0 * 10.0 ** u[2], False
+
+
+def test_certified_batches_pass_the_sector_test(monkeypatch):
+    """Over 1,000 seeded inputs of the lifetime and common-bath benchmarks,
+    every batch whose mode selection's bound certifies it even passes the
+    per-batch test it skips, and every survival search batch of the
+    lifetime inputs is certified."""
+    seen = {True: 0, False: 0}
+    original = dynamics._signed_concurrence
+
+    def checking(alphas, matrices=None, even=False):
+        if even:
+            assert states._is_x_even(alphas)
+        seen[even] += 1
+        return original(alphas, matrices, even)
+
+    monkeypatch.setattr(dynamics, "_signed_concurrence", checking)
+    for gen, state, horizon, lifetime in _benchmark_models(np.random.default_rng(3232), 1000):
+        if lifetime:
+            tested = seen[False]
+            survival_report(gen, state)
+            assert seen[False] == tested
+        propagate(gen, state, default_time_grid(1.0, horizon))
+    assert seen[True] > 2000
 
 
 #: X on qubit 2 maps each alpha_ij to -alpha_ij for j = y, z
@@ -1072,11 +1115,11 @@ SURVIVAL_CALL_BOUND = 5
 
 
 def test_survival_search_is_batched(monkeypatch):
-    """Every spin-flip spectrum or closed-form root set of the numeric
+    """Every spin-flip spectrum or closed-form concurrence of the numeric
     survival check takes a batch of samples, and one report makes few
     calls.  z_up_down is eigensolved; x_up_down lies in the sigma_x (x)
-    sigma_x even sector and takes the closed-form roots only."""
-    stacks = {"_spin_flip_spectrum": [], "_x_even_spin_flip_roots": []}
+    sigma_x even sector and takes the closed form only."""
+    stacks = {"_spin_flip_spectrum": [], "_x_even_signed_concurrence": []}
     for name, calls in stacks.items():
         original = getattr(states, name)
 
@@ -1085,7 +1128,7 @@ def test_survival_search_is_batched(monkeypatch):
             return original(rows, *rest)
 
         monkeypatch.setattr(states, name, counting)
-    for factory, route in ((z_up_down, "_spin_flip_spectrum"), (x_up_down, "_x_even_spin_flip_roots")):
+    for factory, route in ((z_up_down, "_spin_flip_spectrum"), (x_up_down, "_x_even_signed_concurrence")):
         for calls in stacks.values():
             calls.clear()
         rep = survival_report(make_generator(0.05, 0.9), factory())
@@ -1103,8 +1146,8 @@ _PIN_STATES = (lambda: werner(2.0 / 3.0), x_up_down, z_up_down, bell_singlet)
 #: SHA-256 of every SurvivalReport field's repr, and of the alphas and
 #: concurrence bytes of a 401-sample propagate, over the pinned models and
 #: states, on the stack ``conftest.RECORDED_STACK``
-_SURVIVAL_SHA256 = "632fc7cbe943e3d3271df767300d4c18788e800bdaefe30e8f1bc4dded95a4a8"
-_TRAJECTORY_SHA256 = "e6ea869d799653ce75ce1e77624ac87ca8586dd3e3eae5d1420bf53a4647ef74"
+_SURVIVAL_SHA256 = "a75420a0d3d69d9e99f7959960e11f3a7862d1608b66f9be67133f3d4bcf3a35"
+_TRAJECTORY_SHA256 = "922406db2e1125fd35b24f85abba3fa0cf39c8ca776a59cd4aa66f9817c1e372"
 
 
 def test_survival_search_bits_are_pinned():

@@ -71,6 +71,8 @@ def test_scipy_is_imported_only_at_its_call_sites():
 SPIN_FLIP_PRIMITIVES = {
     "_spin_flip",
     "_spin_flip_spectrum",
+    "_x_even_parts",
+    "_x_even_signed_concurrence",
     "_x_even_spin_flip_roots",
     "_is_x_even",
     "_spin_flip_roots",
@@ -145,14 +147,20 @@ def _raises_spin_flip_refusal(node) -> bool:
 
 def test_one_dust_rule_refuses_spin_flip_spectra():
     """Only the dust rule, ``states._spin_flip_roots``, raises the
-    "spin-flip spectrum has ..." numerical failure: the even route's
-    complex spectra and the eigensolve's reach that one rule, no other code
-    of ``states`` raises a numerical failure, and no module words that
-    refusal anywhere else."""
-    sources = sorted(Path(spinbath.__file__).parent.glob("*.py"))
-    assert _sites(Path(states.__file__), _raises_numerical_failure) == ["states._spin_flip_roots"]
+    "spin-flip spectrum has ..." numerical failure, and it judges every
+    spin-flip spectrum: the eigensolve's in ``_signed_concurrence`` and the
+    complex squares of the even kernel's dusty samples, the only closed-form
+    roots it takes.  No other code of ``states`` raises a numerical
+    failure, and no module words that refusal anywhere else."""
+    source = Path(states.__file__)
+    sources = sorted(source.parent.glob("*.py"))
+    assert _sites(source, _raises_numerical_failure) == ["states._spin_flip_roots"]
     worded = [site for path in sources for site in _sites(path, _raises_spin_flip_refusal)]
     assert worded == ["states._spin_flip_roots"]
+    judged = sorted(_sites(source, _calls({"_spin_flip_roots"})))
+    assert judged == ["states._signed_concurrence", "states._x_even_signed_concurrence"]
+    rooted = _sites(source, _calls({"_x_even_spin_flip_roots"}))
+    assert rooted == ["states._x_even_signed_concurrence"]
 
 
 def _reads_right(node) -> bool:

@@ -23,6 +23,7 @@ from spinbath.states import (
     _spin_flip,
     _spin_flip_roots,
     _spin_flip_spectrum,
+    _x_even_signed_concurrence,
     _x_even_spin_flip_roots,
     bell_singlet,
     bell_triplet,
@@ -452,7 +453,7 @@ def test_x_even_spectrum_matches_eigvals_on_twirled_states(rng):
     Pauli components, matches the product-flip eigensolve on random
     twirled states of every rank."""
     stack = _x_twirl(_random_stack(rng, 2000))
-    closed = np.square(_x_even_spin_flip_roots(_rho_to_alpha(stack).real, (2000,)))
+    closed = np.square(_x_even_spin_flip_roots(_rho_to_alpha(stack).real))
     product = np.linalg.eigvals(stack @ _product_flip(stack))
     assert closed.shape == (2000, 4)
     assert np.max(np.abs(_sorted_spectra(closed) - _sorted_spectra(product))) <= 1e-13
@@ -477,67 +478,72 @@ def _judged_spectra(monkeypatch) -> list:
     judged = []
     rule = states._spin_flip_roots
 
-    def recording(mu, shape):
+    def recording(mu, shape, samples=None):
         judged.append(mu.copy())
-        return rule(mu, shape)
+        return rule(mu, shape, samples)
 
     monkeypatch.setattr(states, "_spin_flip_roots", recording)
     return judged
 
 
+#: an even "state" whose populations r11 = 0.575 and r44 = -0.075 have a
+#: negative product: a dusty sample beyond the dust rule
+_BAD_EVEN = PauliVector.from_components({(0, 0): 1.0, (0, 1): 1.2, (1, 0): 0.1, (3, 3): 0.5})
+
+
 def test_x_even_spectrum_refuses_what_the_eigensolve_refuses(monkeypatch):
-    """An even 'state' whose populations r11 = 0.575 and r44 = -0.075 have
-    a negative product leaves the same complex spectrum on both routes,
-    (0.125 +- 0.2077i)^2 among it, and so the same refusal by the dust
-    rule."""
-    bad = PauliVector.from_components({(0, 0): 1.0, (0, 1): 1.2, (1, 0): 0.1, (3, 3): 0.5})
-    matrix = bloch_to_density(bad).matrix
+    """An even 'state' whose populations have a negative product leaves the
+    same complex spectrum on both routes, (0.125 +- 0.2077i)^2 among it,
+    and so the same refusal by the dust rule."""
+    matrix = bloch_to_density(_BAD_EVEN).matrix
     judged = _judged_spectra(monkeypatch)
     product = np.linalg.eigvals(matrix @ _product_flip(matrix))
     message = r"spin-flip spectrum has imaginary residue 5\.192e-02$"
     with pytest.raises(NumericalFailureError, match=message):
-        _x_even_spin_flip_roots(bad.alpha, ())
+        _signed_concurrence(_BAD_EVEN.alpha)
     with pytest.raises(NumericalFailureError, match=message):
         _spin_flip_roots(product[None, :], ())
     [closed] = judged
+    assert closed.shape == (1, 4)
     assert all(np.min(np.abs(product - mu)) <= 1e-13 for mu in closed[0])
 
 
 def test_x_even_batch_with_one_negative_product_is_refused_at_that_sample(monkeypatch):
     """A batch of even states in which only row 2 has a negative population
-    product takes its square roots in complex and is refused at that sample
-    by the dust rule with the eigensolve's residue; the other rows' spectra
-    are, bit for bit, the squares of the real roots of a batch without row
-    2."""
-    bad = PauliVector.from_components({(0, 0): 1.0, (0, 1): 1.2, (1, 0): 0.1, (3, 3): 0.5})
+    product hands the dust rule that row alone, in complex, and is refused
+    at sample 2 of the batch, not of the rows judged, with the eigensolve's
+    residue; the rows of positive products take the closed form and are
+    not judged."""
     rows = np.stack([werner(w).alpha for w in (0.9, 0.5, 0.3, 0.1)])
-    stack = np.insert(rows, 2, bad.alpha, axis=0)
+    stack = np.insert(rows, 2, _BAD_EVEN.alpha, axis=0)
     assert _is_x_even(stack)
     message = r"spin-flip spectrum has imaginary residue 5\.192e-02 at sample 2$"
     judged = _judged_spectra(monkeypatch)
     with pytest.raises(NumericalFailureError, match=message):
-        _x_even_spin_flip_roots(stack, (5,))
-    closed = judged[0]
-    assert closed.dtype == complex
+        _signed_concurrence(stack)
+    [closed] = judged
+    assert closed.dtype == complex and closed.shape == (1, 4)
+    assert closed.tobytes() == np.square(_x_even_spin_flip_roots(_BAD_EVEN.alpha[None, :])).tobytes()
     with pytest.raises(NumericalFailureError, match=message):
         _eigensolved(_unit_rho(stack))
     with pytest.raises(NumericalFailureError, match=message):
-        _signed_concurrence(stack)
-    others = np.delete(closed, 2, axis=0)
-    assert others.real.tobytes() == np.square(_x_even_spin_flip_roots(rows, (4,))).tobytes()
-    assert not others.imag.any()
+        _signed_concurrence(stack.reshape(5, 1, 16))
+    with pytest.raises(NumericalFailureError, match=r"residue 5\.192e-02$"):
+        _signed_concurrence(stack[2])
 
 
 def test_x_even_spectrum_of_an_empty_batch():
     """An empty batch has no roots and no signed concurrences."""
-    roots = _x_even_spin_flip_roots(np.empty((0, 16)), (0,))
-    assert roots.shape == (0, 4)
-    assert _signed_from_roots(roots, (0,)).shape == (0,)
+    assert _x_even_spin_flip_roots(np.empty((0, 16))).shape == (0, 4)
+    assert _signed_concurrence(np.empty((0, 16))).shape == (0,)
 
 
 #: the smallest root whose square neither underflows nor loses bits as a
 #: subnormal, so that ``sqrt(fl(x^2)) == |x|`` in binary64
 _SMALLEST_SQUARED_ROOT = 2.0**-511
+#: two ulps of 1, the most the closed form may differ from the sorted
+#: combination of the same roots: each side rounds a handful of times
+_COMBINATION_TOL = 4.0 * np.finfo(float).eps / 2.0
 
 
 def _even_batches(rng):
@@ -562,55 +568,144 @@ def _even_batches(rng):
         yield traj.alphas / traj.alphas[:, :1]
 
 
+def _x_even_products(batch):
+    """The population products of each row, as the closed form forms them."""
+    p14, p23, _, _ = states._x_even_parts(batch)
+    return p14, p23
+
+
 def test_x_even_roots_are_the_rooted_squares_bit_for_bit(rng):
     """The closed-form roots of even states are, bit for bit, what the
-    route through a spectrum gave: each root squared, then the dust rule's
+    route through a spectrum gives: each root squared, then the dust rule's
     clamp and square root (``x^2 == |x|^2``, so squaring the roots squares
     the closed form's ``x``), wherever every root is zero or at least
-    2^-511; and so are their signed concurrences."""
+    2^-511.  The signed concurrence read from the same components without
+    any root set is their sorted combination within two ulps of 1, and a
+    batch reads each row's single value bit for bit."""
     rows = 0
     for batch in _even_batches(rng):
         assert _is_x_even(batch)
         shape = (batch.shape[0],)
-        roots = _x_even_spin_flip_roots(batch, shape)
-        rooted = _spin_flip_roots(np.square(roots), shape)
-        sound = ((roots == 0.0) | (roots >= _SMALLEST_SQUARED_ROOT)).all(axis=1)
-        assert sound.all()
-        assert roots.tobytes() == rooted.tobytes()
-        signed = _signed_from_roots(roots, shape)
-        assert signed.tobytes() == _signed_from_roots(rooted, shape).tobytes()
-        assert signed.tobytes() == _signed_concurrence(batch).tobytes()
-        rows += batch.shape[0]
+        roots = _x_even_spin_flip_roots(batch)
+        p14, p23 = _x_even_products(batch)
+        sound = (p14 >= 0.0) & (p23 >= 0.0)
+        assert not roots[sound].imag.any()
+        real = np.abs(roots[sound])
+        rooted = _spin_flip_roots(np.square(real), real.shape[:1])
+        assert ((real == 0.0) | (real >= _SMALLEST_SQUARED_ROOT)).all()
+        assert real.tobytes() == rooted.tobytes()
+        combined = _signed_from_roots(rooted, real.shape[:1])
+        signed = _signed_concurrence(batch)
+        assert np.max(np.abs(signed[sound] - combined), initial=0.0) <= _COMBINATION_TOL
+        assert signed.tobytes() == np.array([_signed_concurrence(row) for row in batch]).tobytes()
+        rows += int(sound.sum())
     assert rows > 2000
 
 
 def test_x_even_roots_keep_a_root_whose_square_underflows():
     """An even row with r11 = 0 and a coherence |r14| of 2^-540 has two
     spin-flip roots of exactly 2^-540, below 2^-511: their squares underflow
-    to zero, so a route through the spectrum loses them, and the closed
-    form keeps them.  A Werner row beside it is unchanged."""
+    to zero, so a route through the spectrum loses them, and the closed-form
+    roots keep them.  Its concurrence is exactly zero, and the closed form,
+    with no roots, returns that 0: the sorted combination of the exact
+    roots returns -2^-539, from rounding the roots 0.25 +- 2^-540 to 0.25.
+    A Werner row beside it is unchanged."""
     tiny = 2.0**-540
     row = PauliVector.from_components(
         {(0, 0): 1.0, (0, 1): -0.5, (1, 0): -0.5, (3, 3): 4.0 * tiny}
     ).alpha
     batch = np.stack([row, werner(0.9).alpha])
     assert _is_x_even(batch)
-    roots = np.sort(_x_even_spin_flip_roots(batch, (2,)), axis=1)
+    roots = np.sort(np.abs(_x_even_spin_flip_roots(batch)), axis=1)
     assert roots[0].tolist() == [tiny, tiny, 0.25, 0.25]
     assert np.sort(_spin_flip_roots(np.square(roots), (2,)), axis=1)[0].tolist() == [0.0, 0.0, 0.25, 0.25]
+    assert _signed_from_roots(roots, (2,))[0] == -2.0 * tiny
     signed = _signed_concurrence(batch)
-    assert signed[0] == -2.0 * tiny
+    assert signed[0] == 0.0
     assert signed[1] == _signed_concurrence(werner(0.9).alpha)
+
+
+#: a sample of an even state with a population of negative dust, well
+#: within the dust rule: r44 = -2.5e-18 beside r11 = 0.5, and no coherence
+#: between them, give a spin-flip eigenvalue p14 / 16 = -1.25e-18, twice
+_DUSTY_EVEN = PauliVector.from_components(
+    {(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5, (1, 1): -(1e-17), (2, 2): 0.2, (3, 3): 0.2}
+).alpha
+
+
+def _twirled_x_states(rng):
+    """Random twirled states of rank 1 to 4, with unit trace component."""
+    for rank in range(1, 5):
+        stack = _x_twirl(np.stack([random_density_matrix(rng, rank) for _ in range(200)]))
+        alphas = _rho_to_alpha(stack).real
+        yield alphas / alphas[:, :1]
+
+
+def _x_state(r11, r22, r33, r44, r14=0.0, r23=0.0):
+    """The Pauli vector of the X-state with these populations and real
+    coherences in the sigma_x eigenbasis |++>, |+->, |-+>, |-->."""
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    basis = np.kron(hadamard, hadamard)
+    rho = np.diag([r11, r22, r33, r44]).astype(complex)
+    rho[0, 3] = rho[3, 0] = r14
+    rho[1, 2] = rho[2, 1] = r23
+    return _rho_to_alpha(basis @ rho @ basis.T).real
+
+
+def test_x_even_closed_form_is_the_sorted_root_combination(rng):
+    """On random twirled X-states of rank 1 to 4, on ties (c14 = A, c23 =
+    B), zero coherences, the Bell states and the maximally mixed state, the
+    closed form equals the sorted combination of the closed-form roots
+    within two ulps of 1, and the eigensolve of the same matrix within the
+    eigensolve's own round-off."""
+    named = [bell_singlet(), bell_triplet(), maximally_mixed(), x_up_down(), x_up_up()]
+    named += [werner(p) for p in (-1.0 / 3.0, 0.0, 1.0 / 3.0, 1.0)]
+    ties = [_x_state(0.25, 0.25, 0.25, 0.25, 0.25, 0.25), _x_state(0.4, 0.1, 0.1, 0.4, 0.4, 0.1)]
+    ties += [_x_state(0.3, 0.2, 0.2, 0.3, 0.0, 0.0), _x_state(0.5, 0.0, 0.5, 0.0)]
+    batches = list(_twirled_x_states(rng))
+    batches.append(np.stack([state.alpha for state in named] + ties))
+    for batch in batches:
+        assert _is_x_even(batch)
+        roots = _x_even_spin_flip_roots(batch)
+        shape = (batch.shape[0],)
+        combined = _signed_from_roots(_spin_flip_roots(np.square(roots), shape), shape)
+        closed = _x_even_signed_concurrence(batch, shape)
+        assert np.max(np.abs(closed - combined)) <= _COMBINATION_TOL
+        assert np.max(np.abs(closed - _eigensolved(_unit_rho(batch)))) <= 1e-7
+    tie = _x_even_signed_concurrence(np.stack(ties[:2]), (2,))
+    assert tie == pytest.approx([0.0, 0.6], abs=_COMBINATION_TOL)
+    bell = _x_even_signed_concurrence(np.stack([s.alpha for s in named[:2]]), (2,))
+    assert bell.tolist() == [1.0, 1.0]
+    assert _x_even_signed_concurrence(maximally_mixed().alpha, ()) == -0.5
+
+
+def test_x_even_batch_with_a_dusty_sample_equals_its_single_calls():
+    """A sample with a negative population product within the dust rule, in
+    the middle of an even batch, is clamped by the rule and read from its
+    sorted roots; the batch gives every sample's single value bit for bit,
+    and only that sample meets the rule."""
+    rows = np.stack([werner(w).alpha for w in (0.9, 0.5, 0.3, 0.1)])
+    batch = np.insert(rows, 2, _DUSTY_EVEN, axis=0)
+    p14, p23 = _x_even_products(batch)
+    assert np.flatnonzero((p14 < 0.0) | (p23 < 0.0)).tolist() == [2]
+    signed = _signed_concurrence(batch)
+    assert signed.tobytes() == np.array([_signed_concurrence(row) for row in batch]).tobytes()
+    dusty = _x_even_spin_flip_roots(_DUSTY_EVEN[None, :])
+    assert dusty.dtype == complex
+    expected = _signed_from_roots(_spin_flip_roots(np.square(dusty), (1,)), (1,))
+    assert signed[2] == expected[0]
+    assert signed[[0, 1, 3, 4]].tobytes() == _signed_concurrence(rows).tobytes()
 
 
 def test_spin_flip_on_trajectories(reference_spectrum):
     """z_up_down, odd under sigma_x (x) sigma_x, is eigensolved: its
     concurrence is the product-flip route's bit for bit.  The singlet, the
     mixed state and the triplet stay in the even sector and take the closed
-    form: its spectra match the product-flip eigensolve to 1e-13, and a
-    40-digit eigensolve of rho rho~ from the same rho to 1e-14 at a few
-    samples, so the concurrence matches that eigensolve's too.  Only the
-    40-digit checks need mpmath."""
+    form: their closed-form spin-flip spectra match the product-flip
+    eigensolve to 1e-13 and a 40-digit eigensolve of rho rho~ from the same
+    rho to 1e-14 at a few samples, and the concurrence, read from the same
+    components without the spectra, matches that eigensolve's to 1e-14.
+    Only the 40-digit checks need mpmath."""
     times = default_time_grid(1.0, 30.0)
     even = []
     for name, factory, _ in FOUR_STATES:
@@ -621,18 +716,18 @@ def test_spin_flip_on_trajectories(reference_spectrum):
             clamped = np.clip(_product_flip_signed_concurrence(matrices), 0.0, 1.0)
             assert traj.concurrence.tobytes() == clamped.tobytes()
             continue
-        roots = _x_even_spin_flip_roots(traj.alphas / traj.alphas[:, :1], (times.size,))
-        closed = np.square(roots)
+        unit = traj.alphas / traj.alphas[:, :1]
+        closed = np.square(_x_even_spin_flip_roots(unit))
         product = np.linalg.eigvals(matrices @ _product_flip(matrices))
         assert np.max(np.abs(_sorted_spectra(closed) - _sorted_spectra(product))) <= 1e-13
-        clamped = np.clip(_signed_from_roots(roots, (times.size,)), 0.0, 1.0)
+        clamped = np.clip(_x_even_signed_concurrence(traj.alphas, (times.size,)), 0.0, 1.0)
         assert traj.concurrence.tobytes() == clamped.tobytes()
         even.append((traj, matrices, closed))
     mpmath = pytest.importorskip("mpmath")
     for traj, matrices, closed in even:
         for k in (0, 60, 130, 250, 400):
             reference = oracles.spin_flip_spectrum_mp(matrices[k])
-            assert max(abs(complex(r) - m) for r, m in zip(reference, np.sort(closed[k].real))) <= 1e-14
+            assert max(abs(complex(r) - m) for r, m in zip(reference, _sorted_spectra(closed[k]))) <= 1e-14
             roots = [mpmath.sqrt(max(r.real, 0)) for r in reference]
             exact = max(float(roots[3] - roots[2] - roots[1] - roots[0]), 0.0)
             assert traj.concurrence[k] == pytest.approx(exact, abs=1e-14)
