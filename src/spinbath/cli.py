@@ -172,14 +172,17 @@ _FIG2_STATES = (
 )
 
 
+#: the splitting of both fig2 scenarios; the secular rates and the four
+#: states' concurrence do not depend on it, so it is not a parameter
+_FIG2_SPLITTING = 10.0
+
+
 def _run_fig2(values: dict, fmt: str, dressed: bool = False) -> str:
-    rates, params = _model_pieces(values["delta"], values["r"], values["delta_field"])
+    rates, params = _model_pieces(values["delta"], values["r"], _FIG2_SPLITTING)
     report = classify_spectrum(build_generator(params, rates))
     if dressed:
         strength = 1.0 / (2.0 * -report.slow_eigenvalue)
-        params = ModelParams(
-            delta_field=values["delta_field"], lamb_b=strength, exchange_xi=strength
-        )
+        params = ModelParams(_FIG2_SPLITTING, lamb_b=strength, exchange_xi=strength)
         report = classify_spectrum(build_generator(params, rates))
     slow_used = -report.slow_eigenvalue
 
@@ -269,7 +272,6 @@ def _run_iontrap(values: dict, fmt: str) -> str:
 _FIG2_SCHEMA = {
     "delta": (float, 0.05),
     "r": (float, 0.9),
-    "delta_field": (float, 10.0),
     "points": (int, 400),
     "horizon_factor": (float, 3.0),
 }

@@ -339,7 +339,7 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
     state raises :class:`~spinbath.errors.InvalidStateError`.  A stepped
     sample that is no state, non-finite or with an eigenvalue below -1e-8,
     is the stepping's failure and raises :class:`IntegrationFailureError`
-    before any concurrence is read.
+    before any concurrence is read; an overflow on the way warns nothing.
     """
     from scipy import linalg
 
@@ -349,13 +349,17 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
     _check_horizon(float(times[-1]), float(np.max(np.abs(entries))))
     norm = float(np.linalg.norm(entries, 1))
     alphas = np.empty((times.size, alpha.size))
-    for k, step in enumerate(np.diff(times, prepend=0.0).tolist()):
-        squarings = 0
-        if math.isfinite(norm) and norm * step > _EXPM_MAX_NORM:
-            squarings = math.ceil(math.log2(norm) + math.log2(step) - math.log2(_EXPM_MAX_NORM))
-        propagator = linalg.expm(entries * math.ldexp(step, -squarings))
-        alpha = np.linalg.matrix_power(propagator, 2**squarings) @ alpha
-        alphas[k] = alpha
+    # a growing generator may overflow on the way; the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, step in enumerate(np.diff(times, prepend=0.0).tolist()):
+            squarings = 0
+            if math.isfinite(norm) and norm * step > _EXPM_MAX_NORM:
+                squarings = math.ceil(
+                    math.log2(norm) + math.log2(step) - math.log2(_EXPM_MAX_NORM)
+                )
+            propagator = linalg.expm(entries * math.ldexp(step, -squarings))
+            alpha = np.linalg.matrix_power(propagator, 2**squarings) @ alpha
+            alphas[k] = alpha
     if not np.isfinite(alphas).all():
         raise IntegrationFailureError(
             "matrix-exponential stepping produced a non-finite state"

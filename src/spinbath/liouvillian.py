@@ -3,16 +3,18 @@
 The master equation (coherent part plus a secular dissipator built from
 the ``(sigma_z -+ i sigma_y)/2`` eigenoperators of the transverse field)
 is linear, so in the Pauli-product basis it reads ``d alpha/dt = L alpha``
-with a real 16x16 generator ``L``.  Column k of ``L`` is the image of the
-k-th basis operator ``sigma_i (x) sigma_j / 4`` under the superoperator,
-projected back.  ``L`` is linear in eight numbers: the splitting, the two
-Lamb strengths, the exchange and the four golden-rule rates.  So the
-column projection runs once at import, for each of those terms at unit
-strength, and :func:`build_generator` takes the product of the eight
-strengths with these unit-term matrices.  Every unit-term entry is a
-multiple of 1/2 of magnitude at most 2, and no entry of ``L`` sums more
-than two non-zero terms, so each lies within one ulp of the exact sum and
-the sectors even and odd under ``sigma_x (x) sigma_x`` decouple exactly.
+with a real 16x16 generator ``L``.  ``L`` is linear in eight numbers: the
+splitting, the two Lamb strengths, the exchange and the four golden-rule
+rates.  So each of those terms is built once at import, at unit strength:
+column k of a coherent term is the Pauli projection of ``-i[H, B_k]`` for
+the k-th basis operator ``B_k = sigma_i (x) sigma_j / 4``, and column k
+of a rate term that of the rate's two dissipator images of ``B_k``.  Each
+term passes a Hermiticity and a trace-preservation gate there, and
+:func:`build_generator` takes the product of the eight strengths with
+these unit-term matrices.  Every unit-term entry is a multiple of 1/2 of
+magnitude at most 2, and no entry of ``L`` sums more than two non-zero
+terms, so each lies within one ulp of the exact sum and the sectors even
+and odd under ``sigma_x (x) sigma_x`` decouple exactly.
 
 For a strictly positive correlation deficit the spectrum splits into
 
@@ -45,7 +47,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -142,7 +144,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Real 16x16 generator with its construction context attached."""
+    """Real 16x16 generator with its construction context attached; an
+    entry that is not finite raises ``ValueError``."""
 
     entries: np.ndarray
     params: ModelParams
@@ -152,6 +155,8 @@ class GeneratorMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (16, 16):
             raise ValueError(f"generator must be 16x16, got {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError("generator entries must be finite")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -178,81 +183,43 @@ def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
     return ham
 
 
-def _dissipator_images(state: np.ndarray) -> np.ndarray:
-    """Images ``A_m rho A_n^+ - {A_n^+ A_m, rho}/2`` of a 4x4 operator (or
-    of each operator of a ``(..., 4, 4)`` stack) under the eight dissipator
-    terms, stacked along a new first axis in the order of
-    :func:`_term_rates`."""
+#: the Pauli-product basis operators ``sigma_i (x) sigma_j / 4``
+_BASIS_OPERATORS = PAULI_PRODUCTS / 4.0
+
+
+def _coherent_term(ham: np.ndarray) -> np.ndarray:
+    """Complex 16x16 Pauli-basis matrix of ``-i[ham, .]`` for a 4x4
+    Hamiltonian: column k is the Pauli projection of ``-i[ham, B_k]`` for
+    the k-th basis operator ``B_k``."""
+    return _rho_to_alpha(-1j * (ham @ _BASIS_OPERATORS - _BASIS_OPERATORS @ ham)).T
+
+
+def _dissipator_images(ops) -> np.ndarray:
+    """Images ``A_m B A_n^+ - {A_n^+ A_m, B}/2`` of the basis operators
+    ``B`` under the four dissipator terms of one pair of jump operators
+    ``ops``, stacked in the order (n, m) = (0, 0), (0, 1), (1, 0), (1, 1)."""
     images = []
-    for ops in (_OPS_PLUS, _OPS_MINUS):
-        for n in range(2):
-            for m in range(2):
-                a_m = ops[m]
-                a_n_dag = ops[n].conj().T
-                sandwich = a_m @ state @ a_n_dag
-                overlap = a_n_dag @ a_m
-                images.append(sandwich - 0.5 * (overlap @ state + state @ overlap))
+    for a_n in ops:
+        a_n_dag = a_n.conj().T
+        for a_m in ops:
+            overlap = a_n_dag @ a_m
+            images.append(
+                a_m @ _BASIS_OPERATORS @ a_n_dag
+                - 0.5 * (overlap @ _BASIS_OPERATORS + _BASIS_OPERATORS @ overlap)
+            )
     return np.stack(images)
 
 
-def _term_rates(rates: RateSet) -> list:
-    """Rate of each dissipator term: same-qubit on the diagonal (n == m),
-    cross-qubit off it; emission terms first."""
-    return [
-        same if n == m else cross
-        for same, cross in (
-            (rates.gamma11_plus, rates.gamma12_plus),
-            (rates.gamma11_minus, rates.gamma12_minus),
-        )
-        for n in range(2)
-        for m in range(2)
-    ]
+def _gated(projected: np.ndarray) -> np.ndarray:
+    """The real matrix of a projected term, with its first row zeroed.
 
-
-def _apply_master_equation(
-    state: np.ndarray, ham: np.ndarray, rates: RateSet, images: np.ndarray
-) -> np.ndarray:
-    """Right-hand side of the master equation for a 4x4 operator, or for
-    each operator of a ``(..., 4, 4)`` stack, given its
-    ``_dissipator_images(state)``."""
-    out = -1j * (ham @ state - state @ ham)
-    for g, image in zip(_term_rates(rates), images):
-        if g != 0.0:
-            out = out + g * image
-    return out
-
-
-#: the Pauli-product basis operators ``sigma_i (x) sigma_j / 4``, and their
-#: images under each dissipator term, which do not depend on any input
-_BASIS_OPERATORS = PAULI_PRODUCTS / 4.0
-_BASIS_IMAGES = _dissipator_images(_BASIS_OPERATORS)
-_BASIS_IMAGES.setflags(write=False)
-
-
-_NON_FINITE_GENERATOR = (
-    "generator has non-finite entries: a coherent strength or rate "
-    "overflows double precision"
-)
-
-
-def _generator_columns(ham: np.ndarray, rates: RateSet) -> np.ndarray:
-    """Real 16x16 Pauli-basis matrix of the master equation for a 4x4
-    Hamiltonian and a rate set; it builds each unit-term matrix at import.
-
-    Column ``k`` is the Pauli projection of the image of the k-th basis
-    operator.  Two consistency gates, both at 1e-10 of the largest
-    |entry| of ``ham`` or |rate| (the scale of what is summed), raise
-    :class:`NumericalFailureError`: an imaginary residue in a column (the
-    superoperator does not preserve Hermiticity, for instance for a
-    non-Hermitian ``ham``) and a non-zero first row (trace preservation
-    makes it vanish identically; it is zeroed exactly once checked).  So
-    does a non-finite entry.
+    Two consistency gates, both at 1e-10 of the term's largest |entry|,
+    raise :class:`NumericalFailureError`: an imaginary residue in a column
+    (the superoperator does not preserve Hermiticity, for instance for a
+    non-Hermitian Hamiltonian) and a non-zero first row (trace preservation
+    makes it vanish identically; it is zeroed exactly once checked).
     """
-    images = _apply_master_equation(_BASIS_OPERATORS, ham, rates, _BASIS_IMAGES)
-    projected = _rho_to_alpha(images).T
-    if not np.isfinite(projected).all():
-        raise NumericalFailureError(_NON_FINITE_GENERATOR)
-    tol = 1e-10 * max(float(np.max(np.abs(ham))), *map(abs, _term_rates(rates)))
+    tol = 1e-10 * float(np.max(np.abs(projected)))
     residues = np.max(np.abs(projected.imag), axis=0)
     bad = np.flatnonzero(residues > tol)
     if bad.size:
@@ -274,15 +241,17 @@ _rate_strengths = operator.attrgetter(*_RATE_TERMS)
 
 def _term_matrices() -> np.ndarray:
     """The generator of each term at unit strength, flattened row-major into
-    the rows of an ``(8, 256)`` array, through :func:`_generator_columns`
-    and so through both of its gates.  Every entry is a multiple of 1/2 of
-    magnitude at most 2, exact in binary."""
-    no_rates = RateSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    units = [(ham, no_rates) for _, ham in _COHERENT_TERMS] + [
-        (np.zeros((4, 4), dtype=complex), replace(no_rates, **{name: 1.0}))
-        for name in _RATE_TERMS
-    ]
-    terms = np.stack([_generator_columns(ham, rates).reshape(256) for ham, rates in units])
+    the rows of an ``(8, 256)`` array, each through both gates of
+    :func:`_gated`.  A coherent term is the projection of its commutator
+    (:func:`_coherent_term`).  A rate term is the projection of that rate's
+    two dissipator images: the n = m pair for a same-qubit rate, the n != m
+    pair for a cross rate.  Every entry is a multiple of 1/2 of magnitude at
+    most 2, exact in binary."""
+    projected = [_coherent_term(ham) for _, ham in _COHERENT_TERMS]
+    for ops in (_OPS_PLUS, _OPS_MINUS):
+        same_0, cross_01, cross_10, same_1 = _dissipator_images(ops)
+        projected += [_rho_to_alpha(same_0 + same_1).T, _rho_to_alpha(cross_01 + cross_10).T]
+    terms = np.stack([_gated(term) for term in projected]).reshape(8, 256)
     terms.setflags(write=False)
     return terms
 
@@ -295,17 +264,19 @@ def build_generator(params: ModelParams, rates: RateSet) -> GeneratorMatrix:
 
     The master equation is linear in the four coherent strengths and the
     four rates, so ``L`` is their product with the eight unit-term matrices
-    built at import, whose Hermiticity and trace-preservation gates have
-    run there.  Each entry of ``L`` sums at most two non-zero terms, so it
-    lies within one ulp of the exact sum.  An entry that overflows to inf or
-    NaN raises :class:`NumericalFailureError`, and overflow warns nothing on
-    the way.
+    of :func:`_term_matrices`, built and gated once at import.  Each entry
+    of ``L`` sums at most two non-zero terms, so it lies within one ulp of
+    the exact sum.  An entry that overflows to inf or NaN raises
+    :class:`NumericalFailureError`, and overflow warns nothing on the way.
     """
     strengths = np.array(_coherent_strengths(params) + _rate_strengths(rates))
     with np.errstate(over="ignore", invalid="ignore"):
         entries = (strengths @ _TERM_MATRICES).reshape(16, 16)
     if not np.isfinite(entries).all():
-        raise NumericalFailureError(_NON_FINITE_GENERATOR)
+        raise NumericalFailureError(
+            "generator has non-finite entries: a coherent strength or rate "
+            "overflows double precision"
+        )
     return GeneratorMatrix(entries, params, rates)
 
 

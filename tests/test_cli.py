@@ -803,15 +803,8 @@ KEY_PROBES = {
 }
 #: keys allowed to leave the run unchanged (ROADMAP, open item 2).  The trap
 #: report prints only closed-form fields, so the Lamb strengths that
-#: lamb_shift switches feed nothing yet.  In both fig2 scenarios the secular
-#: rates and the concurrence of the four states do not depend on the
-#: splitting, so delta_field moves no printed digit of physics; a probe
-#: would pass or fail on the round-off of the t = 0 z_up_down cell alone.
-INERT_KEYS = {
-    ("iontrap", "lamb_shift"),
-    ("fig2-trajectories", "delta_field"),
-    ("fig2-inset", "delta_field"),
-}
+#: lamb_shift switches feed nothing yet.
+INERT_KEYS = {("iontrap", "lamb_shift")}
 
 
 @functools.lru_cache(maxsize=None)
@@ -853,6 +846,8 @@ def test_every_key_changes_the_run(scenario, key, value):
         ("spectrum", "include_lamb"),
         ("spectrum", "include_exchange"),
         ("iontrap", "exchange_xi"),
+        ("fig2-trajectories", "delta_field"),
+        ("fig2-inset", "delta_field"),
     ],
 )
 def test_removed_switches_are_unknown(capsys, scenario, key):

@@ -48,10 +48,9 @@ from spinbath.errors import (
 from spinbath.liouvillian import (
     GeneratorMatrix,
     ModelParams,
-    _generator_columns,
+    _coherent_term,
     build_generator,
     classify_spectrum,
-    hamiltonian_matrix,
     mode_coefficients,
     thermal_alpha,
 )
@@ -264,10 +263,20 @@ def test_ode_zero_horizon_returns_initial_state(reference_generator):
     assert np.array_equal(traj.alphas, state.alpha[None, :])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_generator_is_refused_at_construction(reference_generator, value):
+    entries = reference_generator.entries.copy()
+    entries[5, 5] = value
+    with pytest.raises(ValueError, match="generator entries must be finite"):
+        GeneratorMatrix(entries, reference_generator.params, reference_generator.rates)
+
+
 def test_ode_non_finite_generator_raises(reference_generator):
-    gen = GeneratorMatrix(
-        np.full((16, 16), np.nan), reference_generator.params, reference_generator.rates
-    )
+    """A finite generator with a growing entry overflows the stepping, which
+    names the non-finite state and warns nothing on the way."""
+    entries = reference_generator.entries.copy()
+    entries[5, 5] = 1e10
+    gen = GeneratorMatrix(entries, reference_generator.params, reference_generator.rates)
     with pytest.raises(IntegrationFailureError, match="non-finite"):
         propagate_ode(gen, z_up_down(), np.linspace(0.0, 1.0, 3))
 
@@ -706,9 +715,8 @@ def _sector_coupling_generator(field=0.3):
     """The reference model plus a z field on qubit 1, built by hand: a
     generator that couples the sigma_x (x) sigma_x even and odd sectors."""
     reference = make_generator(0.05, 0.9)
-    ham = hamiltonian_matrix(reference.params) + field * np.kron(PAULI[3], np.eye(2))
-    entries = _generator_columns(ham, reference.rates)
-    return GeneratorMatrix(entries, reference.params, reference.rates)
+    z_field = _coherent_term(np.kron(PAULI[3], np.eye(2))).real
+    return GeneratorMatrix(reference.entries + field * z_field, reference.params, reference.rates)
 
 
 def _refuse_closed_form(alphas, shape):

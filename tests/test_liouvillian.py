@@ -19,8 +19,12 @@ from spinbath.errors import (
 from spinbath.liouvillian import (
     GeneratorMatrix,
     ModelParams,
+    _BASIS_OPERATORS,
+    _OPS_PLUS,
+    _TERM_MATRICES,
     _X_TOTAL,
-    _generator_columns,
+    _coherent_term,
+    _gated,
     analytic_slow_eigenpair,
     build_generator,
     classify_spectrum,
@@ -37,6 +41,7 @@ from spinbath.states import (
     PAULI,
     PAULI_PRODUCTS,
     _X_ODD,
+    _rho_to_alpha,
     bell_singlet,
     density_to_bloch,
     flat_index,
@@ -131,8 +136,11 @@ def _oracle_unit_terms():
 def test_generator_entries_are_exact_term_sums_within_one_ulp(lamb, exchange):
     """Every entry of ``L`` is within one ulp of the exact sum, in rational
     arithmetic, of the float strengths times the oracle's unit-term
-    entries: each entry sums at most two non-zero terms."""
+    entries: each entry sums at most two non-zero terms.  The package's unit
+    terms are the oracle's exactly, which the ulp bound alone would not
+    demand of them."""
     terms = _oracle_unit_terms().reshape(8, 256)
+    assert np.array_equal(_TERM_MATRICES, terms)
     support = [np.flatnonzero(terms[:, k]).tolist() for k in range(256)]
     exact_terms = [[Fraction(x) for x in row] for row in terms.tolist()]
     for params, rates in _random_models(lamb, exchange):
@@ -191,16 +199,23 @@ def test_non_hermitian_hamiltonian_is_a_numerical_failure():
     """A Hamiltonian that breaks Hermiticity preservation leaves imaginary
     Pauli components, reported as a typed failure naming the first such
     column (column 1, sigma_0 (x) sigma_x, commutes with the field term)."""
-    rates = RateSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(NumericalFailureError, match="generator column 2 has imaginary"):
-        _generator_columns(1j * _X_TOTAL, rates)
+        _gated(_coherent_term(1j * _X_TOTAL))
+
+
+def test_trace_breaking_term_is_a_numerical_failure():
+    """A jump term without its anticommutator part does not preserve the
+    trace, which the first row reports as a typed failure."""
+    lower = _OPS_PLUS[0]
+    sandwich = lower @ _BASIS_OPERATORS @ lower.conj().T
+    with pytest.raises(NumericalFailureError, match="trace-preservation defect"):
+        _gated(_rho_to_alpha(sandwich).T)
 
 
 def test_large_exchange_model_builds():
-    """The gates scale with the largest Hamiltonian entry, here the
-    exchange at ~1e9, so its round-off (~6e-8 in column 3) is not read as
-    a Hermiticity defect; a scale without the exchange refused this model
-    for any rates."""
+    """An exchange at ~1e9 builds a finite generator with a zero first row:
+    the gates run once, on the unit terms at import, and no build re-runs
+    them on its own round-off."""
     params = ModelParams(
         47.085345016334095,
         lamb_a=0.01926360245789568,

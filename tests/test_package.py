@@ -186,9 +186,10 @@ def test_one_mode_sum_behind_the_excited_mode_cut():
     assert _sites(source, _exponentiates_eigenvalues) == ["dynamics._spectral_alphas"]
 
 
-#: the per-operator route of the master equation, which builds the unit-term
-#: matrices at import
-COLUMN_ROUTE = {"_generator_columns", "_apply_master_equation", "hamiltonian_matrix", "_rho_to_alpha"}
+#: the operator-space steps that build the unit-term matrices at import
+COLUMN_ROUTE = {
+    "_coherent_term", "_dissipator_images", "_gated", "hamiltonian_matrix", "_rho_to_alpha",
+}
 
 
 def _calls(names):
@@ -205,9 +206,9 @@ def _calls(names):
 
 
 def test_one_generator_assembly():
-    """``build_generator`` weights the unit-term matrices and calls nothing
-    of the per-operator route, and in ``liouvillian`` only the import-time
-    term build calls ``_generator_columns``."""
+    """``build_generator`` weights the unit-term matrices and calls none of
+    the operator-space steps, and in ``liouvillian`` only the import-time
+    term build calls the gate helper ``_gated``."""
     source = Path(liouvillian.__file__)
     assert "liouvillian.build_generator" not in _sites(source, _calls(COLUMN_ROUTE))
-    assert _sites(source, _calls({"_generator_columns"})) == ["liouvillian._term_matrices"]
+    assert _sites(source, _calls({"_gated"})) == ["liouvillian._term_matrices"]
