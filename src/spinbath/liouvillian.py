@@ -266,18 +266,20 @@ def build_generator(params: ModelParams, rates: RateSet) -> GeneratorMatrix:
     four rates, so ``L`` is their product with the eight unit-term matrices
     of :func:`_term_matrices`, built and gated once at import.  Each entry
     of ``L`` sums at most two non-zero terms, so it lies within one ulp of
-    the exact sum.  An entry that overflows to inf or NaN raises
+    the exact sum.  An entry that overflows to inf or NaN fails the
+    finiteness check of :class:`GeneratorMatrix`, which is re-raised as
     :class:`NumericalFailureError`, and overflow warns nothing on the way.
     """
     strengths = np.array(_coherent_strengths(params) + _rate_strengths(rates))
     with np.errstate(over="ignore", invalid="ignore"):
         entries = (strengths @ _TERM_MATRICES).reshape(16, 16)
-    if not np.isfinite(entries).all():
+    try:
+        return GeneratorMatrix(entries, params, rates)
+    except ValueError:
         raise NumericalFailureError(
             "generator has non-finite entries: a coherent strength or rate "
             "overflows double precision"
-        )
-    return GeneratorMatrix(entries, params, rates)
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -263,14 +263,6 @@ def test_ode_zero_horizon_returns_initial_state(reference_generator):
     assert np.array_equal(traj.alphas, state.alpha[None, :])
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_non_finite_generator_is_refused_at_construction(reference_generator, value):
-    entries = reference_generator.entries.copy()
-    entries[5, 5] = value
-    with pytest.raises(ValueError, match="generator entries must be finite"):
-        GeneratorMatrix(entries, reference_generator.params, reference_generator.rates)
-
-
 def test_ode_non_finite_generator_raises(reference_generator):
     """A finite generator with a growing entry overflows the stepping, which
     names the non-finite state and warns nothing on the way."""

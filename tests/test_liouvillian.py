@@ -246,10 +246,16 @@ def test_apply_accepts_vectors_and_pauli(reference_generator):
 
 
 def test_generator_shape_validation(reference_generator):
+    """The constructor refuses a wrong shape and a NaN or +-inf entry."""
     with pytest.raises(ValueError):
         GeneratorMatrix(
             np.zeros((4, 4)), ModelParams(1.0), reference_generator.rates
         )
+    for value in (np.nan, np.inf, -np.inf):
+        entries = reference_generator.entries.copy()
+        entries[5, 5] = value
+        with pytest.raises(ValueError, match="generator entries must be finite"):
+            GeneratorMatrix(entries, reference_generator.params, reference_generator.rates)
 
 
 def test_model_params_validation():
