@@ -4,9 +4,10 @@ A code line is a non-blank line that holds something other than a comment
 or a docstring (the leading string of a module, class or function).
 Comments are found with ``tokenize`` and docstrings with ``ast``.  The
 count gates nothing; it is printed so every change reports its size by the
-same rule.  Run it from anywhere:
+same rule.  Run it from anywhere, on the package, another directory or
+one file:
 
-    python .github/package_lines.py [package-dir]
+    python .github/package_lines.py [directory-or-file]
 """
 
 import ast
@@ -53,8 +54,9 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list) -> int:
-    package = Path(argv[0]) if argv else PACKAGE
-    print(sum(code_lines(path) for path in sorted(package.rglob("*.py"))))
+    target = Path(argv[0]) if argv else PACKAGE
+    paths = [target] if target.is_file() else sorted(target.rglob("*.py"))
+    print(sum(code_lines(path) for path in paths))
     return 0
 
 

@@ -25,10 +25,11 @@ x-rotation and the qubit swap, as Werner and triplet mixtures are, excites
 about 6 of the 16 modes.
 
 Every route reads the concurrence of all its samples at once, by the
-one routine of :mod:`spinbath.states`.  A mode sum bounds, once a mode
-selection, the Pauli components odd under conjugation by ``sigma_x (x)
-sigma_x`` that its samples can reach; where the bound keeps them within
-round-off, its batches take the even sector's closed form untested.
+one routine of :mod:`spinbath.states`.  Each route decides once, from
+structure, whether its samples stay in the sector even under conjugation
+by ``sigma_x (x) sigma_x``: they do when the generator keeps the sectors
+and the initial state has no odd component, and then every batch takes the
+even sector's closed form untested; any other batch is tested.
 
 On top of the numerics sits the closed-form long-time description: after
 the fast modes die out the state is the thermal point plus a single slow
@@ -67,7 +68,6 @@ from .states import (
     TwoQubitDensityMatrix,
     _POSITIVITY_TOL,
     _X_ODD,
-    _X_ODD_RTOL,
     _checked_state,
     _lowest_eigenvalues,
     _signed_concurrence,
@@ -174,11 +174,12 @@ def _finish_trajectory(
     alphas: np.ndarray,
     gamma0: float,
     slow_rate: Optional[float],
-    even: bool = False,
+    even: bool,
 ) -> Trajectory:
     """The trajectory of the samples ``alphas``, with their concurrence;
-    ``even`` says the route has bounded every sample into the ``sigma_x
-    (x) sigma_x`` even sector, so the batch is not tested again."""
+    ``even`` says every sample lies in the ``sigma_x (x) sigma_x`` even
+    sector by structure (:func:`_even_by_structure`), so the batch is not
+    tested."""
     return Trajectory(
         times=times,
         alphas=alphas,
@@ -238,32 +239,15 @@ def _excited_modes(report: SpectrumReport, alpha: np.ndarray) -> tuple:
     return report.eigenvalues[keep], coeffs[keep], right[:, keep]
 
 
-def _sector_bound(modes: tuple) -> tuple:
-    """What a mode sum of ``modes``, the eigenvalues, amplitudes and right
-    eigenvectors :func:`_excited_modes` keeps, can reach of the Pauli
-    components odd under conjugation by ``sigma_x (x) sigma_x``: the largest
-    over those components of ``sum_l |a_l| |r_l[k]|``, and the fastest
-    growth rate of a kept mode, at least 0.  At time t no odd component of
-    the sum exceeds the first times ``exp(rate t)``.  Computed once a mode
-    selection, as Python floats, for :func:`_stays_even`.
-    """
-    eigenvalues, coeffs, right = modes
-    reach = np.abs(right[_X_ODD]) @ np.abs(coeffs)
-    return float(reach.max(initial=0.0)), float(eigenvalues.real.max(initial=0.0))
-
-
-def _stays_even(bound: tuple, horizon: float, alphas: np.ndarray) -> bool:
-    """Whether a mode selection's :func:`_sector_bound` shows that each of
-    its samples ``alphas``, taken up to time ``horizon``, passes the test of
-    :func:`~spinbath.states._is_x_even`, every odd component within 1e-12 of
-    the trace component, with a factor 2 to spare for the round-off of the
-    sum; a selection whose modes could grow more than e-fold by then, or
-    whose bound is not finite, is not shown even."""
-    odd, rate = bound
-    exponent = rate * horizon
-    if not exponent <= 1.0:
-        return False
-    return 2.0 * odd * math.exp(exponent) <= _X_ODD_RTOL * float(alphas[:, 0].min())
+def _even_by_structure(keeps_x_parity: bool, alpha: np.ndarray) -> bool:
+    """Whether every sample propagated from a checked state's Pauli vector
+    ``alpha`` lies in the sector even under conjugation by ``sigma_x (x)
+    sigma_x``: the generator keeps the sectors (``keeps_x_parity``, every
+    entry coupling them exactly zero) and each of the eight odd components
+    of ``alpha`` is exactly zero.  A stepped sample's odd components are
+    then exactly zero too; a mode sum's are round-off of the eigensystem,
+    since the exact sum has none, and the closed form does not read them."""
+    return keeps_x_parity and not alpha[_X_ODD].any()
 
 
 def _spectral_alphas(modes: tuple, times: np.ndarray) -> np.ndarray:
@@ -312,12 +296,10 @@ def propagate_spectral(
     """
     alpha = _checked_state(initial)
     times = _check_times(times)
-    horizon = float(times[-1])
-    _check_horizon(horizon, float(np.max(np.abs(report.eigenvalues))))
-    modes = _excited_modes(report, alpha)
-    alphas = _spectral_alphas(modes, times)
+    _check_horizon(float(times[-1]), float(np.max(np.abs(report.eigenvalues))))
+    alphas = _spectral_alphas(_excited_modes(report, alpha), times)
     slow_rate = None if report.labels is None else -report.slow_eigenvalue
-    even = _stays_even(_sector_bound(modes), horizon, alphas)
+    even = _even_by_structure(report.keeps_x_parity, alpha)
     return _finish_trajectory(times, alphas, report.gamma0, slow_rate, even)
 
 
@@ -345,6 +327,7 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
 
     alpha = _checked_state(initial)
     times = _check_times(times)
+    even = _even_by_structure(generator.keeps_x_parity, alpha)
     entries = generator.entries
     _check_horizon(float(times[-1]), float(np.max(np.abs(entries))))
     norm = float(np.linalg.norm(entries, 1))
@@ -372,7 +355,7 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
             f"matrix-exponential stepping produced eigenvalue {lowest[k]:.3e} "
             f"below -{_NEGATIVITY_TOL:.1e} at sample {k}"
         )
-    trajectory = _finish_trajectory(times, alphas, generator.rates.gamma0, None)
+    trajectory = _finish_trajectory(times, alphas, generator.rates.gamma0, None, even)
     # keep the checked batch where the cached property would keep it
     lowest.setflags(write=False)
     trajectory.__dict__["min_eigenvalues"] = lowest
@@ -495,8 +478,11 @@ def threshold_ratio(lambda_corr: float) -> float:
 
     Inverts the generation condition: ``R* = sqrt(3 (Lambda+1) /
     (5 + Lambda))``, clamped to [0, 1].  States with ``Lambda < -1``
-    generate at any temperature.
+    generate at any temperature.  ``Lambda`` of a state lies in [-3, 1];
+    any other value, NaN included, raises ``ValueError``.
     """
+    if not -3.0 <= lambda_corr <= 1.0:
+        raise ValueError(f"lambda_corr must lie in [-3, 1], got {lambda_corr}")
     value = 3.0 * (lambda_corr + 1.0) / (5.0 + lambda_corr)
     return math.sqrt(min(max(value, 0.0), 1.0))
 
@@ -509,7 +495,10 @@ def survival_time(ratio: float, lambda_corr: float, slow_rate: float) -> float:
     perfectly correlated bath) - in both cases the envelope stays
     positive forever.  Otherwise
 
-        t_c = (1/|lambda_1|) ln[ (R^2-Lambda)(R^2-3) / ((R^2+3)(R^2-1)) ].
+        t_c = (1/|lambda_1|) ln[ (R^2-Lambda)(R^2-3) / ((R^2+3)(R^2-1)) ],
+
+    and 0 where that argument rounds to 1 or below, just inside the
+    generation boundary, so no lifetime is negative.
     """
     if not slow_rate >= 0:
         raise ValueError(f"slow_rate must be non-negative, got {slow_rate}")
@@ -519,7 +508,7 @@ def survival_time(ratio: float, lambda_corr: float, slow_rate: float) -> float:
     if r2 >= 1.0 or slow_rate == 0.0:
         return math.inf
     argument = (r2 - lambda_corr) * (r2 - 3.0) / ((r2 + 3.0) * (r2 - 1.0))
-    return math.log(argument) / slow_rate
+    return math.log(argument) / slow_rate if argument > 1.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -594,11 +583,10 @@ def _numeric_survival(
     """
     gamma0 = report.gamma0
     modes = _excited_modes(report, alpha)
-    sector = _sector_bound(modes)
+    even = _even_by_structure(report.keeps_x_parity, alpha)
 
     def signed(times: list) -> list:
-        alphas = _spectral_alphas(modes, np.array(times))
-        return _signed_concurrence(alphas, even=_stays_even(sector, max(times), alphas)).tolist()
+        return _signed_concurrence(_spectral_alphas(modes, np.array(times)), even=even).tolist()
 
     def stretch(start: float, stop: float) -> list:
         return np.linspace(start, stop, 49)[1:].tolist()
@@ -737,8 +725,8 @@ def survival_report(
     selected once a report, as :func:`propagate_spectral` selects them: only
     the excited ones are summed, each whose term ``|a_l| max|r_l|`` exceeds
     machine epsilon times the largest, so every sample is within 16 eps of
-    the largest term of the full sum.  Their reach into the ``sigma_x (x)
-    sigma_x`` odd sector is bounded once a report too.
+    the largest term of the full sum.  Whether its samples stay in the
+    ``sigma_x (x) sigma_x`` even sector is decided once a report too.
     """
     alpha = _checked_state(initial)
     spectrum = classify_spectrum(generator)

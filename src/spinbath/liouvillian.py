@@ -14,7 +14,8 @@ term passes a Hermiticity and a trace-preservation gate there, and
 these unit-term matrices.  Every unit-term entry is a multiple of 1/2 of
 magnitude at most 2, and no entry of ``L`` sums more than two non-zero
 terms, so each lies within one ulp of the exact sum and the sectors even
-and odd under ``sigma_x (x) sigma_x`` decouple exactly.
+and odd under ``sigma_x (x) sigma_x`` decouple exactly, as
+:attr:`GeneratorMatrix.keeps_x_parity` reads.
 
 For a strictly positive correlation deficit the spectrum splits into
 
@@ -63,6 +64,7 @@ from .states import (
     PAULI,
     PAULI_PRODUCTS,
     PauliVector,
+    _X_ODD,
     _as_alpha,
     _rho_to_alpha,
     flat_index,
@@ -111,6 +113,10 @@ _LOWER = 0.5 * (_SZ - 1j * _SY)
 _RAISE = 0.5 * (_SZ + 1j * _SY)
 _OPS_PLUS = (np.kron(_LOWER, _I2), np.kron(_I2, _LOWER))
 _OPS_MINUS = (np.kron(_RAISE, _I2), np.kron(_I2, _RAISE))
+
+#: the generator entries coupling a component even under conjugation by
+#: sigma_x (x) sigma_x to an odd one
+_X_CROSS = np.not_equal.outer(_X_ODD, _X_ODD)
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,13 @@ class GeneratorMatrix:
 
     def apply(self, alpha) -> np.ndarray:
         return self.entries @ _as_alpha(alpha)
+
+    @cached_property
+    def keeps_x_parity(self) -> bool:
+        """Whether the generator keeps the sectors even and odd under
+        conjugation by ``sigma_x (x) sigma_x``: every entry coupling them is
+        exactly zero, as in every generator :func:`build_generator` makes."""
+        return not self.entries[_X_CROSS].any()
 
     @cached_property
     def spectrum(self) -> SpectrumReport:
@@ -322,6 +335,10 @@ class SpectrumReport:
       computed on first read.  The reordering and rescaling of a labelled
       record change the condition number, so this is not that of
       ``right``.
+
+    ``keeps_x_parity`` is the generator's
+    :attr:`GeneratorMatrix.keeps_x_parity`, kept for the mode sums, which
+    receive only the record.
     """
 
     eigenvalues: np.ndarray
@@ -333,6 +350,7 @@ class SpectrumReport:
     kappa: np.ndarray
     cond_bound: float
     eig_vectors: np.ndarray
+    keeps_x_parity: bool
     reason: Optional[tuple] = None
 
     def __post_init__(self):
@@ -464,6 +482,7 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
         kappa=kappa,
         cond_bound=cond_bound,
         eig_vectors=vectors,
+        keeps_x_parity=generator.keeps_x_parity,
         reason=reason,
     )
 

@@ -19,12 +19,13 @@ caller takes the same two routes.  A state that starts in the sector even
 under conjugation by ``sigma_x (x) sigma_x`` stays there under every
 generator :func:`~spinbath.liouvillian.build_generator` makes, an X-state
 in the ``sigma_x`` basis.  A batch whose odd components are all within
-round-off, by a test of the batch or by its caller's bound, reads each
-sample's concurrence from eight even components in Yu and Eberly's closed
-form, with no root set and no spectrum; any other batch eigensolves ``rho
-rho_tilde`` per sample.  The eigensolve's spectra, and the closed form's
-complex squares of a sample with a negative population product, meet the
-one dust rule and then the one combination of sorted roots.
+round-off, by a test of the batch, or that its caller knows even by
+structure, reads each sample's concurrence from eight even components in
+Yu and Eberly's closed form, with no root set and no spectrum; any other
+batch eigensolves ``rho rho_tilde`` per sample.  The eigensolve's
+spectra, and the closed form's complex squares of a sample with a
+negative population product, meet the one dust rule and then the one
+combination of sorted roots.
 """
 
 from __future__ import annotations
@@ -362,13 +363,14 @@ def _signed_concurrence(alphas: np.ndarray, matrices=None, even: bool = False):
     that have passed an input check, or samples propagated from one.  A
     stack whose vectors all lie in the ``sigma_x (x) sigma_x`` even sector,
     by :func:`_is_x_even` or, where ``even`` is true, by its caller's
-    bound, takes the closed form of :func:`_x_even_signed_concurrence`;
-    any other eigensolves its spectra (:func:`_spin_flip_spectrum`) from
-    its ``matrices``, the density matrices the vectors came from, or where
-    none are given from the matrices rebuilt from the vectors, and takes
-    their roots by the one dust rule of :func:`_spin_flip_roots`, whose
-    refusal is a :class:`~spinbath.errors.NumericalFailureError`, and the
-    one combination, :func:`_signed_from_roots`.
+    structural rule, takes the closed form of
+    :func:`_x_even_signed_concurrence`; any other eigensolves its spectra
+    (:func:`_spin_flip_spectrum`) from its ``matrices``, the density
+    matrices the vectors came from, or where none are given from the
+    matrices rebuilt from the vectors, and takes their roots by the one
+    dust rule of :func:`_spin_flip_roots`, whose refusal is a
+    :class:`~spinbath.errors.NumericalFailureError`, and the one
+    combination, :func:`_signed_from_roots`.
     """
     alphas = np.asarray(alphas)
     shape = alphas.shape[:-1]

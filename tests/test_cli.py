@@ -558,6 +558,25 @@ def test_sweep_protected_cell_reports_inf(capsys):
     assert row == ["0", "1", "-3", "1", "inf"]
 
 
+def test_sweep_boundary_cell_reports_no_negative_lifetime(capsys):
+    """A cell just inside the generation boundary, where the log argument
+    of t_c rounds below 1, reports a lifetime of 0, not -3.2e-15."""
+    code, out, _ = invoke(
+        capsys,
+        "--scenario",
+        "sweep",
+        "--set",
+        "delta_values=0.05",
+        "--set",
+        "r_values=0.7990072682569841",
+        "--set",
+        "lambda_values=0.08132795544014046",
+    )
+    assert code == 0
+    row = out.strip().split("\n")[1].split(",")
+    assert row == ["0.05", "0.799007268", "0.0813279554", "0", "0"]
+
+
 def test_sweep_grid_validation(capsys):
     code, _, err = invoke(
         capsys, "--scenario", "sweep", "--set", "r_values=0.5,1.2"

@@ -67,6 +67,7 @@ from spinbath.states import (
     bloch_to_density,
     correlation_scalar,
     density_to_bloch,
+    flat_index,
     maximally_mixed,
     state_for_correlation,
     werner,
@@ -711,6 +712,19 @@ def _sector_coupling_generator(field=0.3):
     return GeneratorMatrix(reference.entries + field * z_field, reference.params, reference.rates)
 
 
+def test_sector_coupling_generator_clears_the_parity_flag():
+    """The flag reads exact zeros: the hand-built coupling clears it on the
+    generator and its spectrum record, and so does a single cross-sector
+    entry as small as the smallest subnormal."""
+    gen = _sector_coupling_generator()
+    assert gen.keeps_x_parity is False
+    assert gen.spectrum.keeps_x_parity is False
+    reference = make_generator(0.05, 0.9)
+    entries = reference.entries.copy()
+    entries[flat_index(0, 2), flat_index(1, 1)] = 5e-324
+    assert GeneratorMatrix(entries, reference.params, reference.rates).keeps_x_parity is False
+
+
 def _refuse_closed_form(alphas, shape):
     raise AssertionError("closed-form concurrence taken")
 
@@ -756,28 +770,46 @@ def _benchmark_models(rng, count):
             yield make_generator(deficit, ratio), state, 3.0 * 10.0 ** u[2], False
 
 
-def test_certified_batches_pass_the_sector_test(monkeypatch):
-    """Over 1,000 seeded inputs of the lifetime and common-bath benchmarks,
-    every batch whose mode selection's bound certifies it even passes the
-    per-batch test it skips, and every survival search batch of the
-    lifetime inputs is certified."""
+def _record_sectors(monkeypatch) -> dict:
+    """Counts of the concurrence batches the routes take even by structure
+    (``True``) and test (``False``); every batch must pass the per-batch
+    test."""
     seen = {True: 0, False: 0}
     original = dynamics._signed_concurrence
 
-    def checking(alphas, matrices=None, even=False):
-        if even:
-            assert states._is_x_even(alphas)
+    def recording(alphas, matrices=None, even=False):
+        assert states._is_x_even(alphas)
         seen[even] += 1
         return original(alphas, matrices, even)
 
-    monkeypatch.setattr(dynamics, "_signed_concurrence", checking)
+    monkeypatch.setattr(dynamics, "_signed_concurrence", recording)
+    return seen
+
+
+def test_certified_batches_pass_the_sector_test(monkeypatch):
+    """Over 1,000 seeded inputs of the lifetime and common-bath benchmarks,
+    every generator keeps the sectors and every state has no odd component,
+    so every batch of every route is certified even by that structure, and
+    each passes the per-batch test it skips."""
+    seen = _record_sectors(monkeypatch)
     for gen, state, horizon, lifetime in _benchmark_models(np.random.default_rng(3232), 1000):
         if lifetime:
-            tested = seen[False]
             survival_report(gen, state)
-            assert seen[False] == tested
         propagate(gen, state, default_time_grid(1.0, horizon))
+    assert seen[False] == 0
     assert seen[True] > 2000
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_an_odd_component_takes_the_per_batch_test(monkeypatch, route):
+    """A single odd component of 1e-14 is not exactly zero, so no route
+    takes its samples even by structure; each batch is tested, and passes,
+    since the component stays within the test's round-off."""
+    initial = werner(2.0 / 3.0).alpha.copy()
+    initial[flat_index(0, 2)] = 1e-14
+    seen = _record_sectors(monkeypatch)
+    _ROUTES[route](make_generator(0.05, 0.9), initial, default_time_grid(1.0, 30.0))
+    assert seen[True] == 0 and seen[False] > 0
 
 
 #: X on qubit 2 maps each alpha_ij to -alpha_ij for j = y, z
@@ -907,6 +939,14 @@ def test_threshold_ratio_values():
         assert generation_condition(r_star + 1e-9, lam)
 
 
+@pytest.mark.parametrize("lam", [-5.0, -6.0, -3.0 - 1e-12, 1.0 + 1e-12, math.nan, math.inf])
+def test_threshold_ratio_refuses_lambda_outside_its_domain(lam):
+    """A state's Lambda lies in [-3, 1]; outside it the formula divides by
+    zero at -5 and clamps -6 to R* = 1, so any other value is refused."""
+    with pytest.raises(ValueError, match=r"lambda_corr must lie in \[-3, 1\]"):
+        threshold_ratio(lam)
+
+
 class TestSurvivalTime:
     def test_closed_form_anchor(self):
         # scaled lifetime |lambda_1| t_c = ln 5.47576... = 1.700330
@@ -924,6 +964,8 @@ class TestSurvivalTime:
         assert survival_time(0.7, 0.0, 1.0) == 0.0  # nothing generated
         assert survival_time(1.0, -1.0, 1.0) == math.inf  # zero temperature
         assert survival_time(0.9, -1.0, 0.0) == math.inf  # frozen slow mode
+        # at the generation boundary the log argument rounds below 1
+        assert survival_time(0.7990072682569841, 0.08132795544014046, 0.05) == 0.0
         with pytest.raises(ValueError):
             survival_time(0.9, -1.0, -0.1)
 

@@ -171,18 +171,21 @@ def test_x_parity_signs_are_the_odd_components():
 
 def _assert_keeps_x_parity(gen):
     """The blocks coupling even and odd components are exactly zero: no
-    unit term couples them, so no sum of terms does."""
+    unit term couples them, so no sum of terms does, and the generator's
+    flag says so."""
     assert np.max(np.abs(gen.entries[np.outer(_X_SIGNS, _X_SIGNS) < 0.0])) == 0.0
+    assert gen.keeps_x_parity is True
 
 
 @pytest.mark.parametrize("case", GENERATOR_CASES)
 def test_generator_cases_keep_the_x_parity_sectors(case):
+    """Each generator keeps the sectors, and so its spectrum record says."""
     strengths = {key: case[key] for key in _STRENGTHS if key in case}
     delta_field = case.get("delta_field", DELTA_FIELD)
     gamma0 = case.get("gamma0", 1.0)
-    _assert_keeps_x_parity(
-        make_generator(case["deficit"], case["ratio"], delta_field, gamma0, **strengths)
-    )
+    gen = make_generator(case["deficit"], case["ratio"], delta_field, gamma0, **strengths)
+    _assert_keeps_x_parity(gen)
+    assert gen.spectrum.keeps_x_parity is True
 
 
 @pytest.mark.parametrize("lamb", [False, True])
