@@ -87,10 +87,10 @@ class SpectralDensity:
         if self.form not in (OHMIC, TABULATED):
             raise ValueError(f"unknown spectral form {self.form!r}")
         if self.form == OHMIC:
-            if not self.coupling >= 0:
-                raise ValueError("ohmic coupling must be non-negative")
-            if not self.cutoff_frequency > 0:
-                raise ValueError("a positive cutoff frequency is required")
+            if not 0 <= self.coupling < math.inf:
+                raise ValueError("ohmic coupling must be non-negative and finite")
+            if not 0 < self.cutoff_frequency < math.inf:
+                raise ValueError("a positive cutoff frequency is required, and a finite one")
             if self.cutoff_form not in (EXPONENTIAL_CUTOFF, HARD_CUTOFF):
                 raise ValueError(f"unknown cutoff form {self.cutoff_form!r}")
         else:
@@ -261,10 +261,10 @@ def thermal_occupation(delta_freq: float, temperature: float) -> float:
     occupation, and so does a ``Delta / T`` beyond ``expm1``'s range, where
     the occupation underflows.
     """
-    if not delta_freq > 0:
-        raise ValueError(f"frequency must be positive, got {delta_freq}")
-    if not temperature >= 0:
-        raise ValueError(f"temperature must be non-negative, got {temperature}")
+    if not 0 < delta_freq < math.inf:
+        raise ValueError(f"frequency must be positive, got {delta_freq}: it must lie in (0, inf)")
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be non-negative and finite, got {temperature}")
     if temperature == 0.0:
         return 0.0
     try:
@@ -326,8 +326,8 @@ def correlation_delta(
     ``(kappa d)^2 / (2 D)`` is used instead of the exact profile; the two
     agree to second order in ``kappa d``.
     """
-    if not delta_freq > 0:
-        raise ValueError(f"frequency must be positive, got {delta_freq}")
+    if not 0 < delta_freq < math.inf:
+        raise ValueError(f"frequency must be positive, got {delta_freq}: it must lie in (0, inf)")
     x = float(geometry.kappa(delta_freq)) * geometry.separation
     if approx:
         return x * x / (2.0 * geometry.dimension)

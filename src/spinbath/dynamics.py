@@ -467,8 +467,11 @@ def generation_condition(ratio: float, lambda_corr: float) -> bool:
 
     True when ``Lambda < (5 R^2 - 3) / (3 - R^2)`` - equivalently, when
     the concurrence envelope is positive at small times.  Colder baths
-    (larger ``R``) entangle a wider class of initial states.
+    (larger ``R``) entangle a wider class of initial states.  A NaN
+    argument raises ``ValueError``.
     """
+    if math.isnan(ratio) or math.isnan(lambda_corr):
+        raise ValueError(f"ratio and lambda_corr must not be NaN, got {ratio}, {lambda_corr}")
     r2 = ratio * ratio
     return lambda_corr < (5.0 * r2 - 3.0) / (3.0 - r2)
 
@@ -498,7 +501,8 @@ def survival_time(ratio: float, lambda_corr: float, slow_rate: float) -> float:
         t_c = (1/|lambda_1|) ln[ (R^2-Lambda)(R^2-3) / ((R^2+3)(R^2-1)) ],
 
     and 0 where that argument rounds to 1 or below, just inside the
-    generation boundary, so no lifetime is negative.
+    generation boundary, so no lifetime is negative.  A NaN argument
+    raises ``ValueError``.
     """
     if not slow_rate >= 0:
         raise ValueError(f"slow_rate must be non-negative, got {slow_rate}")

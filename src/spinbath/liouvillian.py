@@ -404,11 +404,12 @@ def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
     """The generator's labelled spectrum record.
 
     Reads :attr:`GeneratorMatrix.spectrum`, so a generator is eigensolved
-    once however often it is classified or propagated.  Labelling requires
-    a strictly positive correlation deficit; at ``delta = 0`` the zero
-    eigenvalue is degenerate and no unique thermal mode exists.  An
-    unlabelled record raises :class:`DegenerateSpectrumError` with its
-    reason on every call.  The condition number is not judged here: a
+    once however often it is classified or propagated.  At ``delta = 0``
+    the zero eigenvalue is doubled, so no unique thermal mode exists:
+    labelling refuses it by the rule of every deficit, two eigenvalues
+    within 1e-9 gamma0 of zero, once no mode grows.  An unlabelled record
+    raises :class:`DegenerateSpectrumError` with its reason on every
+    call.  The condition number is not judged here: a
     labelled record is returned at any ``cond``, and only a mode sum
     (:func:`mode_coefficients`) refuses an ill-conditioned one.
 
@@ -487,9 +488,11 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
     )
 
 
-#: the deficits other than 0 whose spectra are exactly degenerate, and
-#: what they mean; labelling refuses within ~3e-10 of each
+#: the deficits whose spectra are exactly degenerate, and what they mean;
+#: labelling refuses each, and deficits within ~1e-9 of it, unless
+#: round-off at a huge coherent strength splits the degenerate modes
 _DEGENERATE_DEFICITS = (
+    (0.0, "perfectly correlated baths"),
     (1.0, "independent baths"),
     (2.0, "perfectly anti-correlated baths, the common bath's dual under delta -> 2 - delta"),
 )
@@ -523,15 +526,10 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
     pair sits at adjacent indices ``(k, k + 1)``, exactly conjugate in
     value and eigenvector, positive imaginary part first; so an odd number
     of the fifteen other modes, at least one, is real.  A growing mode
-    (:func:`_grows`), which no Lindblad generator has, or a spectrum
-    without a unique label for each mode raises
-    :class:`DegenerateSpectrumError`.
+    (:func:`_grows`), which no Lindblad generator has, and then a spectrum
+    without a unique label for each mode raise
+    :class:`DegenerateSpectrumError`, in that order at every deficit.
     """
-    if rates.delta <= 0.0:
-        raise DegenerateSpectrumError(
-            "spectrum classification needs delta > 0; the zero eigenvalue is "
-            "degenerate for perfectly correlated baths"
-        )
     gamma0 = rates.gamma0
     tol = 1e-9 * gamma0
     vals = values.tolist()
@@ -556,6 +554,8 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
     thermal = zero_modes[0]
 
     def first(candidates: list, name: str) -> int:
+        if not candidates:
+            raise DegenerateSpectrumError(f"no {name} candidate" + _deficit_note(rates.delta))
         if len(candidates) > 1:
             lead, runner = candidates[:2]
             if abs(vals[lead].real - vals[runner].real) < 1e-10 * gamma0:
@@ -566,10 +566,7 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
         return candidates[0]
 
     slow = first([k for k in order if k != thermal and abs(vals[k].imag) < tol], "slow-mode")
-    upper = [k for k in order if vals[k].imag >= tol]
-    if not upper:
-        raise DegenerateSpectrumError("no conjugate pair available as oscillatory")
-    osc = first(upper, "oscillatory-pair")
+    osc = first([k for k in order if vals[k].imag >= tol], "oscillatory-pair")
 
     labelled = (thermal, slow, osc, osc + 1)
     return list(labelled) + [k for k in order if k not in labelled]
@@ -592,6 +589,7 @@ def mode_coefficients(report: SpectrumReport, initial) -> np.ndarray:
     """
     # a growing-mode refusal lists the growing modes as its candidates; no
     # other refusal's candidates grow, since labelling refuses growth first
+    # at every deficit
     if report.reason is not None and any(_grows(c, report.gamma0) for c in report.reason[1]):
         raise DegenerateSpectrumError(*report.reason)
     if not (report.cond_bound <= _CERTIFIED_COND or report.cond <= _MODE_SUM_MAX_COND):

@@ -674,6 +674,9 @@ _NAN = math.nan
             "frequency must be positive",
         ),
         (lambda: dynamics.survival_time(0.9, -1.0, _NAN), "slow_rate must be non-negative"),
+        (lambda: dynamics.survival_time(0.9, _NAN, 0.05), "must not be NaN"),
+        (lambda: dynamics.survival_time(_NAN, -1.0, 0.05), "must not be NaN"),
+        (lambda: dynamics.generation_condition(0.9, _NAN), "must not be NaN"),
         (lambda: dynamics.thermal_bath_condition(_NAN, 1.0), "inverse temperatures"),
         (lambda: dynamics.thermal_bath_condition(1.0, _NAN), "inverse temperatures"),
         (lambda: dynamics.thermal_bath_condition_asymptotic(_NAN, 1.0), "inverse temperatures"),
@@ -687,6 +690,9 @@ _NAN = math.nan
         "geometry-velocity",
         "lamb-shift",
         "survival-time",
+        "survival-time-lambda",
+        "survival-time-ratio",
+        "generation-condition",
         "bath-condition-bath",
         "bath-condition-qubits",
         "bath-condition-asymptotic",
@@ -697,5 +703,39 @@ def test_nan_is_refused_by_the_range_guards(call, message):
     what is not in range, and NaN gets the guard's own ``ValueError``
     instead of a NaN result, a verdict of ``False`` or a quadrature
     failure."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: thermal_occupation(1.0, math.inf),
+            "temperature must be non-negative and finite, got inf",
+        ),
+        (
+            lambda: BathThermal.from_temperature(1.0, math.inf),
+            "temperature must be non-negative and finite, got inf",
+        ),
+        (
+            lambda: SpectralDensity.ohmic(0.1, math.inf),
+            "cutoff frequency is required, and a finite one",
+        ),
+        (
+            lambda: SpectralDensity.ohmic(math.inf, 10.0),
+            "coupling must be non-negative and finite",
+        ),
+        (
+            lambda: correlation_delta(BathGeometry(0.5, 2), math.inf),
+            "frequency must be positive, got inf",
+        ),
+    ],
+    ids=["occupation", "from-temperature", "ohmic-cutoff", "ohmic-coupling", "correlation-delta"],
+)
+def test_infinity_is_refused_by_the_range_guards(call, message):
+    """An infinite temperature, cutoff, coupling or splitting has no finite
+    result (a division by zero, an unbounded quadrature, infinite rates or
+    a NaN profile), so the guard refuses it with its ``ValueError``."""
     with pytest.raises(ValueError, match=message):
         call()

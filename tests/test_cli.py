@@ -120,6 +120,11 @@ def test_degenerate_spectrum_is_numerical_failure(capsys):
     "scenario, delta, reason",
     [
         pytest.param(
+            "spectrum", "0",
+            "expected exactly one zero mode, found 2 at delta = 0.0 (perfectly correlated baths)",
+            id="0",
+        ),
+        pytest.param(
             "spectrum", "1",
             "two slow-mode candidates are degenerate at delta = 1.0 (independent baths)",
             id="1",
@@ -139,8 +144,9 @@ def test_degenerate_spectrum_is_numerical_failure(capsys):
     ],
 )
 def test_degenerate_deficits_are_named(capsys, scenario, delta, reason):
-    """Independent baths (delta = 1) and the anti-correlated dual of the
-    common bath (delta = 2) double a mode; the refusal names the deficit."""
+    """The common bath (delta = 0), independent baths (delta = 1) and the
+    common bath's anti-correlated dual (delta = 2) double a mode; the
+    refusal names the deficit."""
     code, out, err = invoke(capsys, "--scenario", scenario, "--set", f"delta={delta}")
     assert (code, out) == (3, "")
     assert err == f"numerical failure: {reason}\n"
@@ -157,13 +163,24 @@ def test_overflowing_generator_is_numerical_failure(capsys, override):
     assert caught == []
 
 
-@pytest.mark.parametrize("lamb_b", ["1e18", "1e30"])
-def test_growing_modes_are_numerical_failures(capsys, lamb_b):
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param(("lamb_b=1e18",), id="1e18"),
+        pytest.param(("lamb_b=1e30",), id="1e30"),
+        pytest.param(("delta=0", "lamb_b=1e18"), id="0-1e18"),
+    ],
+)
+def test_growing_modes_are_numerical_failures(capsys, overrides):
     """A spectrum with growing modes, from eigensolver error at a huge
-    coherent strength, is refused by name rather than printed."""
+    coherent strength, is refused by name rather than printed; at the
+    common bath too, before its doubled zero mode."""
+    argv = ["--scenario", "spectrum"]
+    for override in overrides:
+        argv += ["--set", override]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = invoke(capsys, "--scenario", "spectrum", "--set", f"lamb_b={lamb_b}")
+        code, out, err = invoke(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("numerical failure: growing mode (")
     assert caught == []

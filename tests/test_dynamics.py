@@ -470,27 +470,38 @@ def test_overflowing_mode_sums_are_numerical_failures(route, lamb_b, factory):
     assert caught == []
 
 
-@pytest.mark.parametrize("horizon", [0.01, 0.1, 1.0])
-def test_growing_mode_records_are_not_summed(monkeypatch, horizon):
-    """At lamb_b = 1e18 eigensolver error leaves a mode growing (its rate,
-    ~20 here, is round-off of the 1e18 entries), so the record is
-    unlabelled.  Every mode sum refuses it with its
-    own reason, as ``survival_report`` does, at any horizon, and
-    ``propagate`` does not step it by matrix exponentials instead: that
-    route is no sounder there, and refuses its own samples
-    (:func:`test_ode_refuses_the_states_it_makes`)."""
-    gen = make_generator(0.05, 0.9, lamb_b=1e18)
+@pytest.mark.parametrize(
+    "deficit, lamb_b, horizon",
+    [pytest.param(0.05, 1e18, horizon, id=str(horizon)) for horizon in (0.01, 0.1, 1.0)]
+    + [
+        pytest.param(0.0, lamb_b, horizon, id=f"0-{lamb_b:g}-{horizon}")
+        for lamb_b in (1e16, 1e18, 1e30, 1e300)
+        for horizon in (0.01, 0.1, 1.0)
+    ],
+)
+def test_growing_mode_records_are_not_summed(monkeypatch, deficit, lamb_b, horizon):
+    """At a huge lamb_b eigensolver error leaves a mode growing (at 1e18
+    and deficit 0.05 its rate, ~20, is round-off of the 1e18 entries), so
+    the record is unlabelled.  The common bath (deficit 0) is no exception:
+    growth is refused before its doubled zero mode.  Every mode sum refuses
+    the record with its own reason, as ``survival_report`` does, at any
+    horizon and for either state, and ``propagate`` does not step it by
+    matrix exponentials instead: that route is no sounder there, and
+    refuses its own samples (:func:`test_ode_refuses_the_states_it_makes`)."""
+    gen = make_generator(deficit, 0.9, lamb_b=lamb_b)
     ode_calls = []
     monkeypatch.setattr(dynamics, "propagate_ode", lambda *args: ode_calls.append(args))
     times = np.linspace(0.0, horizon, 5)
     messages = []
-    for route in ("propagate", "propagate_spectral", "survival_report"):
+    for initial in (z_up_down(), werner(0.5)):
+        for route in ("propagate", "propagate_spectral", "survival_report"):
+            with pytest.raises(DegenerateSpectrumError, match=r"growing mode \(") as info:
+                _ROUTES[route](gen, initial, times)
+            messages.append(str(info.value))
         with pytest.raises(DegenerateSpectrumError, match=r"growing mode \(") as info:
-            _ROUTES[route](gen, z_up_down(), times)
+            mode_coefficients(gen.spectrum, initial)
         messages.append(str(info.value))
-    assert messages == [gen.spectrum.reason[0]] * 3
-    with pytest.raises(DegenerateSpectrumError, match="growing mode"):
-        mode_coefficients(gen.spectrum, z_up_down())
+    assert messages == [gen.spectrum.reason[0]] * 8
     assert ode_calls == []
 
 
@@ -681,8 +692,7 @@ def test_one_eigensolve_per_generator(eig_calls):
             classify_spectrum(gen)
         messages.append(str(info.value))
     assert messages == [
-        "spectrum classification needs delta > 0; the zero eigenvalue is "
-        "degenerate for perfectly correlated baths"
+        "expected exactly one zero mode, found 2 at delta = 0.0 (perfectly correlated baths)"
     ] * 2
     assert gen.spectrum.labels is None
     with pytest.raises(DegenerateSpectrumError):

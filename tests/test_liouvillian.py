@@ -360,15 +360,36 @@ def test_sweep_builds_and_labels_only_decaying_spectra():
     assert labelled >= 190
 
 
-@pytest.mark.parametrize("lamb_b", [1e18, 1e30])
-def test_growing_modes_are_refused_by_name(lamb_b):
+@pytest.mark.parametrize(
+    "deficit, lamb_b",
+    [
+        pytest.param(0.05, 1e18, id="1e+18"),
+        pytest.param(0.05, 1e30, id="1e+30"),
+        pytest.param(0.0, 1e18, id="0-1e+18"),
+        pytest.param(0.0, 1e30, id="0-1e+30"),
+    ],
+)
+def test_growing_modes_are_refused_by_name(deficit, lamb_b):
     """At huge strengths eigensolver error leaves modes with a positive
-    real part, which no Lindblad generator has; labelling refuses them."""
-    gen = make_generator(0.05, 0.9, lamb_b=lamb_b)
+    real part, which no Lindblad generator has; labelling refuses them
+    first, at the common bath's doubled zero mode too."""
+    gen = make_generator(deficit, 0.9, lamb_b=lamb_b)
     assert gen.spectrum.labels is None
-    with pytest.raises(DegenerateSpectrumError, match="growing mode") as info:
+    with pytest.raises(DegenerateSpectrumError, match=r"growing mode \(") as info:
         classify_spectrum(gen)
     assert all(value.real > 1e-9 for value in info.value.candidates)
+
+
+def test_real_spectrum_has_no_oscillatory_pair():
+    """A spectrum without a complex pair leaves the oscillatory label
+    without a candidate, and labelling names it."""
+    rates = RateSet.from_parameters(1.0, BathThermal.from_ratio(0.9), 0.05)
+    gen = GeneratorMatrix(np.diag(-np.arange(16.0)), ModelParams(DELTA_FIELD), rates)
+    assert gen.spectrum.labels is None
+    with pytest.raises(
+        DegenerateSpectrumError, match=r"^no oscillatory-pair candidate at delta = 0.05$"
+    ):
+        classify_spectrum(gen)
 
 
 def test_spectrum_closed_under_conjugation(reference_spectrum):
