@@ -262,7 +262,7 @@ def thermal_occupation(delta_freq: float, temperature: float) -> float:
     the occupation underflows.
     """
     if not 0 < delta_freq < math.inf:
-        raise ValueError(f"frequency must be positive, got {delta_freq}: it must lie in (0, inf)")
+        raise ValueError(f"frequency must be positive and finite, got {delta_freq}")
     if not 0 <= temperature < math.inf:
         raise ValueError(f"temperature must be non-negative and finite, got {temperature}")
     if temperature == 0.0:
@@ -327,7 +327,7 @@ def correlation_delta(
     agree to second order in ``kappa d``.
     """
     if not 0 < delta_freq < math.inf:
-        raise ValueError(f"frequency must be positive, got {delta_freq}: it must lie in (0, inf)")
+        raise ValueError(f"frequency must be positive and finite, got {delta_freq}")
     x = float(geometry.kappa(delta_freq)) * geometry.separation
     if approx:
         return x * x / (2.0 * geometry.dimension)
@@ -520,8 +520,8 @@ def lamb_shift_coefficients(
     ill-defined; non-convergence, or an error estimate above that
     tolerance, raises :class:`NumericalFailureError`.
     """
-    if not delta_freq > 0:
-        raise ValueError(f"frequency must be positive, got {delta_freq}")
+    if not 0 < delta_freq < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {delta_freq}")
     upper = spectral.support_limit()
     floor = 1e-12 * delta_freq
 

@@ -405,10 +405,11 @@ def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
 
     Reads :attr:`GeneratorMatrix.spectrum`, so a generator is eigensolved
     once however often it is classified or propagated.  At ``delta = 0``
-    the zero eigenvalue is doubled, so no unique thermal mode exists:
-    labelling refuses it by the rule of every deficit, two eigenvalues
-    within 1e-9 gamma0 of zero, once no mode grows.  An unlabelled record
-    raises :class:`DegenerateSpectrumError` with its reason on every
+    and at its dual ``delta = 2`` the zero eigenvalue is exactly doubled,
+    so no unique thermal mode exists: once no mode grows, labelling
+    refuses both with the zero-mode refusal of every deficit, however far
+    round-off at a huge coherent strength splits the pair.  An unlabelled
+    record raises :class:`DegenerateSpectrumError` with its reason on every
     call.  The condition number is not judged here: a
     labelled record is returned at any ``cond``, and only a mode sum
     (:func:`mode_coefficients`) refuses an ill-conditioned one.
@@ -489,8 +490,7 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
 
 
 #: the deficits whose spectra are exactly degenerate, and what they mean;
-#: labelling refuses each, and deficits within ~1e-9 of it, unless
-#: round-off at a huge coherent strength splits the degenerate modes
+#: labelling refuses each, and deficits within ~1e-9 of it
 _DEGENERATE_DEFICITS = (
     (0.0, "perfectly correlated baths"),
     (1.0, "independent baths"),
@@ -544,7 +544,10 @@ def _label_order(rates: RateSet, values: np.ndarray) -> list:
             candidates=values[growing],
         )
 
-    zero_modes = [k for k in order if abs(vals[k]) < tol]
+    # at delta = 0 and its dual 2 the zero eigenvalue is exactly doubled, so
+    # its modes are the two slowest, however far round-off splits them
+    exact_pair = rates.delta in (0.0, 2.0)
+    zero_modes = order[:2] if exact_pair else [k for k in order if abs(vals[k]) < tol]
     if len(zero_modes) != 1:
         raise DegenerateSpectrumError(
             f"expected exactly one zero mode, found {len(zero_modes)}"

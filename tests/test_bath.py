@@ -295,7 +295,7 @@ class TestCorrelationDelta:
             BathGeometry(dimension=0)
         with pytest.raises(ValueError):
             BathGeometry(velocity=0.0)
-        with pytest.raises(ValueError, match="frequency must be positive, got 0.0"):
+        with pytest.raises(ValueError, match="frequency must be positive and finite, got 0.0"):
             correlation_delta(BathGeometry(), 0.0)
 
 
@@ -728,10 +728,23 @@ def test_nan_is_refused_by_the_range_guards(call, message):
         ),
         (
             lambda: correlation_delta(BathGeometry(0.5, 2), math.inf),
-            "frequency must be positive, got inf",
+            "frequency must be positive and finite, got inf",
+        ),
+        (
+            lambda: lamb_shift_coefficients(
+                SpectralDensity.ohmic(0.1, 10.0), BathThermal(0.3), BathGeometry(), math.inf
+            ),
+            "frequency must be positive and finite, got inf",
         ),
     ],
-    ids=["occupation", "from-temperature", "ohmic-cutoff", "ohmic-coupling", "correlation-delta"],
+    ids=[
+        "occupation",
+        "from-temperature",
+        "ohmic-cutoff",
+        "ohmic-coupling",
+        "correlation-delta",
+        "lamb-shift",
+    ],
 )
 def test_infinity_is_refused_by_the_range_guards(call, message):
     """An infinite temperature, cutoff, coupling or splitting has no finite

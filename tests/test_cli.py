@@ -117,37 +117,52 @@ def test_degenerate_spectrum_is_numerical_failure(capsys):
 
 
 @pytest.mark.parametrize(
-    "scenario, delta, reason",
+    "scenario, overrides, reason",
     [
         pytest.param(
-            "spectrum", "0",
+            "spectrum", ("delta=0",),
             "expected exactly one zero mode, found 2 at delta = 0.0 (perfectly correlated baths)",
             id="0",
         ),
         pytest.param(
-            "spectrum", "1",
+            "spectrum", ("delta=1",),
             "two slow-mode candidates are degenerate at delta = 1.0 (independent baths)",
             id="1",
         ),
         pytest.param(
-            "fig2-trajectories", "0.9999999999",
+            "fig2-trajectories", ("delta=0.9999999999",),
             "two oscillatory-pair candidates are degenerate at delta = 0.9999999999 "
             "(independent baths)",
             id="1-1e-10",
         ),
         pytest.param(
-            "spectrum", "2",
+            "spectrum", ("delta=2",),
             "expected exactly one zero mode, found 2 at delta = 2.0 (perfectly "
             "anti-correlated baths, the common bath's dual under delta -> 2 - delta)",
             id="2",
         ),
+        pytest.param(
+            "spectrum", ("delta=0", "lamb_b=1e10"),
+            "expected exactly one zero mode, found 2 at delta = 0.0 (perfectly correlated baths)",
+            id="0-1e10",
+        ),
+        pytest.param(
+            "spectrum", ("delta=2", "lamb_b=1e12"),
+            "expected exactly one zero mode, found 2 at delta = 2.0 (perfectly "
+            "anti-correlated baths, the common bath's dual under delta -> 2 - delta)",
+            id="2-1e12",
+        ),
     ],
 )
-def test_degenerate_deficits_are_named(capsys, scenario, delta, reason):
+def test_degenerate_deficits_are_named(capsys, scenario, overrides, reason):
     """The common bath (delta = 0), independent baths (delta = 1) and the
     common bath's anti-correlated dual (delta = 2) double a mode; the
-    refusal names the deficit."""
-    code, out, err = invoke(capsys, "--scenario", scenario, "--set", f"delta={delta}")
+    refusal names the deficit.  The doubled zero mode is refused even where
+    round-off at a huge coherent strength splits it by more than 1e-9."""
+    argv = ["--scenario", scenario]
+    for override in overrides:
+        argv += ["--set", override]
+    code, out, err = invoke(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == f"numerical failure: {reason}\n"
 

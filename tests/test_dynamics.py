@@ -513,6 +513,20 @@ def test_survival_report_refuses_growing_modes():
         survival_report(gen, werner(2.0 / 3.0))
 
 
+@pytest.mark.parametrize("lamb_b", [1e10, 1e12])
+@pytest.mark.parametrize("deficit", [0.0, 2.0])
+def test_survival_report_refuses_a_split_doubled_zero_mode(deficit, lamb_b):
+    """At deficit 0 and its dual 2 the zero eigenvalue is exactly doubled,
+    so no slow mode exists to time.  At a huge lamb_b round-off splits the
+    pair by more than 1e-9 gamma0; the lifetime is refused all the same,
+    not read off the round-off (t_c ~ 1e7 where it is infinite)."""
+    gen = make_generator(deficit, 0.9, lamb_b=lamb_b)
+    pair = gen.spectrum.reason[1]
+    assert len(pair) == 2 and np.max(np.abs(pair)) > 1e-9
+    with pytest.raises(DegenerateSpectrumError, match="expected exactly one zero mode, found 2"):
+        survival_report(gen, werner(0.5))
+
+
 @pytest.mark.parametrize(
     "factory",
     [z_up_down, bell_singlet, lambda: state_for_correlation(0.5)],
