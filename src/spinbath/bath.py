@@ -234,8 +234,13 @@ class BathThermal:
         Uses ``Delta / 2T = log(1 + 1/N) / 2``, which equals ``artanh(R)``
         but stays finite where ``R = 1/(1 + 2N)`` rounds to 1 at a tiny
         positive N.  At zero temperature (N = 0) the factor is identically 1
-        for positive frequencies.
+        for positive frequencies.  A splitting outside (0, inf) or a NaN
+        ``omega`` raises ``ValueError``; ``omega = 0`` is the pole, ``inf``.
         """
+        if not 0 < delta_freq < math.inf or math.isnan(omega):
+            raise ValueError(
+                f"frequency must be positive and finite, got {delta_freq} (omega = {omega})"
+            )
         return self._coth(delta_freq)(omega)
 
     def _coth(self, delta_freq: float) -> Callable[[float], float]:

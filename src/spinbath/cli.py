@@ -127,13 +127,13 @@ def _read_config_file(path: str) -> dict:
     return pairs
 
 
-def _model_pieces(delta: float, ratio: float, delta_field: float):
-    """Rates (gamma0 = 1 units) and field parameters for a scenario; an
-    out-of-range ratio or deficit raises the model's ``ValueError``."""
-    thermal = BathThermal.from_ratio(ratio)
-    rates = RateSet.from_parameters(1.0, thermal, delta)
-    params = ModelParams(delta_field=delta_field)
-    return rates, params
+def _labelled_record(delta: float, ratio: float, **coherent):
+    """The labelled spectrum record of a scenario's model, in gamma0 = 1
+    units, with the :class:`ModelParams` fields ``coherent``.  An
+    out-of-range ratio, deficit or field raises the model's ``ValueError``,
+    and an unlabelled spectrum its ``DegenerateSpectrumError``."""
+    rates = RateSet.from_parameters(1.0, BathThermal.from_ratio(ratio), delta)
+    return classify_spectrum(build_generator(ModelParams(**coherent), rates))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,7 @@ def _run_fig1(values: dict, fmt: str) -> str:
     ratios = np.linspace(values["r_min"], values["r_max"], values["r_points"]).tolist()
     rows = []
     for ratio in ratios:
-        rates, params = _model_pieces(values["delta"], ratio, values["delta_field"])
-        report = classify_spectrum(build_generator(params, rates))
+        report = _labelled_record(values["delta"], ratio, delta_field=values["delta_field"])
         slow = -report.slow_eigenvalue
         _check_horizon(values["lt_max"] / slow, float(np.max(np.abs(report.eigenvalues))))
         trajectory = propagate_spectral(report, initial, lt_grid / slow)
@@ -178,12 +177,13 @@ _FIG2_SPLITTING = 10.0
 
 
 def _run_fig2(values: dict, fmt: str, dressed: bool = False) -> str:
-    rates, params = _model_pieces(values["delta"], values["r"], _FIG2_SPLITTING)
-    report = classify_spectrum(build_generator(params, rates))
+    model = (values["delta"], values["r"])
+    report = _labelled_record(*model, delta_field=_FIG2_SPLITTING)
     if dressed:
         strength = 1.0 / (2.0 * -report.slow_eigenvalue)
-        params = ModelParams(_FIG2_SPLITTING, lamb_b=strength, exchange_xi=strength)
-        report = classify_spectrum(build_generator(params, rates))
+        report = _labelled_record(
+            *model, delta_field=_FIG2_SPLITTING, lamb_b=strength, exchange_xi=strength
+        )
     slow_used = -report.slow_eigenvalue
 
     ratio = values["r"]
@@ -210,14 +210,8 @@ def _run_fig2(values: dict, fmt: str, dressed: bool = False) -> str:
 
 
 def _run_spectrum(values: dict, fmt: str) -> str:
-    rates, _ = _model_pieces(values["delta"], values["r"], values["delta_field"])
-    params = ModelParams(
-        delta_field=values["delta_field"],
-        lamb_a=values["lamb_a"],
-        lamb_b=values["lamb_b"],
-        exchange_xi=values["exchange_xi"],
-    )
-    report = classify_spectrum(build_generator(params, rates))
+    coherent = {field.name: values[field.name] for field in fields(ModelParams)}
+    report = _labelled_record(values["delta"], values["r"], **coherent)
     if fmt == "json":
         return spectrum_to_json(report) + "\n"
     rows = [

@@ -465,15 +465,17 @@ def analytic_concurrence(
 def generation_condition(ratio: float, lambda_corr: float) -> bool:
     """Whether long-lived entanglement appears at all.
 
-    True when ``Lambda < (5 R^2 - 3) / (3 - R^2)`` - equivalently, when
-    the concurrence envelope is positive at small times.  Colder baths
-    (larger ``R``) entangle a wider class of initial states.  A NaN
-    argument raises ``ValueError``.
+    True when ``Lambda < (5 R^2 - 3) / (3 - R^2)``, decided as the sign of
+    the numerator ``(R^2-1)(R^2+3) + (R^2-Lambda)(3-R^2)`` that
+    :func:`analytic_concurrence` forms at t = 0, so that the verdict is
+    exactly whether the envelope starts positive, even within an ulp of the
+    threshold.  Colder baths (larger ``R``) entangle a wider class of
+    initial states.  A NaN argument raises ``ValueError``.
     """
     if math.isnan(ratio) or math.isnan(lambda_corr):
         raise ValueError(f"ratio and lambda_corr must not be NaN, got {ratio}, {lambda_corr}")
     r2 = ratio * ratio
-    return lambda_corr < (5.0 * r2 - 3.0) / (3.0 - r2)
+    return (r2 - 1.0) * (r2 + 3.0) + (r2 - lambda_corr) * (3.0 - r2) > 0.0
 
 
 def threshold_ratio(lambda_corr: float) -> float:
@@ -498,11 +500,13 @@ def survival_time(ratio: float, lambda_corr: float, slow_rate: float) -> float:
     perfectly correlated bath) - in both cases the envelope stays
     positive forever.  Otherwise
 
-        t_c = (1/|lambda_1|) ln[ (R^2-Lambda)(R^2-3) / ((R^2+3)(R^2-1)) ],
+        t_c = (1/|lambda_1|) ln[ (R^2-Lambda)(R^2-3) / ((R^2+3)(R^2-1)) ].
 
-    and 0 where that argument rounds to 1 or below, just inside the
-    generation boundary, so no lifetime is negative.  A NaN argument
-    raises ``ValueError``.
+    Where entanglement is generated, the rounded numerator of that
+    argument exceeds its rounded denominator in magnitude (they are the two
+    terms of the envelope's numerator at t = 0, whose sign
+    :func:`generation_condition` reads), so the argument is at least 1 and
+    no lifetime is negative.  A NaN argument raises ``ValueError``.
     """
     if not slow_rate >= 0:
         raise ValueError(f"slow_rate must be non-negative, got {slow_rate}")
@@ -512,7 +516,7 @@ def survival_time(ratio: float, lambda_corr: float, slow_rate: float) -> float:
     if r2 >= 1.0 or slow_rate == 0.0:
         return math.inf
     argument = (r2 - lambda_corr) * (r2 - 3.0) / ((r2 + 3.0) * (r2 - 1.0))
-    return math.log(argument) / slow_rate if argument > 1.0 else 0.0
+    return math.log(argument) / slow_rate
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ unique and no mode grows.  Reading it never raises.
 raises the reason when it is not.  Whether the eigenbasis is
 sound enough to sum is decided in one place, :func:`mode_coefficients`,
 the first step of every mode sum: it sums either kind of record up to a
-condition number of 1e6 of ``eig``'s eigenvector matrix and raises
-:class:`DefectiveSpectrumError` above, and it refuses a record left
+condition number of 1e6 of its eigenvector matrix with unit columns and
+raises :class:`DefectiveSpectrumError` above, and it refuses a record left
 unlabelled by a growing mode with that reason.  The certificate passes
 almost every record, so the SVD behind the condition number itself runs
 only for a refusal or when it is read.
@@ -322,19 +322,18 @@ class SpectrumReport:
     :class:`DegenerateSpectrumError`.
 
     Conditioning, which :func:`mode_coefficients` gates before any mode
-    sum, is kept three ways:
+    sum, is read from ``U``, the columns of ``right`` scaled to unit length:
+    ``eig``'s eigenvector matrix up to column order and unit phases, so with
+    its singular values.  It is kept three ways:
 
     * ``kappa[k] = |left[k]| |right[:, k]|``, the condition number of
       eigenvalue k; it does not depend on how the eigenvectors are scaled.
-    * ``cond_bound``, the certificate ``B = |V|_F |V^-1|_F`` of ``eig``'s
-      eigenvector matrix ``V`` (``eig_vectors``, unit columns, in ``eig``'s
-      order).  The row of ``V^-1`` for mode k has norm
-      ``kappa[k] / |V_k|``, so ``B`` needs no second inverse, and ``B >= cond`` (Golub & Van Loan,
-      *Matrix Computations*, sections 2.3 and 7.2).
-    * ``cond``, the 2-norm condition number of ``eig_vectors`` by SVD,
-      computed on first read.  The reordering and rescaling of a labelled
-      record change the condition number, so this is not that of
-      ``right``.
+    * ``cond_bound``, the certificate ``B = |U|_F |U^-1|_F = 4 |kappa|_2``:
+      the 16 columns of ``U`` have unit norm and row k of ``U^-1`` has norm
+      ``kappa[k]``, so ``B`` needs no second inverse, and ``B >= cond``
+      (Golub & Van Loan, *Matrix Computations*, sections 2.3 and 7.2).
+    * ``cond``, the 2-norm condition number of ``U`` by SVD, computed on
+      first read.
 
     ``keeps_x_parity`` is the generator's
     :attr:`GeneratorMatrix.keeps_x_parity`, kept for the mode sums, which
@@ -349,7 +348,6 @@ class SpectrumReport:
     fast_violations: tuple
     kappa: np.ndarray
     cond_bound: float
-    eig_vectors: np.ndarray
     keeps_x_parity: bool
     reason: Optional[tuple] = None
 
@@ -358,13 +356,13 @@ class SpectrumReport:
             arr = np.asarray(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        for name in ("kappa", "eig_vectors"):
-            getattr(self, name).setflags(write=False)
+        self.kappa.setflags(write=False)
 
     @cached_property
     def cond(self) -> float:
-        """2-norm condition number of ``eig_vectors``, by SVD on first read."""
-        return float(np.linalg.cond(self.eig_vectors))
+        """2-norm condition number of ``right`` scaled to unit columns, by SVD
+        on first read."""
+        return float(np.linalg.cond(self.right / np.linalg.norm(self.right, axis=0)))
 
     @property
     def labels(self) -> Optional[tuple]:
@@ -389,11 +387,12 @@ class SpectrumReport:
         return float(self.eigenvalues[self.slow_index].real)
 
 
-#: largest condition number (2-norm, by SVD) of ``eig``'s eigenvector
-#: matrix for which a mode sum runs, labelled or not.  Near the common bath
-#: it stays below 5e3 for ratios up to 0.999999.  At R = 1 it is
-#: ~7 / delta for deficits from 5e-8 to 1e-5, and from 7e6 up (delta <=
-#: 1e-6) the mode sum drifts from the matrix exponential by 3e-10 to 3e-9.
+#: largest condition number (2-norm, by SVD) of the record's eigenvector
+#: matrix with unit columns for which a mode sum runs, labelled or not.
+#: Near the common bath it stays below 5e3 for ratios up to 0.999999.  At
+#: R = 1 it is ~7 / delta for deficits from 5e-8 to 1e-5, and from 7e6 up
+#: (delta <= 1e-6) the mode sum drifts from the matrix exponential by 3e-10
+#: to 3e-9.
 _MODE_SUM_MAX_COND = 1e6
 #: a certificate ``cond_bound`` at or below this passes the gate without an
 #: SVD; the margin covers the rounding of both the bound and the SVD
@@ -429,8 +428,7 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
 
     A spectrum that :func:`_label_order` refuses keeps ``eig``'s order and
     scaling, with the refusal as its ``reason``.  The mode condition
-    numbers and the certificate are recorded, not judged, and so is
-    ``eig``'s eigenvector matrix, for an SVD condition number on demand.
+    numbers and the certificate are recorded, not judged.
     """
     rates = generator.rates
     values, vectors = np.linalg.eig(generator.entries)
@@ -469,11 +467,8 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
     with np.errstate(over="ignore", invalid="ignore"):
         right_abs, left_abs = np.abs(right), np.abs(left)
         kappa = np.sqrt(np.vecdot(right_abs, right_abs, axis=0) * np.vecdot(left_abs, left_abs))
-        # row k of eig's inverse, in the record's order, has norm kappa[k] / |V_k|
-        inverse_rows = kappa / vector_norms
-        cond_bound = math.sqrt(
-            np.vecdot(vector_norms, vector_norms) * np.vecdot(inverse_rows, inverse_rows)
-        )
+        # |U|_F = 4 for 16 unit columns, and row k of U^-1 has norm kappa[k]
+        cond_bound = 4.0 * math.sqrt(np.vecdot(kappa, kappa))
     return SpectrumReport(
         eigenvalues=values,
         right=right,
@@ -483,7 +478,6 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
         fast_violations=violations,
         kappa=kappa,
         cond_bound=cond_bound,
-        eig_vectors=vectors,
         keeps_x_parity=generator.keeps_x_parity,
         reason=reason,
     )
@@ -585,10 +579,10 @@ def mode_coefficients(report: SpectrumReport, initial) -> np.ndarray:
     with two exceptions.  A record left unlabelled because a mode grows
     raises its own :class:`DegenerateSpectrumError`: no Lindblad generator
     has such a mode, so its sum is no state.  And the eigenbasis must be
-    sound: the condition number of ``eig``'s eigenvector matrix may not
-    exceed 1e6.  A certificate ``cond_bound`` a hair below that passes the
-    record without an SVD; only otherwise is ``cond`` read, and above 1e6
-    :class:`DefectiveSpectrumError` names both numbers.
+    sound: the condition number ``cond`` of its eigenvector matrix with
+    unit columns may not exceed 1e6.  A certificate ``cond_bound`` a hair
+    below that passes the record without an SVD; only otherwise is ``cond``
+    read, and above 1e6 :class:`DefectiveSpectrumError` names both numbers.
     """
     # a growing-mode refusal lists the growing modes as its candidates; no
     # other refusal's candidates grow, since labelling refuses growth first

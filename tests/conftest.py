@@ -2,6 +2,7 @@ import platform
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from spinbath.bath import BathThermal, RateSet
 from spinbath.liouvillian import ModelParams, build_generator, classify_spectrum
@@ -13,6 +14,13 @@ from spinbath.states import (
 )
 
 DELTA_FIELD = 10.0
+
+# the one profile of every property test, loaded on every run: examples are
+# drawn from a fixed seed and no example database is read or written, so
+# each run tries the same inputs; no deadline, since a shared host's timing
+# is not the property under test
+settings.register_profile("spinbath", derandomize=True, database=None, deadline=None)
+settings.load_profile("spinbath")
 
 # acceptance verdicts collected during the run and echoed into the
 # terminal summary, one line per criterion, capture notwithstanding

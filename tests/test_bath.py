@@ -197,6 +197,9 @@ class TestBathThermal:
     def test_validation(self):
         with pytest.raises(ValueError):
             BathThermal(-0.1)
+        for splitting in (0.0, -1.0):  # coth_factor read inf and -1.6 unguarded
+            with pytest.raises(ValueError, match="frequency must be positive and finite"):
+                BathThermal(0.3).coth_factor(1.0, splitting)
         with pytest.raises(ValueError):
             BathThermal(math.inf)
         with pytest.raises(ValueError):
@@ -673,6 +676,9 @@ _NAN = math.nan
             ),
             "frequency must be positive",
         ),
+        (lambda: BathThermal(0.3).coth_factor(1.0, _NAN), "frequency must be positive"),
+        (lambda: BathThermal(0.3).coth_factor(_NAN, 1.0), "frequency must be positive"),
+        (lambda: BathThermal(0.0).coth_factor(_NAN, 1.0), "frequency must be positive"),
         (lambda: dynamics.survival_time(0.9, -1.0, _NAN), "slow_rate must be non-negative"),
         (lambda: dynamics.survival_time(0.9, _NAN, 0.05), "must not be NaN"),
         (lambda: dynamics.survival_time(_NAN, -1.0, 0.05), "must not be NaN"),
@@ -689,6 +695,9 @@ _NAN = math.nan
         "ohmic-cutoff",
         "geometry-velocity",
         "lamb-shift",
+        "coth-splitting",
+        "coth-omega",
+        "coth-omega-zero-temperature",
         "survival-time",
         "survival-time-lambda",
         "survival-time-ratio",
@@ -736,6 +745,14 @@ def test_nan_is_refused_by_the_range_guards(call, message):
             ),
             "frequency must be positive and finite, got inf",
         ),
+        (
+            lambda: BathThermal(0.3).coth_factor(1.0, math.inf),
+            "frequency must be positive and finite, got inf",
+        ),
+        (
+            lambda: BathThermal(0.0).coth_factor(1.0, math.inf),
+            "frequency must be positive and finite, got inf",
+        ),
     ],
     ids=[
         "occupation",
@@ -744,6 +761,8 @@ def test_nan_is_refused_by_the_range_guards(call, message):
         "ohmic-coupling",
         "correlation-delta",
         "lamb-shift",
+        "coth-splitting",
+        "coth-splitting-zero-temperature",
     ],
 )
 def test_infinity_is_refused_by_the_range_guards(call, message):

@@ -590,9 +590,8 @@ def test_sweep_protected_cell_reports_inf(capsys):
     assert row == ["0", "1", "-3", "1", "inf"]
 
 
-def test_sweep_boundary_cell_reports_no_negative_lifetime(capsys):
-    """A cell just inside the generation boundary, where the log argument
-    of t_c rounds below 1, reports a lifetime of 0, not -3.2e-15."""
+def _boundary_sweep_row(capsys, ratio: str, lam: str) -> list:
+    """The one row of ``sweep`` at deficit 0.05 and the given cell."""
     code, out, _ = invoke(
         capsys,
         "--scenario",
@@ -600,13 +599,29 @@ def test_sweep_boundary_cell_reports_no_negative_lifetime(capsys):
         "--set",
         "delta_values=0.05",
         "--set",
-        "r_values=0.7990072682569841",
+        f"r_values={ratio}",
         "--set",
-        "lambda_values=0.08132795544014046",
+        f"lambda_values={lam}",
     )
     assert code == 0
-    row = out.strip().split("\n")[1].split(",")
+    return out.strip().split("\n")[1].split(",")
+
+
+def test_sweep_boundary_cell_reports_no_negative_lifetime(capsys):
+    """A cell at the generation boundary whose envelope numerator at t = 0
+    rounds below 0 generates nothing, so it reports a peak and a lifetime
+    of 0, not a lifetime of -3.2e-15."""
+    row = _boundary_sweep_row(capsys, "0.7990072682569841", "0.08132795544014046")
     assert row == ["0.05", "0.799007268", "0.0813279554", "0", "0"]
+
+
+def test_sweep_boundary_cell_with_a_peak_reports_a_lifetime(capsys):
+    """A cell within ulps of the generation threshold whose envelope starts
+    positive is generated: generation is the sign of the envelope's
+    numerator at t = 0, so its lifetime is positive, not 0 beside a
+    positive peak."""
+    row = _boundary_sweep_row(capsys, "0.6544766412680602", "-0.3337538871223723")
+    assert row == ["0.05", "0.654476641", "-0.333753887", "3.23836939e-17", "2.47830416e-15"]
 
 
 def test_sweep_grid_validation(capsys):

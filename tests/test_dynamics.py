@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (
@@ -963,6 +965,38 @@ def test_threshold_ratio_values():
         assert generation_condition(r_star + 1e-9, lam)
 
 
+@st.composite
+def _envelope_cases(draw):
+    """A ratio in (0, 1], a slow rate, and a Lambda drawn from [-3, 1] or
+    within 4 ulps of the generation threshold ``(5 R^2 - 3) / (3 - R^2)``."""
+    ratio = draw(st.floats(0.0, 1.0, exclude_min=True))
+    slow = draw(st.floats(0.0, 10.0))
+    if draw(st.booleans()):
+        return ratio, draw(st.floats(-3.0, 1.0)), slow
+    r2 = ratio * ratio
+    lam = (5.0 * r2 - 3.0) / (3.0 - r2)
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        lam = math.nextafter(lam, math.copysign(math.inf, steps))
+    return ratio, min(max(lam, -3.0), 1.0), slow
+
+
+@settings(max_examples=400)
+@given(_envelope_cases())
+def test_envelope_verdicts_agree_at_the_threshold(case):
+    """Generation, the envelope at t = 0 and the lifetime agree everywhere,
+    within an ulp of the threshold too: entanglement is generated exactly
+    when C(0) > 0, no lifetime is negative, and none is positive without
+    generation."""
+    ratio, lam, slow = case
+    generated = generation_condition(ratio, lam)
+    assert generated == (analytic_concurrence(ratio, lam, slow, 0.0) > 0.0)
+    t_c = survival_time(ratio, lam, slow)
+    assert t_c >= 0.0
+    if not generated:
+        assert t_c == 0.0
+
+
 @pytest.mark.parametrize("lam", [-5.0, -6.0, -3.0 - 1e-12, 1.0 + 1e-12, math.nan, math.inf])
 def test_threshold_ratio_refuses_lambda_outside_its_domain(lam):
     """A state's Lambda lies in [-3, 1]; outside it the formula divides by
@@ -988,7 +1022,7 @@ class TestSurvivalTime:
         assert survival_time(0.7, 0.0, 1.0) == 0.0  # nothing generated
         assert survival_time(1.0, -1.0, 1.0) == math.inf  # zero temperature
         assert survival_time(0.9, -1.0, 0.0) == math.inf  # frozen slow mode
-        # at the generation boundary the log argument rounds below 1
+        # at the generation boundary the envelope's numerator rounds below 0
         assert survival_time(0.7990072682569841, 0.08132795544014046, 0.05) == 0.0
         with pytest.raises(ValueError):
             survival_time(0.9, -1.0, -0.1)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import DELTA_FIELD, make_generator, random_density_matrix
@@ -626,7 +628,8 @@ def _certificate_models():
 
 def test_certificate_decides_the_mode_sum_gate_as_the_svd(monkeypatch):
     """The certificate ``cond_bound`` is never below the SVD condition number
-    of ``eig``'s eigenvector matrix, so the gate passes exactly the records
+    of the record's eigenvectors scaled to unit columns, nor below that of
+    ``eig``'s eigenvector matrix, so the gate passes exactly the records
     whose SVD value is at most 1e6.  A record the certificate passes runs
     no SVD; ``cond``, read for a refusal or on demand, is that SVD value
     bit for bit.  A near-singular basis warns nothing on the way."""
@@ -643,8 +646,9 @@ def test_certificate_decides_the_mode_sum_gate_as_the_svd(monkeypatch):
         warnings.simplefilter("always")
         for gen in _certificate_models():
             report = gen.spectrum
-            reference = svd_cond(np.linalg.eig(gen.entries)[1])
+            reference = svd_cond(report.right / np.linalg.norm(report.right, axis=0))
             assert report.cond_bound >= reference
+            assert report.cond_bound >= svd_cond(np.linalg.eig(gen.entries)[1])
             assert not report.kappa.flags.writeable
             assert np.all(report.kappa >= 1.0 - 1e-12)
             certified = report.cond_bound <= 1e6 * (1.0 - 1e-9)
@@ -665,6 +669,41 @@ def test_certificate_decides_the_mode_sum_gate_as_the_svd(monkeypatch):
     # R = 1: 1e-5 passes by SVD alone; 7e-6, 5e-6, 1e-6 and the common bath refuse
     assert verdicts[-6:] == ["refused", "certified", "svd"] + ["refused"] * 3
     assert verdicts[:-6] == ["certified"] * 120
+
+
+@st.composite
+def _valid_models(draw):
+    """A generator from the valid domain: deficit in [0, 2] or in [1e-10,
+    1e-4], ratio in [0.01, 1] or exactly 1, where small deficits give the
+    ill-conditioned bases, a splitting over three decades, and each Lamb
+    and exchange strength off, in [-5, 5], or up to 1e18, where round-off
+    gives growing modes."""
+    deficit = draw(st.floats(0.0, 2.0) | st.floats(1e-10, 1e-4))
+    ratio = draw(st.floats(0.01, 1.0) | st.just(1.0))
+    field = draw(st.floats(0.1, 100.0))
+    strength = st.just(0.0) | st.floats(-5.0, 5.0) | st.floats(-1e18, 1e18)
+    return make_generator(deficit, ratio, field, **{key: draw(strength) for key in _STRENGTHS})
+
+
+@settings(max_examples=150)
+@given(_valid_models())
+def test_certificate_bounds_cond_over_the_valid_domain(gen):
+    """Over the valid domain ``cond_bound >= cond``, and the mode sum refuses
+    exactly the records whose ``cond`` exceeds 1e6.  A record left
+    unlabelled by a growing mode is the exception: the sum refuses it by
+    that reason, whatever its conditioning."""
+    report = gen.spectrum
+    try:
+        mode_coefficients(report, bell_singlet().alpha)
+    except DegenerateSpectrumError:
+        assert any(value.real > 1e-9 * report.gamma0 for value in report.reason[1])
+        return
+    except DefectiveSpectrumError:
+        refused = True
+    else:
+        refused = False
+    assert report.cond_bound >= report.cond
+    assert refused == (report.cond > 1e6)
 
 
 def test_thermal_state_has_trivial_coefficients(reference_spectrum):

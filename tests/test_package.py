@@ -1,13 +1,15 @@
 """The package namespace: each public name is listed once, in its module,
 scipy is imported only where it is called, only the input checks of
-``states`` raise ``InvalidStateError``, ``dynamics`` has one mode sum and
-``liouvillian`` one generator assembly."""
+``states`` raise ``InvalidStateError``, ``dynamics`` has one mode sum,
+``liouvillian`` one generator assembly and one eigenbasis per spectrum
+record, and ``cli`` one record builder."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import spinbath
-from spinbath import bath, dynamics, errors, iontrap, liouvillian, states
+from spinbath import bath, cli, dynamics, errors, iontrap, liouvillian, states
 
 _MODULES = (errors, states, bath, liouvillian, dynamics, iontrap)
 
@@ -212,3 +214,21 @@ def test_one_generator_assembly():
     source = Path(liouvillian.__file__)
     assert "liouvillian.build_generator" not in _sites(source, _calls(COLUMN_ROUTE))
     assert _sites(source, _calls({"_gated"})) == ["liouvillian._term_matrices"]
+
+
+def test_spectrum_record_keeps_one_basis():
+    """A spectrum record keeps its own eigenvectors and no second copy of
+    ``eig``'s: its conditioning is read from ``right`` scaled to unit
+    columns."""
+    names = {field.name for field in fields(liouvillian.SpectrumReport)}
+    assert "eig_vectors" not in names
+    assert {"right", "left", "kappa", "cond_bound"} <= names
+
+
+def test_one_cli_builder_of_spectrum_records():
+    """One ``cli`` function builds a scenario's generator and labels its
+    spectrum, so every scenario reads the same model from the same call."""
+    source = Path(cli.__file__)
+    builders = _sites(source, _calls({"build_generator"}))
+    assert builders == _sites(source, _calls({"classify_spectrum"}))
+    assert len(builders) == 1
