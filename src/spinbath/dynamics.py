@@ -1,21 +1,22 @@
 """Propagation of the Pauli vector and the resulting entanglement dynamics.
 
-Two propagation routes are provided.  The spectral route expands the
-initial state over an eigensystem of the generator and sums ``a_l
-exp(lambda_l t) r_l``; the stepping route carries ``d alpha/dt = L alpha``
-through the time grid by exact matrix-exponential steps ``alpha <- expm(L
-dt) alpha``.  Neither has a step error; they agree to round-off and serve
-as mutual cross-checks.  Every mode sum starts with
-:func:`~spinbath.liouvillian.mode_coefficients`, which refuses an
-eigenbasis too ill-conditioned to sum with
+The package propagates by one route, the mode sum: it expands the
+initial state over the generator's spectrum record and sums ``a_l
+exp(lambda_l t) r_l``, with each near-defective pair of modes the record
+keeps as a block summed as ``Q exp(B t) W alpha(0)`` by a closed form.
+:func:`propagate_ode` carries ``d alpha/dt = L alpha`` through the time
+grid by exact matrix-exponential steps ``alpha <- expm(L dt) alpha``
+instead; no package route calls it, and it stays public as the mode sum's
+cross-check.  Neither has a step error, and they agree to round-off.
+Every mode sum starts with :func:`~spinbath.liouvillian.mode_coefficients`,
+which refuses a basis still too ill-conditioned to sum with
 :class:`~spinbath.errors.DefectiveSpectrumError`, and a record left
 unlabelled by a growing mode with its own
 :class:`~spinbath.errors.DegenerateSpectrumError`; :func:`propagate` sums
 the modes of any other record, labelled or not (the perfectly correlated
-bath has a doubled zero mode but usually a sound basis), and steps by
-matrix exponentials where the eigenbasis is refused.  Both it and
-:func:`survival_report` read the generator's one cached spectrum record,
-so each generator is eigensolved once.
+bath has a doubled zero mode).  Both it and :func:`survival_report` read
+the generator's one cached spectrum record, so each generator is
+eigensolved once.
 
 A mode sum adds only the modes the state excites: those whose term
 ``|a_l| max|r_l|`` exceeds machine epsilon times the largest.  The dropped
@@ -50,7 +51,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DefectiveSpectrumError,
     IntegrationFailureError,
     InvalidCoefficientsError,
     NumericalFailureError,
@@ -219,7 +219,9 @@ def _excited_modes(report: SpectrumReport, alpha: np.ndarray) -> tuple:
     """The modes a checked state's Pauli vector ``alpha`` excites: the
     eigenvalues, amplitudes ``a_l`` (:func:`~spinbath.liouvillian.mode_coefficients`)
     and right eigenvectors of each mode whose term ``|a_l| max|r_l|`` exceeds
-    machine epsilon times the largest term.
+    machine epsilon times the largest term; then each of the record's
+    near-defective pairs (``blocks``), kept whole as its real 2x2 block
+    ``B``, basis ``Q`` and amplitudes ``W alpha``.
 
     No summed record has a mode growing faster than ~1e-9 gamma0, so for
     t >= 0 the dropped terms total at most 16 eps of the largest term, inside
@@ -233,10 +235,10 @@ def _excited_modes(report: SpectrumReport, alpha: np.ndarray) -> tuple:
     right = report.right
     size = np.abs(coeffs) * np.abs(right).max(axis=0)
     limit = sys.float_info.epsilon * size.max()
-    if not math.isfinite(limit):
-        return report.eigenvalues, coeffs, right
-    keep = size > limit
-    return report.eigenvalues[keep], coeffs[keep], right[:, keep]
+    keep = size > limit if math.isfinite(limit) else np.full(16, True)
+    keep[[k for pair, _ in report.blocks for k in pair]] = False
+    blocks = [(block, right[:, pair], coeffs[pair]) for pair, block in report.blocks]
+    return report.eigenvalues[keep], coeffs[keep], right[:, keep], blocks
 
 
 def _even_by_structure(keeps_x_parity: bool, alpha: np.ndarray) -> bool:
@@ -251,15 +253,33 @@ def _even_by_structure(keeps_x_parity: bool, alpha: np.ndarray) -> bool:
 
 
 def _spectral_alphas(modes: tuple, times: np.ndarray) -> np.ndarray:
-    """Real mode sum ``sum_l a_l exp(lambda_l t) r_l`` of ``modes``, the
-    eigenvalues, amplitudes and right eigenvectors :func:`_excited_modes`
-    keeps, at each time; a non-finite sum (an eigenvalue whose real part,
-    error included, overflows the exponent) or a broken mode pairing raises
-    :class:`NumericalFailureError`, and numpy warns nothing on the way."""
-    eigenvalues, coeffs, right = modes
+    """Real mode sum ``sum_l a_l exp(lambda_l t) r_l + sum Q exp(B t) W
+    alpha`` of ``modes``, the eigenvalues, amplitudes and right eigenvectors
+    :func:`_excited_modes` keeps and its blocks, at each time; a non-finite
+    sum (an eigenvalue whose real part, error included, overflows the
+    exponent) or a broken mode pairing raises
+    :class:`NumericalFailureError`, and numpy warns nothing on the way.
+
+    A block's exponential is the closed form ``exp(B t) = e^{m t} (cosh(nu
+    t) I + t sinhc(nu t) (B - m I))``, with ``m = tr B / 2`` and ``nu^2 =
+    -det(B - m I)``, since ``(B - m I)^2 = nu^2 I``; an imaginary ``nu``
+    gives cos and sinc, and a vanishing one the exact ``I + t (B - m I)``.
+    """
+    eigenvalues, coeffs, right, blocks = modes
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(times[:, None] * eigenvalues)
         alpha_c = (phases * coeffs) @ right.T
+        for block, basis, coords in blocks:
+            mean = 0.5 * np.trace(block)
+            traceless = block - mean * np.eye(2)
+            nu = np.sqrt(complex(-np.linalg.det(traceless)))
+            # e^{m t} cosh(nu t) and e^{m t} t sinhc(nu t) as e^{(m + nu) t} times
+            # (1 + e^{-x}) / 2 and t (1 - e^{-x}) / x, x = 2 nu t, which stay
+            # bounded for Re nu >= 0: a decayed pair neither overflows nor cancels
+            x = 2.0 * nu * times
+            odd = times * np.where(x == 0.0, 1.0, -np.expm1(-x) / x)
+            terms = np.outer(0.5 + 0.5 * np.exp(-x), coords) + np.outer(odd, traceless @ coords)
+            alpha_c = alpha_c + (np.exp((mean + nu) * times)[:, None] * terms) @ basis.T
     if not np.isfinite(alpha_c).all():
         raise NumericalFailureError("spectral reconstruction is not finite")
     residue = float(np.abs(alpha_c.imag).max())
@@ -279,10 +299,11 @@ def propagate_spectral(
     eigendecomposition.  Only the modes the state excites are summed, each
     whose term ``|a_l| max|r_l|`` exceeds machine epsilon times the largest;
     the dropped terms total at most 16 eps of the largest term at any
-    sample.  Any spectrum record is summed, labelled or not;
-    an unlabelled one gives a trajectory without ``slow_rate``.  A record
-    too ill-conditioned to sum raises
-    :class:`~spinbath.errors.DefectiveSpectrumError`, and one left
+    sample; a near-defective pair the record keeps as a block is always
+    summed, by the closed form of its 2x2 exponential.  Any spectrum record
+    is summed, labelled or not; an unlabelled one gives a trajectory
+    without ``slow_rate``.  A record too ill-conditioned to sum even so
+    raises :class:`~spinbath.errors.DefectiveSpectrumError`, and one left
     unlabelled by a growing mode its reason
     (:func:`~spinbath.liouvillian.mode_coefficients`); a last time at which
     some mode's exponent overflows raises ``ValueError``.  The initial
@@ -363,29 +384,22 @@ def propagate_ode(generator: GeneratorMatrix, initial, times) -> Trajectory:
 
 
 def propagate(generator: GeneratorMatrix, initial, times) -> Trajectory:
-    """Spectral propagation, falling back to matrix-exponential stepping.
+    """Spectral propagation from the generator's cached spectrum record.
 
-    Sums the modes of the generator's cached spectrum record
-    (:attr:`~spinbath.liouvillian.GeneratorMatrix.spectrum`) by
-    :func:`propagate_spectral`, labelled or not (the perfectly correlated
+    Sums the modes of :attr:`~spinbath.liouvillian.GeneratorMatrix.spectrum`
+    by :func:`propagate_spectral`, labelled or not (the perfectly correlated
     bath, whose zero mode is doubled, has no labels and no ``slow_rate``),
-    so a generator already classified is not eigensolved again.  Where
-    that mode sum refuses the eigenbasis as too ill-conditioned
-    (:class:`~spinbath.errors.DefectiveSpectrumError`: zero temperature,
-    R = 1, with a small deficit, or a rare near-parallel basis at deficit
-    0) it steps by :func:`propagate_ode` instead.  A record left unlabelled
-    by a growing mode raises its reason
-    (:class:`~spinbath.errors.DegenerateSpectrumError`) and is not
-    stepped: expm is no sounder there.  Each route checks the initial state
-    by the one input rule of :mod:`spinbath.states`, so a vector that is
-    not a state raises :class:`~spinbath.errors.InvalidStateError` with
-    one message on either route; the fallback checks it again only when it
-    runs.
+    so a generator already classified is not eigensolved again.  Zero
+    temperature, R = 1, and the common bath give ``eig`` near-defective
+    pairs, which the record keeps as blocks and the sum takes exactly; no
+    input is stepped by matrix exponentials.  The errors are
+    :func:`propagate_spectral`'s: a record left unlabelled by a growing mode
+    raises its reason (:class:`~spinbath.errors.DegenerateSpectrumError`),
+    a cluster of three or more near-defective modes
+    :class:`~spinbath.errors.DefectiveSpectrumError`, and a vector that is
+    not a state :class:`~spinbath.errors.InvalidStateError`, checked once.
     """
-    try:
-        return propagate_spectral(generator.spectrum, initial, times)
-    except DefectiveSpectrumError:
-        return propagate_ode(generator, initial, times)
+    return propagate_spectral(generator.spectrum, initial, times)
 
 
 def default_time_grid(gamma0: float, horizon: float, points: int = 400) -> np.ndarray:
@@ -729,7 +743,8 @@ def survival_report(
     :mod:`spinbath.states`, and one that is not a state raises
     :class:`~spinbath.errors.InvalidStateError`.  The cross-check is a mode
     sum, so it raises :class:`~spinbath.errors.DefectiveSpectrumError`
-    where the eigenbasis is too ill-conditioned to sum.  Its modes are
+    where the basis is too ill-conditioned to sum even with its
+    near-defective pairs blocked.  Its modes are
     selected once a report, as :func:`propagate_spectral` selects them: only
     the excited ones are summed, each whose term ``|a_l| max|r_l|`` exceeds
     machine epsilon times the largest, so every sample is within 16 eps of

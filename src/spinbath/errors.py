@@ -58,6 +58,7 @@ class DegenerateSpectrumError(NumericalFailureError):
 
 
 class DefectiveSpectrumError(NumericalFailureError):
-    """Numerical-failure family: a spectrum record's eigenvector matrix is
-    too ill-conditioned to sum its modes; ``propagate`` falls back to
-    matrix-exponential stepping, every other mode sum raises."""
+    """Numerical-failure family: a spectrum record's basis stays too
+    ill-conditioned to sum its modes with every near-defective pair of
+    modes taken as a block, so a cluster of three or more near-defective
+    modes remains; every mode sum, ``propagate`` included, raises it."""

@@ -28,18 +28,21 @@ For a strictly positive correlation deficit the spectrum splits into
 Each generator is eigensolved once, on first read of
 :attr:`GeneratorMatrix.spectrum`: one cached :class:`SpectrumReport` holds
 the bi-orthonormal left/right eigensystem, the condition number of each
-eigenvalue and a certificate bounding the condition number of the
-eigenvector matrix, with the modes in the order above where the split is
-unique and no mode grows.  Reading it never raises.
-:func:`classify_spectrum` returns that record when it is labelled and
-raises the reason when it is not.  Whether the eigenbasis is
-sound enough to sum is decided in one place, :func:`mode_coefficients`,
-the first step of every mode sum: it sums either kind of record up to a
-condition number of 1e6 of its eigenvector matrix with unit columns and
-raises :class:`DefectiveSpectrumError` above, and it refuses a record left
-unlabelled by a growing mode with that reason.  The certificate passes
-almost every record, so the SVD behind the condition number itself runs
-only for a refusal or when it is read.
+column and a certificate bounding the condition number of the basis, with
+the modes in the order above where the split is unique and no mode grows.
+Where ``eig``'s basis fails the certificate, each near-defective pair of
+modes (two eigenvectors parallel to each other and to no third) is kept as
+a real orthonormal basis of its invariant subspace and the 2x2 block of
+``L`` on it, so that a mode sum takes it exactly: at zero temperature
+such a pair is the rule, and at the common bath LAPACK may return the
+doubled zero mode as one.  Reading the record never
+raises.  :func:`classify_spectrum` returns that record when it is labelled
+and raises the reason when it is not.  Whether the basis is sound enough
+to sum is decided in one place, :func:`mode_coefficients`, the first step
+of every mode sum: it sums either kind of record whose certificate is at
+most 1e4 and raises :class:`DefectiveSpectrumError` above, where a cluster
+of three or more near-defective modes remains, and it refuses a record
+left unlabelled by a growing mode with that reason.
 """
 
 from __future__ import annotations
@@ -322,18 +325,30 @@ class SpectrumReport:
     :class:`DegenerateSpectrumError`.
 
     Conditioning, which :func:`mode_coefficients` gates before any mode
-    sum, is read from ``U``, the columns of ``right`` scaled to unit length:
-    ``eig``'s eigenvector matrix up to column order and unit phases, so with
-    its singular values.  It is kept three ways:
+    sum, is read from ``U``, the columns of ``right`` scaled to unit length.
+    It is kept two ways:
 
     * ``kappa[k] = |left[k]| |right[:, k]|``, the condition number of
-      eigenvalue k; it does not depend on how the eigenvectors are scaled.
-    * ``cond_bound``, the certificate ``B = |U|_F |U^-1|_F = 4 |kappa|_2``:
-      the 16 columns of ``U`` have unit norm and row k of ``U^-1`` has norm
-      ``kappa[k]``, so ``B`` needs no second inverse, and ``B >= cond``
-      (Golub & Van Loan, *Matrix Computations*, sections 2.3 and 7.2).
-    * ``cond``, the 2-norm condition number of ``U`` by SVD, computed on
-      first read.
+      column k; it does not depend on how the columns are scaled.
+    * ``cond_bound``, the certificate ``|U|_F |U^-1|_F = 4 |kappa|_2``: the
+      16 columns of ``U`` have unit norm and row k of ``U^-1`` has norm
+      ``kappa[k]``, so it needs no second inverse, and it bounds the 2-norm
+      condition number of ``U`` (Golub & Van Loan, *Matrix Computations*,
+      sections 2.3 and 7.2).
+
+    Where ``eig``'s basis fails the certificate, each pair of its vectors
+    parallel to each other and to no third is a near-defective pair, which
+    the record keeps as its invariant subspace instead (Moler & Van Loan,
+    *SIAM Rev.* 45, 3, 2003).  Each entry ``(pair, B)`` of ``blocks``
+    names such a pair by its two column indices, in an integer array:
+    ``right[:, pair]`` then holds ``Q``, a real orthonormal basis of the
+    subspace, in place of the two eigenvectors (so :func:`spectrum_to_json`
+    and ``spectrum --format json`` print ``Q`` for them), ``left[pair]``
+    holds the matching rows ``W`` of the inverse, and ``B = Q^T L Q`` is the
+    real 2x2 block of ``L`` on it (``L Q = Q B``), whose eigenvalues are the
+    pair's.  ``eigenvalues`` stay ``eig``'s, and ``left``, ``kappa`` and
+    ``cond_bound`` are those of the blocked basis.  A record whose basis
+    passes the certificate has no blocks.
 
     ``keeps_x_parity`` is the generator's
     :attr:`GeneratorMatrix.keeps_x_parity`, kept for the mode sums, which
@@ -350,6 +365,7 @@ class SpectrumReport:
     cond_bound: float
     keeps_x_parity: bool
     reason: Optional[tuple] = None
+    blocks: tuple = ()
 
     def __post_init__(self):
         for name in ("eigenvalues", "right", "left"):
@@ -357,12 +373,6 @@ class SpectrumReport:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         self.kappa.setflags(write=False)
-
-    @cached_property
-    def cond(self) -> float:
-        """2-norm condition number of ``right`` scaled to unit columns, by SVD
-        on first read."""
-        return float(np.linalg.cond(self.right / np.linalg.norm(self.right, axis=0)))
 
     @property
     def labels(self) -> Optional[tuple]:
@@ -387,16 +397,16 @@ class SpectrumReport:
         return float(self.eigenvalues[self.slow_index].real)
 
 
-#: largest condition number (2-norm, by SVD) of the record's eigenvector
-#: matrix with unit columns for which a mode sum runs, labelled or not.
-#: Near the common bath it stays below 5e3 for ratios up to 0.999999.  At
-#: R = 1 it is ~7 / delta for deficits from 5e-8 to 1e-5, and from 7e6 up
-#: (delta <= 1e-6) the mode sum drifts from the matrix exponential by 3e-10
-#: to 3e-9.
-_MODE_SUM_MAX_COND = 1e6
-#: a certificate ``cond_bound`` at or below this passes the gate without an
-#: SVD; the margin covers the rounding of both the bound and the SVD
-_CERTIFIED_COND = _MODE_SUM_MAX_COND * (1.0 - 1e-9)
+#: largest certificate ``cond_bound`` of a record's basis for which a mode
+#: sum runs, labelled or not; ``eig``'s basis above it has its near-defective
+#: pairs blocked.  At R = 1 ``eig``'s basis has a certificate of ~16 / delta
+#: from its pair near -2 gamma0, and its plain mode sum drifts from the
+#: matrix exponential by 1.3e-12 at 5e4 (delta = 3e-4), 1.5e-11 at 5e5 and
+#: up to 3e-9 beyond 1e7; blocked, the sum is within 2e-13 at every deficit.
+#: Over 8,000 seeded valid-domain models every blocked basis whose modes do
+#: not grow certifies: below 1.2e3 at coherent strengths up to 5, and below
+#: 9e3 at strengths up to 1e18.
+_MODE_SUM_MAX_COND = 1e4
 
 
 def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
@@ -410,7 +420,7 @@ def classify_spectrum(generator: GeneratorMatrix) -> SpectrumReport:
     round-off at a huge coherent strength splits the pair.  An unlabelled
     record raises :class:`DegenerateSpectrumError` with its reason on every
     call.  The condition number is not judged here: a
-    labelled record is returned at any ``cond``, and only a mode sum
+    labelled record is returned at any ``cond_bound``, and only a mode sum
     (:func:`mode_coefficients`) refuses an ill-conditioned one.
 
     Eigenvectors are scaled as follows: the thermal one to a unit trace
@@ -427,8 +437,12 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
     """Eigensolve the generator once and label its spectrum where possible.
 
     A spectrum that :func:`_label_order` refuses keeps ``eig``'s order and
-    scaling, with the refusal as its ``reason``.  The mode condition
-    numbers and the certificate are recorded, not judged.
+    scaling, with the refusal as its ``reason``.  The column condition
+    numbers and the certificate are recorded, not judged.  A basis that
+    fails the certificate, in a record whose modes do not grow, has its
+    near-defective pairs (:func:`_near_parallel_pairs`) replaced by their
+    invariant subspaces (:func:`_invariant_pair`) and is conditioned again;
+    a certified basis is kept as ``eig`` and the scaling leave it.
     """
     rates = generator.rates
     values, vectors = np.linalg.eig(generator.entries)
@@ -461,14 +475,15 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
         vals = values.tolist()
         violations = tuple((k, vals[k]) for k in range(4, 16) if vals[k].real > bound)
 
-    left = np.linalg.inv(right).conj()
-    # A near-singular basis has a huge left, whose squares may overflow to
-    # inf; that only sends the mode-sum gate to the SVD.
-    with np.errstate(over="ignore", invalid="ignore"):
-        right_abs, left_abs = np.abs(right), np.abs(left)
-        kappa = np.sqrt(np.vecdot(right_abs, right_abs, axis=0) * np.vecdot(left_abs, left_abs))
-        # |U|_F = 4 for 16 unit columns, and row k of U^-1 has norm kappa[k]
-        cond_bound = 4.0 * math.sqrt(np.vecdot(kappa, kappa))
+    left, kappa, cond_bound = _conditioning(right)
+    blocks = []
+    # a record with a growing mode is refused before any sum, so it is not blocked
+    if not (cond_bound <= _MODE_SUM_MAX_COND or any(_grows(v, rates.gamma0) for v in values)):
+        # ``right`` is eig's array or a copy of it, so it is ours to change
+        for pair in _near_parallel_pairs(right):
+            right[:, pair], block = _invariant_pair(generator.entries, values[pair])
+            blocks.append((pair, block))
+        left, kappa, cond_bound = _conditioning(right)
     return SpectrumReport(
         eigenvalues=values,
         right=right,
@@ -480,7 +495,51 @@ def _spectrum_record(generator: GeneratorMatrix) -> SpectrumReport:
         cond_bound=cond_bound,
         keeps_x_parity=generator.keeps_x_parity,
         reason=reason,
+        blocks=tuple(blocks),
     )
+
+
+def _conditioning(right: np.ndarray) -> tuple:
+    """``left``, ``kappa`` and ``cond_bound`` of an eigenvector matrix
+    ``right``, as :class:`SpectrumReport` defines them."""
+    left = np.linalg.inv(right).conj()
+    # A near-singular basis has a huge left, whose squares may overflow to
+    # inf; that only fails the mode-sum gate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = np.sqrt(np.vecdot(abs(right), abs(right), axis=0) * np.vecdot(abs(left), abs(left)))
+        # |U|_F = 4 for 16 unit columns, and row k of U^-1 has norm kappa[k]
+        cond_bound = 4.0 * math.sqrt(np.vecdot(kappa, kappa))
+    return left, kappa, cond_bound
+
+
+def _near_parallel_pairs(right: np.ndarray) -> list:
+    """The index pairs ``[i, j]``, ``i < j``, of the columns of ``right``
+    whose unit vectors are parallel to within ``1 - |u_i^H u_j| < 5e-7`` and
+    parallel to no third column.  Such a pair is read from the vectors, not
+    from ``kappa``: at an exactly defective input LAPACK may return two
+    identical vectors, and then every ``kappa`` is infinite."""
+    unit = right / np.linalg.norm(right, axis=0)
+    near = np.abs(unit.conj().T @ unit) > 1.0 - 5e-7
+    # each column of a pair is near itself and the other, so its two columns
+    # hold four near entries exactly when neither has a third partner
+    return [pair for pair in np.argwhere(np.triu(near, 1)) if near[:, pair].sum() == 4]
+
+
+def _invariant_pair(entries: np.ndarray, pair: np.ndarray) -> tuple:
+    """A real orthonormal basis ``Q`` (16 x 2) of the invariant subspace of
+    the eigenvalue ``pair``, real or conjugate: the two smallest right
+    singular vectors of ``(L - lambda_1)(L - lambda_2) = (L - mu)^2 - s^2``,
+    with ``mu`` the pair's mean and ``s`` its half split, a real matrix
+    whose null space is that subspace even where the pair is defective;
+    and the real 2x2 block ``B = Q^T L Q`` of ``L`` on it.  The product is
+    taken of ``L - mu`` scaled by a power of two to entries of order 1, a
+    scaling exact in binary, so that it does not overflow at any finite
+    ``L``."""
+    scale = math.ldexp(1.0, math.frexp(np.abs(entries).max())[1])
+    shifted = (entries - pair.mean().real * np.eye(16)) / scale
+    product = shifted @ shifted - (0.25 * ((pair[0] - pair[1]) / scale) ** 2).real * np.eye(16)
+    basis = np.linalg.svd(product)[2][-2:].T
+    return basis, basis.T @ entries @ basis
 
 
 #: the deficits whose spectra are exactly degenerate, and what they mean;
@@ -578,21 +637,21 @@ def mode_coefficients(report: SpectrumReport, initial) -> np.ndarray:
     equals one for any valid state.  A record labelled or not is expanded,
     with two exceptions.  A record left unlabelled because a mode grows
     raises its own :class:`DegenerateSpectrumError`: no Lindblad generator
-    has such a mode, so its sum is no state.  And the eigenbasis must be
-    sound: the condition number ``cond`` of its eigenvector matrix with
-    unit columns may not exceed 1e6.  A certificate ``cond_bound`` a hair
-    below that passes the record without an SVD; only otherwise is ``cond``
-    read, and above 1e6 :class:`DefectiveSpectrumError` names both numbers.
+    has such a mode, so its sum is no state.  And the basis, with any
+    near-defective pair blocked, must be sound: its certificate
+    ``cond_bound`` may not exceed 1e4, or :class:`DefectiveSpectrumError`
+    names it.  A blocked pair's two amplitudes are ``W alpha(0)``, the
+    coordinates of the input in the pair's subspace.
     """
     # a growing-mode refusal lists the growing modes as its candidates; no
     # other refusal's candidates grow, since labelling refuses growth first
     # at every deficit
     if report.reason is not None and any(_grows(c, report.gamma0) for c in report.reason[1]):
         raise DegenerateSpectrumError(*report.reason)
-    if not (report.cond_bound <= _CERTIFIED_COND or report.cond <= _MODE_SUM_MAX_COND):
+    if not report.cond_bound <= _MODE_SUM_MAX_COND:
         raise DefectiveSpectrumError(
-            f"eigenvector matrix has condition number {report.cond:.3e} above "
-            f"{_MODE_SUM_MAX_COND:.0e}; too ill-conditioned for a mode sum"
+            f"blocked basis has condition bound {report.cond_bound:.3e} above "
+            f"{_MODE_SUM_MAX_COND:.0e}: a cluster of three or more near-defective modes"
         )
     return report.left.conj() @ _as_alpha(initial)
 

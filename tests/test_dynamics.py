@@ -326,7 +326,8 @@ def test_propagation_checks_the_initial_state(reference_generator, route, lowest
 @pytest.mark.parametrize("lowest", [-5e-9, -5e-11])
 def test_propagate_takes_one_input_rule_on_either_route(lowest):
     """A state is refused, or accepted, alike whether the generator's modes
-    are summed or ``propagate`` falls back to stepping."""
+    are summed one by one or with a near-defective pair taken as a block
+    (R = 1, deficit 1e-6)."""
     outcomes = []
     for deficit, ratio in ((0.05, 0.9), (1e-6, 1.0)):
         gen = make_generator(deficit, ratio)
@@ -358,9 +359,7 @@ _ENTRIES = {
 
 def _entry_outcomes(gen, initial):
     """What each entry makes of ``initial`` on the default grid: the message
-    of an input refusal, ``defective`` for a mode sum that refuses the
-    eigenbasis after taking the state, or ``accepted``; numpy warns nothing
-    on the way."""
+    of an input refusal, or ``accepted``; numpy warns nothing on the way."""
     outcomes = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -370,24 +369,23 @@ def _entry_outcomes(gen, initial):
                 outcomes[name] = "accepted"
             except InvalidStateError as error:
                 outcomes[name] = str(error)
-            except DefectiveSpectrumError:
-                outcomes[name] = "defective"
     assert caught == []
     return outcomes
 
 
-@pytest.mark.parametrize("deficit, ratio", [(0.05, 0.9), (5e-6, 1.0)], ids=["labelled", "fallback"])
+@pytest.mark.parametrize("deficit, ratio", [(0.05, 0.9), (5e-6, 1.0)], ids=["labelled", "blocked"])
 def test_every_entry_takes_one_state_rule(deficit, ratio):
     """Every entry checks its initial state by the one rule of ``states``
     before anything else, so a vector that is no state is refused with one
-    message by all of them, whether the generator's modes are summed or
-    ``propagate`` steps.  A state just outside the physical set no longer
-    reads a concurrence of 1.0, a badly indefinite one is no longer blamed
-    on a sample of the route, and a scaled one is no longer renormalized by
-    one route and read raw by the closed form.  Dust within the rule and a
-    propagated sample are states to every entry."""
+    message by all of them, whether the generator's modes are summed one by
+    one or, at R = 1, with a near-defective pair taken as a block.  A state
+    just outside the physical set no longer reads a concurrence of 1.0, a
+    badly indefinite one is no longer blamed on a sample of the route, and a
+    scaled one is no longer renormalized by one route and read raw by the
+    closed form.  Dust within the rule and a propagated sample are states
+    to every entry."""
     gen = make_generator(deficit, ratio)
-    stepped = ratio == 1.0
+    assert len(gen.spectrum.blocks) == (ratio == 1.0)
     probes = {
         "matrix has eigenvalue -1.250e-04 below -1.0e-10": _isotropic(1.0005),
         "matrix has eigenvalue -1.250e-01 below -1.0e-10": _isotropic(1.5),
@@ -396,11 +394,8 @@ def test_every_entry_takes_one_state_rule(deficit, ratio):
     for message, probe in probes.items():
         assert _entry_outcomes(gen, probe) == dict.fromkeys(_ENTRIES, message)
     sample = propagate(gen, z_up_down(), default_time_grid(1.0, 30.0)).state(200)
-    mode_sums = ("propagate_spectral", "survival_report")
     for state in (_diagonal_state(-5e-11), sample):
-        assert _entry_outcomes(gen, state) == {
-            name: "defective" if stepped and name in mode_sums else "accepted" for name in _ENTRIES
-        }
+        assert _entry_outcomes(gen, state) == dict.fromkeys(_ENTRIES, "accepted")
 
 
 @pytest.mark.parametrize("horizon", [1e38, 1e50, 1e100])
@@ -466,7 +461,7 @@ def test_overflowing_mode_sums_are_numerical_failures(route, lamb_b, factory):
         with pytest.raises(DegenerateSpectrumError, match="growing mode"):
             _ROUTES[route](gen, factory(), times)
         coeffs = gen.spectrum.left.conj() @ factory().alpha
-        modes = gen.spectrum.eigenvalues, coeffs, gen.spectrum.right
+        modes = gen.spectrum.eigenvalues, coeffs, gen.spectrum.right, ()
         with pytest.raises(NumericalFailureError, match="spectral reconstruction is not finite"):
             dynamics._spectral_alphas(modes, times)
     assert caught == []
@@ -487,9 +482,9 @@ def test_growing_mode_records_are_not_summed(monkeypatch, deficit, lamb_b, horiz
     the record is unlabelled.  The common bath (deficit 0) is no exception:
     growth is refused before its doubled zero mode.  Every mode sum refuses
     the record with its own reason, as ``survival_report`` does, at any
-    horizon and for either state, and ``propagate`` does not step it by
-    matrix exponentials instead: that route is no sounder there, and
-    refuses its own samples (:func:`test_ode_refuses_the_states_it_makes`)."""
+    horizon and for either state, and none steps it by matrix exponentials
+    instead: that route is no sounder there, and refuses its own samples
+    (:func:`test_ode_refuses_the_states_it_makes`)."""
     gen = make_generator(deficit, 0.9, lamb_b=lamb_b)
     ode_calls = []
     monkeypatch.setattr(dynamics, "propagate_ode", lambda *args: ode_calls.append(args))
@@ -563,7 +558,7 @@ def test_propagate_sums_unlabelled_modes_when_degenerate(deficit, factory):
 
 @pytest.fixture
 def ode_calls(monkeypatch):
-    """Generators that ``propagate`` hands to ``propagate_ode``."""
+    """Generators that any route hands to ``propagate_ode``."""
     calls = []
 
     def recording(generator, initial, times):
@@ -582,8 +577,10 @@ _DRESSING = {"lamb_a": 0.3, "lamb_b": 0.2, "exchange_xi": 0.1}
 @pytest.mark.parametrize("ratio", [0.05, 0.5, 0.9, 0.999, 0.999999, 1.0])
 def test_propagate_route_and_accuracy_near_the_common_bath(ratio, deficit, dressed, ode_calls):
     """Almost no spectrum here can be labelled.  Below R = 1 the eigenbasis is
-    sound (condition number <= 2.5e3) and its modes are summed; at R = 1 it
-    is not (>= 7e7) and only matrix-exponential stepping stays within 1e-10."""
+    sound (condition number <= 2.5e3) and its modes are summed one by one;
+    at R = 1 ``eig``'s is not (>= 7e7), and its near-defective pair near
+    -2 gamma0 is summed as a block.  Either way the mode sum stays within
+    1e-12 of the matrix exponential, and nothing is stepped."""
     strengths = _DRESSING if dressed else {}
     gen = make_generator(deficit, ratio, **strengths)
     times = np.linspace(0.0, 50.0, 26)
@@ -593,18 +590,21 @@ def test_propagate_route_and_accuracy_near_the_common_bath(ratio, deficit, dress
     for factory in (z_up_down, bell_singlet):
         traj = propagate(gen, factory(), times)
         expected = oracles.evolve_expm(reference, factory().alpha, times)
-        assert np.max(np.abs(traj.alphas - expected)) < 1e-10
-    assert len(ode_calls) == (2 if ratio == 1.0 else 0)
+        assert np.max(np.abs(traj.alphas - expected)) <= 1e-12
+    assert len(gen.spectrum.blocks) == (ratio == 1.0)
+    assert ode_calls == []
 
 
 @pytest.mark.parametrize("deficit", [5.6e-9, 3.2e-8, 5.6e-8, 1e-7, 1e-6])
 def test_propagate_steps_ill_conditioned_labelled_spectra(deficit, ode_calls):
-    """At R = 1 a small deficit still labels, but its eigenvector matrix has a
-    condition number of 7e6 to 1.3e8, and its mode sum drifts from the matrix
-    exponential by up to 2.6e-9.  The one condition-number gate sends it to
-    matrix-exponential stepping, as it does an unlabelled spectrum."""
+    """At R = 1 a small deficit still labels, but ``eig``'s eigenvector
+    matrix has a condition number of 7e6 to 1.3e8, and its plain mode sum
+    drifted from the matrix exponential by up to 2.6e-9.  The record keeps
+    the near-defective pair near -2 gamma0 as a block instead, and the one
+    mode sum stays within 1e-12 of the matrix exponential, with no step."""
     gen = make_generator(deficit, 1.0)
     classify_spectrum(gen)  # labels without error
+    assert len(gen.spectrum.blocks) == 1
     times = np.linspace(0.0, 50.0, 26)
     reference = oracles.liouvillian_alpha_space(
         DELTA_FIELD, 1.0, BathThermal.from_ratio(1.0).occupation, deficit
@@ -612,26 +612,137 @@ def test_propagate_steps_ill_conditioned_labelled_spectra(deficit, ode_calls):
     for factory in (z_up_down, bell_singlet):
         traj = propagate(gen, factory(), times)
         expected = oracles.evolve_expm(reference, factory().alpha, times)
-        assert np.max(np.abs(traj.alphas - expected)) < 1e-10
-    assert len(ode_calls) == 2
+        assert np.max(np.abs(traj.alphas - expected)) <= 1e-12
+    assert ode_calls == []
+
+
+#: the common-bath inputs of the benchmark's seeds 1 to 3 whose basis
+#: ``eig`` returns with a near-parallel zero-mode pair, by seed and op
+_BENCH_PAIRS = {
+    "1-617": 0.8732522252786787,
+    "1-1000": 0.9127369584914174,
+    "1-2857": 0.8329540592120475,
+    "2-3508": 0.887650853772102,
+    "2-3557": 0.8683943313894134,
+    "3-54": 0.9248156745858385,
+    "3-674": 0.9311617179066763,
+    "3-1241": 0.9883362446210003,
+    "3-3151": 0.8577248619482452,
+    "3-6431": 0.9387168330646364,
+}
 
 
 @pytest.mark.parametrize(
-    "deficit, survival_error",
-    [(1e-6, DefectiveSpectrumError), (0.0, DegenerateSpectrumError)],
-    ids=["labelled", "unlabelled"],
+    "deficit, ratio, field, strengths, pairs",
+    [pytest.param(0.0, ratio, DELTA_FIELD, {}, 1, id=f"bench-{op}") for op, ratio in _BENCH_PAIRS.items()]
+    + [
+        pytest.param(deficit, 1.0, DELTA_FIELD, {}, 1, id=f"cold-{deficit:g}")
+        for deficit in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+    ]
+    + [pytest.param(0.0, 1.0, 1.0, {"lamb_a": 0.2}, 2, id="cold-0-two-pairs")],
 )
-def test_mode_sums_refuse_an_ill_conditioned_basis(deficit, survival_error):
-    """At R = 1 the eigenbasis has a condition number of 7e6 at deficit
-    1e-6 (labelled) and ~1e16 at deficit 0 (unlabelled).  Every mode sum
-    refuses either by name, with the number and the 1e6 threshold;
-    ``survival_report`` refuses the unlabelled one before it sums."""
+def test_propagate_blocks_near_defective_pairs(deficit, ratio, field, strengths, pairs, ode_calls):
+    """Where ``eig``'s basis fails the certificate, each near-defective pair
+    is summed as an exact 2x2 block, within 1e-12 of the matrix exponential
+    on the default grid and with no step: the common-bath inputs on which
+    ``propagate`` stepped by ``expm``, R = 1 at deficits 1e-10 to 1e-4,
+    and a Lamb-dressed R = 1 common bath with two disjoint pairs, at 0 and
+    at -2 gamma0.  The blocked basis certifies."""
+    gen = make_generator(deficit, ratio, field, **strengths)
+    assert len(gen.spectrum.blocks) == pairs
+    assert gen.spectrum.cond_bound < 100.0
+    times = default_time_grid(1.0, 30.0)
+    reference = oracles.liouvillian_alpha_space(
+        field, 1.0, BathThermal.from_ratio(ratio).occupation, deficit, **strengths
+    )
+    for factory in (z_up_down, lambda: werner(2.0 / 3.0)):
+        traj = propagate(gen, factory(), times)
+        expected = oracles.evolve_expm(reference, factory().alpha, times)
+        assert np.max(np.abs(traj.alphas - expected)) <= 1e-12
+    assert ode_calls == []
+
+
+def _three_mode_cluster():
+    """The reference generator with the components ``xy``, ``xz`` and ``yx``
+    decoupled from the rest and coupled to each other as a 3x3 Jordan block
+    at -2 perturbed by 1e-18 in its corner, built by hand: three modes
+    within 1e-6 of -2 whose eigenvectors are pairwise parallel to ~1e-12."""
+    reference = make_generator(0.05, 0.9)
+    entries = reference.entries.copy()
+    cluster = [flat_index(1, 2), flat_index(1, 3), flat_index(2, 1)]
+    entries[cluster, :] = 0.0
+    entries[:, cluster] = 0.0
+    entries[cluster, cluster] = -2.0
+    entries[cluster[0], cluster[1]] = entries[cluster[1], cluster[2]] = 1.0
+    entries[cluster[2], cluster[0]] = 1e-18
+    return GeneratorMatrix(entries, reference.params, reference.rates)
+
+
+@pytest.mark.parametrize("deficit", [1e-6, 0.0], ids=["labelled", "unlabelled"])
+def test_mode_sums_refuse_an_ill_conditioned_basis(deficit):
+    """At R = 1 ``eig``'s basis has a condition number of 7e6 at deficit 1e-6
+    (labelled) and ~1e16 at deficit 0 (unlabelled).  Both are summed with
+    their near-defective pair as a block, within 1e-12 of the matrix
+    exponential.  ``survival_report`` times the labelled one as never
+    disentangling, by the envelope and the full dynamics alike, and refuses
+    the unlabelled one for its doubled zero mode.  A basis that stays
+    ill-conditioned with every near-parallel pair blocked, a cluster of
+    three near-defective modes, is still refused by every mode sum by
+    name."""
     gen = make_generator(deficit, 1.0)
-    refusal = r"condition number \S+ above 1e\+06; too ill-conditioned for a mode sum"
-    with pytest.raises(DefectiveSpectrumError, match=refusal):
-        propagate_spectral(gen.spectrum, z_up_down(), [0.0, 1.0])
-    with pytest.raises(survival_error):
-        survival_report(gen, z_up_down())
+    times = default_time_grid(1.0, 30.0)
+    reference = oracles.liouvillian_alpha_space(DELTA_FIELD, 1.0, 0.0, deficit)
+    traj = propagate_spectral(gen.spectrum, z_up_down(), times)
+    expected = oracles.evolve_expm(reference, z_up_down().alpha, times)
+    assert np.max(np.abs(traj.alphas - expected)) <= 1e-12
+    if deficit:
+        report = survival_report(gen, z_up_down())
+        assert report.t_c == report.t_c_numeric == math.inf
+    else:
+        with pytest.raises(DegenerateSpectrumError, match="expected exactly one zero mode"):
+            survival_report(gen, z_up_down())
+    cluster = _three_mode_cluster()
+    assert cluster.spectrum.blocks == ()
+    refusal = r"condition bound \S+ above 1e\+04: a cluster of three or more near-defective modes$"
+    for route in ("propagate", "propagate_spectral"):
+        with pytest.raises(DefectiveSpectrumError, match=refusal):
+            _ROUTES[route](cluster, z_up_down(), [0.0, 1.0])
+
+
+@st.composite
+def _propagation_cases(draw):
+    """A model from the valid domain at the default splitting: a deficit in
+    [0, 2], exactly 0 or 2, or in [1e-12, 1e-4], where R = 1 gives
+    near-defective pairs; a ratio in [0.01, 1] or exactly 1; each Lamb and
+    exchange strength off or in [-1, 1]; and one of two initial states."""
+    deficit = draw(st.floats(0.0, 2.0) | st.sampled_from([0.0, 2.0]) | st.floats(1e-12, 1e-4))
+    ratio = draw(st.floats(0.01, 1.0) | st.just(1.0))
+    strengths = {key: draw(st.just(0.0) | st.floats(-1.0, 1.0)) for key in ("lamb_a", "lamb_b", "exchange_xi")}
+    factory = draw(st.sampled_from([z_up_down, lambda: werner(2.0 / 3.0)]))
+    return deficit, ratio, strengths, factory
+
+
+@settings(max_examples=100)
+@given(_propagation_cases())
+def test_propagate_matches_expm_over_the_valid_domain(case):
+    """Over the valid domain ``propagate`` is within 1e-12 of the matrix
+    exponential of the oracle's generator at every sample of a default grid
+    to 10 / gamma0, or refuses by a ``spinbath.errors`` type, and it never
+    steps.  Larger coherent strengths or splittings are left out: there the
+    oracle's ``expm`` and the package's own ``expm`` stepping already differ
+    by up to ~7e-12, so 1e-12 would test the reference."""
+    deficit, ratio, strengths, factory = case
+    gen = make_generator(deficit, ratio, **strengths)
+    times = default_time_grid(1.0, 10.0, 20)
+    try:
+        traj = propagate(gen, factory(), times)
+    except (NumericalFailureError, InvalidStateError):
+        return
+    reference = oracles.liouvillian_alpha_space(
+        DELTA_FIELD, 1.0, BathThermal.from_ratio(ratio).occupation, deficit, **strengths
+    )
+    expected = oracles.evolve_expm(reference, factory().alpha, times)
+    assert np.max(np.abs(traj.alphas - expected)) <= 1e-12
 
 
 @pytest.fixture
@@ -649,20 +760,20 @@ def eigvalsh_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "deficit, ratio, stepped",
-    [(0.05, 0.9, False), (0.0, 0.9, False), (1e-6, 1.0, True)],
-    ids=["labelled", "unlabelled", "stepped"],
+    "deficit, ratio",
+    [(0.05, 0.9), (0.0, 0.9), (1e-6, 1.0)],
+    ids=["labelled", "unlabelled", "blocked"],
 )
-def test_propagate_defers_positivity_to_first_read(deficit, ratio, stepped, eigvalsh_calls):
-    """``propagate`` checks the initial state, one 4x4 matrix, and the
-    stepping route checks it again.  The samples' eigenvalues are computed once: a mode sum defers them to the
-    first read of ``min_eigenvalues``, and stepping keeps the batch it has
-    checked its samples with."""
+def test_propagate_defers_positivity_to_first_read(deficit, ratio, eigvalsh_calls):
+    """``propagate`` checks the initial state, one 4x4 matrix, once, and its
+    mode sum defers the samples' eigenvalues to the first read of
+    ``min_eigenvalues``, which computes them once; a record with a
+    near-defective pair as a block (R = 1) takes the same route."""
     times = np.linspace(0.0, 20.0, 41)
     traj = propagate(make_generator(deficit, ratio), z_up_down(), times)
-    initial = [(4, 4)] * (2 if stepped else 1)
+    initial = [(4, 4)]
     samples = [(times.size, 4, 4)]
-    assert eigvalsh_calls == initial + (samples if stepped else [])
+    assert eigvalsh_calls == initial
     traj.min_eigenvalues
     traj.min_eigenvalues
     assert eigvalsh_calls == initial + samples
@@ -685,9 +796,10 @@ def eig_calls(monkeypatch):
 def test_one_eigensolve_per_generator(eig_calls):
     """``survival_report`` and ``propagate`` share one eigensolve of their
     generator.  An unlabelled record (deficit 0) is still summed mode by
-    mode, and refuses its labels by name on every read.  A record too
-    ill-conditioned to sum (R = 1, deficit 1e-12) is kept as well: it is
-    stepped and refused without a second eigensolve."""
+    mode, and refuses its labels by name on every read.  A record whose
+    near-defective pair is kept as a block (R = 1, deficit 1e-12) is kept
+    as well: it is summed and refused its labels without a second
+    eigensolve."""
     gen = make_generator(0.05, 0.9)
     survival_report(gen, z_up_down())
     propagate(gen, z_up_down(), default_time_grid(1.0, 30.0))
@@ -1317,7 +1429,8 @@ def test_excited_mode_sums_stay_within_the_round_off_bound():
         reference = oracles.evolve_expm(gen.entries, np.stack([s.alpha for s in states], 1), times)
         for k, state in enumerate(states):
             coeffs = mode_coefficients(spectrum, state)
-            full = dynamics._spectral_alphas((spectrum.eigenvalues, coeffs, spectrum.right), times)
+            assert spectrum.blocks == ()
+            full = dynamics._spectral_alphas((spectrum.eigenvalues, coeffs, spectrum.right, ()), times)
             excited = propagate_spectral(spectrum, state, times).alphas
             bound = 16.0 * eps * np.max(np.abs(coeffs) * np.max(np.abs(spectrum.right), axis=0))
             assert np.max(np.abs(excited - full)) <= bound, (deficit, ratio, k)
@@ -1331,8 +1444,9 @@ def test_an_even_state_sums_only_the_modes_it_excites(reference_spectrum):
     so it excites 6 of the 16 modes at R = 0.9, deficit 0.05, and only those
     are summed."""
     alpha = werner(2.0 / 3.0).alpha
-    eigenvalues, coeffs, right = dynamics._excited_modes(reference_spectrum, alpha)
+    eigenvalues, coeffs, right, blocks = dynamics._excited_modes(reference_spectrum, alpha)
     assert eigenvalues.size == coeffs.size == right.shape[1] <= 6
+    assert blocks == []
 
 
 @pytest.mark.parametrize("amplitude", [math.inf, math.nan], ids=["infinite", "nan"])

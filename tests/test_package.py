@@ -1,10 +1,12 @@
 """The package namespace: each public name is listed once, in its module,
 scipy is imported only where it is called, only the input checks of
-``states`` raise ``InvalidStateError``, ``dynamics`` has one mode sum,
-``liouvillian`` one generator assembly and one eigenbasis per spectrum
-record, and ``cli`` one record builder."""
+``states`` raise ``InvalidStateError``, ``dynamics`` has one mode sum and
+no package route calls its ``expm`` cross-check, ``liouvillian`` has one
+generator assembly and one eigenbasis per spectrum record, ``cli`` one
+record builder, and every function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 from dataclasses import fields
 from pathlib import Path
 
@@ -232,3 +234,31 @@ def test_one_cli_builder_of_spectrum_records():
     builders = _sites(source, _calls({"build_generator"}))
     assert builders == _sites(source, _calls({"classify_spectrum"}))
     assert len(builders) == 1
+
+
+def test_no_package_route_steps_by_expm():
+    """``propagate_ode`` stays public as the cross-check of the mode sum, and
+    no package function calls it: ``propagate`` is the one mode sum."""
+    assert "propagate_ode" in dynamics.__all__
+    for module in (*_MODULES, cli):
+        assert _sites(Path(module.__file__), _calls({"propagate_ode"})) == [], module.__name__
+
+
+def test_bench_tracing_bindings_resolve():
+    """Every function the benchmark's span tracer wraps
+    (``bench/tracing.py``, ``BINDINGS``) is still an attribute of its
+    module, so renaming or deleting one fails here and not only in a traced
+    benchmark run; ``dynamics.propagate_ode``, which no package route calls
+    any more, is among them."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module.__name__}.{name}"
+        for module, names in tracing.BINDINGS
+        for name in names
+        if not callable(getattr(module, name, None))
+    ]
+    assert missing == []
+    assert "propagate_ode" in dict(tracing.BINDINGS)[dynamics]
